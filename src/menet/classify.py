@@ -25,8 +25,8 @@ from typing import Mapping
 import numpy as np
 
 from .errors import AllBasesRejected, InconsistentGraph, WrongArity
-from .network import MenGraph, build_graph
-from .separability import is_separable
+from .network import MenGraph
+from .separability import _pairwise_entangled, is_separable
 from .state import (
     DEFAULT_TOL,
     LocalBasisChange,
@@ -124,6 +124,15 @@ def topology_shape(g: MenGraph) -> str:
         (center,) = set(edges[0]) & set(edges[1])
         return f"chain({center})"
     return "triangle"
+
+
+# shape of each 3-node edge set, indexed by the bits of (1,2), (1,3), (2,3)
+_SHAPE_BY_EDGE_CODE = tuple(
+    topology_shape(
+        MenGraph.from_edges(3, (e for e, bit in zip(((1, 2), (1, 3), (2, 3)), code) if bit))
+    )
+    for code in itertools.product((0, 1), repeat=3)
+)
 
 
 def canonical_state(name: str) -> PureState:
@@ -244,7 +253,8 @@ def topology_census(
     adaptive candidates. Per-sample generators are derived from
     (seed, sample index), so the census is deterministic and samples could
     be evaluated in any order. Bases whose transformed state has
-    min |a| <= zero_amp_threshold are rejected.
+    min |a| <= zero_amp_threshold are rejected. All bases are applied as
+    one stack and all accepted graphs come from one pairwise-minor pass.
     """
     if psi.num_qubits != 3:
         raise WrongArity(f"census requires a 3-qubit state, got n={psi.num_qubits}")
@@ -255,15 +265,27 @@ def topology_census(
     bases.extend(
         LocalBasisChange.random(3, seed=[_seed_scalar(seed), k]) for k in range(samples)
     )
+    rotated = _rotate_stack(psi, np.array([change.matrices for change in bases]))
+    accepted = np.abs(rotated).min(axis=1) > tol.zero_amp_threshold
+    edges = _pairwise_entangled(rotated[accepted], tol)  # pairs (1,2), (1,3), (2,3)
+    codes = edges @ np.array([4, 2, 1])
+    tally = np.bincount(codes, minlength=8)
     counts = {shape: 0 for shape in SHAPE_ORDER}
-    rejected = 0
-    for change in bases:
-        rotated = apply_local_basis_change(psi, change)
-        if rotated.min_modulus() <= tol.zero_amp_threshold:
-            rejected += 1
-            continue
-        counts[topology_shape(build_graph(rotated, tol))] += 1
-    return TopologyCensus(counts, len(bases), rejected)
+    for code, shape in enumerate(_SHAPE_BY_EDGE_CODE):
+        counts[shape] += int(tally[code])
+    return TopologyCensus(counts, len(bases), len(bases) - int(accepted.sum()))
+
+
+def _rotate_stack(psi: PureState, unitaries: np.ndarray) -> np.ndarray:
+    """Amplitudes of psi under each of a (B, 3, 2, 2) stack of local unitaries.
+
+    Qubits 1, 2, 3 are rotated in that order, as apply_local_basis_change
+    does; the result has shape (B, 8).
+    """
+    tensor = np.einsum("bxy,yjk->bxjk", unitaries[:, 0], psi.amplitudes.reshape(2, 2, 2))
+    tensor = np.einsum("bxy,biyk->bixk", unitaries[:, 1], tensor)
+    tensor = np.einsum("bxy,bijy->bijx", unitaries[:, 2], tensor)
+    return tensor.reshape(len(unitaries), 8)
 
 
 def _seed_scalar(seed) -> int:
@@ -282,14 +304,21 @@ def classify(
     Stage 2 (fully entangled): census over local bases; any accepted
     non-complete topology -> GHZ-like, otherwise W-like.
     """
+    return _classify_with_census(psi, samples, seed, tol)[0]
+
+
+def _classify_with_census(
+    psi: PureState, samples: int, seed, tol: ToleranceConfig
+) -> tuple[TripartiteClass, TopologyCensus | None]:
+    """The class, and the census that decided it (None when stage 1 did)."""
     if psi.num_qubits != 3:
         raise WrongArity(f"classification requires a 3-qubit state, got n={psi.num_qubits}")
     separable = [is_separable(psi, {i}, tol).separable for i in (1, 2, 3)]
     count = sum(separable)
     if count == 3:
-        return TripartiteClass(ClassTag.FULLY_SEPARABLE)
+        return TripartiteClass(ClassTag.FULLY_SEPARABLE), None
     if count == 1:
-        return TripartiteClass(ClassTag.BISEPARABLE, separable.index(True) + 1)
+        return TripartiteClass(ClassTag.BISEPARABLE, separable.index(True) + 1), None
     if count == 2:
         # mathematically impossible: two separable singletons force the third
         raise InconsistentGraph(
@@ -301,8 +330,8 @@ def classify(
             f"all {census.bases_sampled} sampled bases had near-zero amplitudes"
         )
     if census.non_complete() > 0:
-        return TripartiteClass(ClassTag.GHZ_LIKE)
-    return TripartiteClass(ClassTag.W_LIKE)
+        return TripartiteClass(ClassTag.GHZ_LIKE), census
+    return TripartiteClass(ClassTag.W_LIKE), census
 
 
 @dataclass(frozen=True)

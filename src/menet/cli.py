@@ -13,7 +13,7 @@ import json
 import sys
 import warnings
 
-from .classify import classify, topology_census
+from .classify import _classify_with_census, topology_census
 from .errors import (
     FileFormatError,
     InvalidQuery,
@@ -226,8 +226,9 @@ def cmd_measure(args) -> list[str]:
 
 def cmd_classify(args) -> list[str]:
     psi = load_state(args.state)
-    result = classify(psi, samples=args.samples, seed=args.seed)
-    census = topology_census(psi, args.samples, args.seed)
+    result, census = _classify_with_census(psi, args.samples, args.seed, DEFAULT_TOL)
+    if census is None:  # stage 1 decided the class; the census is printed regardless
+        census = topology_census(psi, args.samples, args.seed)
     return [f"class: {result.label()}"] + census.to_lines()
 
 

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    EnumerationBoundExceeded,
     InvalidQuery,
     NotAChain,
     NotAPrefix,
@@ -40,6 +41,7 @@ from .network import (
     QFunctionTable,
     _random_q_tables,
     _relative_amplitude_products,
+    _require_index_width,
     build_graph,
     reconstruct_state,
 )
@@ -105,9 +107,11 @@ def probability_of(psi: PureState, x: Assignment) -> float:
 def _completion_indices(x_m: Assignment, n: int) -> np.ndarray:
     free = sorted(set(range(1, n + 1)) - set(x_m))
     if len(free) > _BRUTE_FREE_MAX:
-        raise ValueError(
-            f"brute-force enumeration over 2^{len(free)} completions refused"
+        raise EnumerationBoundExceeded(
+            f"brute-force enumeration over 2^{len(free)} completions refused "
+            f"(limit 2^{_BRUTE_FREE_MAX})"
         )
+    _require_index_width(n)
     base = 0
     for qubit, bit in x_m.items():
         base |= bit << (n - qubit)

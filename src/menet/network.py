@@ -30,7 +30,7 @@ from .errors import (
     ZeroAmplitudeWarning,
     ZeroReferenceAmplitude,
 )
-from .separability import conditionally_separable
+from .separability import _pairwise_entangled, conditionally_separable
 from .state import (
     DEFAULT_TOL,
     Assignment,
@@ -39,8 +39,7 @@ from .state import (
 )
 
 _NORM_AUDIT_MAX = 12  # brute-force normalization audit bound
-_WELL_DEFINED_EXHAUSTIVE_MAX = 10
-_WELL_DEFINED_SAMPLES = 64
+_INDEX_QUBITS_MAX = 63  # int64 basis indices hold qubit bits 62..0
 _RECONSTRUCT_MAX = 24
 _MODULUS_ATOL = 1e-9
 
@@ -167,6 +166,14 @@ class QFunctionTable:
         return f"QFunctionTable(node={self.node}, neighbors={self.neighbors})"
 
 
+def _require_index_width(n: int) -> None:
+    """Refuse n-qubit basis indices that do not fit in int64."""
+    if n > _INDEX_QUBITS_MAX:
+        raise EnumerationBoundExceeded(
+            f"basis indices of {n} qubits overflow int64 (limit n <= {_INDEX_QUBITS_MAX})"
+        )
+
+
 def _relative_amplitude_products(
     potentials: tuple[QFunctionTable, ...],
     reference_bits: tuple[int, ...],
@@ -177,6 +184,7 @@ def _relative_amplitude_products(
 
     Evaluated at the given basis indices (all 2**n when omitted).
     """
+    _require_index_width(n)
     if indices is None:
         indices = np.arange(2**n)
     out = np.ones(indices.shape, dtype=np.complex128)
@@ -308,26 +316,19 @@ def build_graph(
             ZeroAmplitudeWarning,
             stacklevel=2,
         )
-    edges = set()
-    all_qubits = set(range(1, n + 1))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ZeroAmplitudeWarning)
-        for i, j in itertools.combinations(range(1, n + 1), 2):
-            rest = all_qubits - {i, j}
-            verdict = conditionally_separable(psi, {i}, {j}, rest, tol, mode="robust")
-            if not verdict.separable:
-                edges.add((i, j))
-    return MenGraph(n, frozenset(edges))
+    entangled = _pairwise_entangled(psi.amplitudes[None, :], tol)[0]
+    pairs = itertools.combinations(range(1, n + 1), 2)
+    return MenGraph(n, frozenset(pair for pair, hit in zip(pairs, entangled) if hit))
 
 
 def extract_men(psi: PureState, tol: ToleranceConfig = DEFAULT_TOL) -> MenModel:
     """Read graph, potentials and reference modulus off an all-nonzero state.
 
     Potentials are sampled with non-neighbors pinned at the reference
-    (all-zeros) point; a well-definedness audit verifies that the full-context
-    ratio really is independent of non-neighbor coordinates (exhaustively for
-    n <= 10, else on 64 random contexts) and raises InconsistentGraph on
-    violation. The reference modulus is recomputed from the normalization
+    (all-zeros) point; a well-definedness audit verifies, on every one of
+    the 2^(n-1) contexts of every node, that the full-context ratio really
+    is independent of non-neighbor coordinates, and raises InconsistentGraph
+    on violation. The reference modulus is recomputed from the normalization
     formula rather than read off the state.
     """
     n = psi.num_qubits
@@ -365,33 +366,40 @@ def _audit_well_defined(
     potentials: tuple[QFunctionTable, ...],
     tol: ToleranceConfig,
 ) -> None:
+    """Check amps(x_i=1, ctx) == q(1 | ctx on U(i)) * amps(x_i=0, ctx) on all contexts.
+
+    A context binds the n-1 qubits other than i; contexts are numbered with
+    the lowest-indexed of them as the most significant bit, and the first
+    violating context in that order is reported.
+    """
     n = psi.num_qubits
     amps = psi.amplitudes
-    if n <= _WELL_DEFINED_EXHAUSTIVE_MAX:
-        context_bits = list(itertools.product((0, 1), repeat=n - 1))
-    else:
-        rng = np.random.default_rng(0)  # fixed audit seed: deterministic reports
-        context_bits = [tuple(row) for row in rng.integers(0, 2, size=(_WELL_DEFINED_SAMPLES, n - 1))]
+    contexts = np.arange(2 ** (n - 1))
     for table in potentials:
         i = table.node
-        others = [j for j in range(1, n + 1) if j != i]
-        nb_pos = [others.index(j) for j in table.neighbors]
-        for ctx in context_bits:
-            base = 0
-            for pos, j in enumerate(others):
-                base |= ctx[pos] << (n - j)
-            num = amps[base | (1 << (n - i))]
-            den = amps[base]
-            q_table = table.q(1, tuple(ctx[p] for p in nb_pos))
-            lhs = num
-            rhs = q_table * den
-            bound = tol.abs_eps + tol.rel_eps * max(abs(lhs), abs(rhs))
-            if abs(lhs - rhs) > bound:
-                raise InconsistentGraph(
-                    f"q(x_{i}=1 | full context) varies with non-neighbor coordinates "
-                    f"(context {ctx}: |delta|={abs(lhs - rhs):.3e} > {bound:.3e}); "
-                    "the declared graph or the tolerances are wrong"
-                )
+        low = n - i  # bit position of qubit i; lower bits belong to qubits > i
+        base = ((contexts >> low) << (low + 1)) | (contexts & ((1 << low) - 1))
+        k = len(table.neighbors)
+        nb_index = np.zeros_like(base)
+        for pos, j in enumerate(table.neighbors):
+            nb_index |= ((base >> (n - j)) & 1) << (k - 1 - pos)
+        q_dense = np.array(
+            [table.q(1, ctx) for ctx in itertools.product((0, 1), repeat=k)],
+            dtype=np.complex128,
+        )
+        lhs = amps[base | (1 << low)]
+        rhs = q_dense[nb_index] * amps[base]
+        delta = np.abs(lhs - rhs)
+        bound = tol.abs_eps + tol.rel_eps * np.maximum(np.abs(lhs), np.abs(rhs))
+        violations = np.flatnonzero(delta > bound)
+        if violations.size:
+            c = int(violations[0])
+            ctx = tuple((c >> (n - 2 - pos)) & 1 for pos in range(n - 1))
+            raise InconsistentGraph(
+                f"q(x_{i}=1 | full context) varies with non-neighbor coordinates "
+                f"(context {ctx}: |delta|={delta[c]:.3e} > {bound[c]:.3e}); "
+                "the declared graph or the tolerances are wrong"
+            )
 
 
 def reconstruct_state(model: MenModel) -> PureState:

@@ -19,6 +19,7 @@ carry a ZeroAmplitudeWarning.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -91,8 +92,11 @@ def _assignment_at(groups: list[list[int]], indices: list[int]) -> Assignment:
 
 def _minor_bound(m1, m2, m3, m4, tol: ToleranceConfig):
     """abs_eps + rel_eps * (product of the two largest entry moduli)."""
-    stacked = np.sort(np.stack(np.broadcast_arrays(m1, m2, m3, m4)), axis=0)
-    return tol.abs_eps + tol.rel_eps * stacked[-1] * stacked[-2]
+    hi_a, lo_a = np.maximum(m1, m2), np.minimum(m1, m2)
+    hi_b, lo_b = np.maximum(m3, m4), np.minimum(m3, m4)
+    top = np.maximum(hi_a, hi_b)
+    second = np.maximum(np.minimum(hi_a, hi_b), np.maximum(lo_a, lo_b))
+    return tol.abs_eps + tol.rel_eps * top * second
 
 
 def _scan_all_minors(arr: np.ndarray, tol: ToleranceConfig):
@@ -101,34 +105,63 @@ def _scan_all_minors(arr: np.ndarray, tol: ToleranceConfig):
     Returns (max |minor|, first violation as (k, i, i2, j, j2) or None),
     where "first" is lexicographic in (k, i, i2, j, j2).
     """
-    rows, cols, _ = arr.shape
+    rows = arr.shape[0]
     mods = np.abs(arr)
     max_minor = 0.0
     first: tuple[int, int, int, int, int] | None = None
-    upper = np.triu(np.ones((cols, cols), dtype=bool), k=1)[None, :, :, None]
+    # column pairs j < j2 in lexicographic order
+    jj, jj2 = np.triu_indices(arr.shape[1], k=1)
     for i in range(rows - 1):
         u = arr[i]  # (C, K)
         v = arr[i + 1 :]  # (R-i-1, C, K)
-        minors = u[None, :, None, :] * v[:, None, :, :] - v[:, :, None, :] * u[None, None, :, :]
+        minors = u[jj][None] * v[:, jj2] - v[:, jj] * u[jj2][None]  # (R-i-1, P, K)
         mags = np.abs(minors)
         bounds = _minor_bound(
-            mods[i][None, :, None, :],
-            mods[i][None, None, :, :],
-            mods[i + 1 :][:, :, None, :],
-            mods[i + 1 :][:, None, :, :],
-            tol,
+            mods[i][jj][None], mods[i][jj2][None], mods[i + 1 :][:, jj], mods[i + 1 :][:, jj2], tol
         )
-        mags = np.where(upper, mags, 0.0)
         max_minor = max(max_minor, float(mags.max(initial=0.0)))
-        viol = (mags > bounds) & upper
+        viol = mags > bounds
         if viol.any():
-            # violations indexed (i2off, j, j2, k); order key is (k, i, i2, j, j2)
+            # violations indexed (i2off, pair, k); order key is (k, i, i2, j, j2)
             pos = np.argwhere(viol)
-            best = pos[np.lexsort((pos[:, 2], pos[:, 1], pos[:, 0], pos[:, 3]))][0]
-            cand = (int(best[3]), i, i + 1 + int(best[0]), int(best[1]), int(best[2]))
+            best = pos[np.lexsort((pos[:, 1], pos[:, 0], pos[:, 2]))][0]
+            pair = int(best[1])
+            cand = (int(best[2]), i, i + 1 + int(best[0]), int(jj[pair]), int(jj2[pair]))
             if first is None or cand < first:
                 first = cand
     return max_minor, first
+
+
+def _pairwise_entangled(amps: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """Robust conditional test of every qubit pair, for a stack of states.
+
+    `amps` has shape (B, 2**n); the result is a bool array (B, n(n-1)/2),
+    True where qubits i and j are conditionally entangled given all the
+    others, with pairs (i, j) in itertools.combinations order. For single
+    qubits the all-minors scan reduces to one 2x2 minor per context,
+    a00*a11 - a10*a01, held to the same tolerance law, so each entry equals
+    `not conditionally_separable(psi, {i}, {j}, rest, tol).separable`.
+    """
+    batch, dim = amps.shape
+    n = dim.bit_length() - 1
+    tensor = amps.reshape((batch,) + (2,) * n)
+    mods = np.abs(tensor)
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    out = np.empty((batch, len(pairs)), dtype=bool)
+    context_axes = tuple(range(1, n - 1))
+
+    def at(i: int, j: int, bit_i: int, bit_j: int) -> tuple:
+        """Basic index (a view, no copy) fixing qubits i and j; axis 0 is the batch."""
+        index = [slice(None)] * (n + 1)
+        index[i], index[j] = bit_i, bit_j
+        return tuple(index)
+
+    for col, (i, j) in enumerate(pairs):
+        c00, c11, c10, c01 = at(i, j, 0, 0), at(i, j, 1, 1), at(i, j, 1, 0), at(i, j, 0, 1)
+        mags = np.abs(tensor[c00] * tensor[c11] - tensor[c10] * tensor[c01])
+        bounds = _minor_bound(mods[c00], mods[c11], mods[c10], mods[c01], tol)
+        out[:, col] = np.any(mags > bounds, axis=context_axes)
+    return out
 
 
 def _scan_reference_minors(arr: np.ndarray, row0: int, col0: int, tol: ToleranceConfig):

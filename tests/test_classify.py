@@ -104,6 +104,66 @@ class TestTopologyCensus:
         ]
 
 
+def _per_basis_census(psi, samples, seed, tol=mn.DEFAULT_TOL):
+    """Reference census: rotate one basis at a time, test each pair with the oracle."""
+    from menet.classify import SHAPE_ORDER, adaptive_bases, structured_bases
+
+    bases = list(structured_bases()) + list(adaptive_bases(psi, tol))
+    bases += [mn.LocalBasisChange.random(3, seed=[seed, k]) for k in range(samples)]
+    counts = {shape: 0 for shape in SHAPE_ORDER}
+    rejected = 0
+    for change in bases:
+        rotated = mn.apply_local_basis_change(psi, change)
+        if rotated.min_modulus() <= tol.zero_amp_threshold:
+            rejected += 1
+            continue
+        edges = [
+            (i, j)
+            for i, j in ((1, 2), (1, 3), (2, 3))
+            if not mn.conditionally_separable(rotated, {i}, {j}, {6 - i - j}, tol).separable
+        ]
+        counts[mn.topology_shape(MenGraph.from_edges(3, edges))] += 1
+    return counts, len(bases), rejected
+
+
+class TestBatchedCensus:
+    @pytest.mark.parametrize("name", ["ghz", "w", "product", "bell12_0", "bell13_0", "bell23_0"])
+    @pytest.mark.parametrize("trial", range(3))
+    def test_matches_per_basis_oracle(self, name, trial):
+        psi = mn.canonical_state(name)
+        if trial:  # a local-unitary image of the canonical state
+            psi = mn.apply_local_basis_change(psi, mn.LocalBasisChange.random(3, seed=[21, trial]))
+        census = mn.topology_census(psi, 24, 5)
+        counts, sampled, rejected = _per_basis_census(psi, 24, 5)
+        assert dict(census.counts) == counts
+        assert census.bases_sampled == sampled
+        assert census.bases_rejected_for_zeros == rejected
+
+    def test_all_rejected_is_an_empty_census(self, ghz):
+        census = mn.topology_census(ghz, 4, 0, mn.ToleranceConfig(zero_amp_threshold=0.9))
+        assert census.accepted == 0
+        assert sum(census.counts.values()) == 0
+
+    def test_no_per_basis_graphs_or_rotations(self, monkeypatch, ghz):
+        import importlib
+
+        calls = []
+
+        def forbidden(*args, **kwargs):
+            calls.append(1)
+            raise AssertionError("called")
+
+        for module in ("menet.network", "menet.classify"):
+            monkeypatch.setattr(importlib.import_module(module), "build_graph", forbidden, raising=False)
+        for module in ("menet.state", "menet.classify"):
+            monkeypatch.setattr(
+                importlib.import_module(module), "apply_local_basis_change", forbidden, raising=False
+            )
+        census = mn.topology_census(ghz, 16, 3)
+        assert census.accepted > 0
+        assert calls == []
+
+
 class TestClassify:
     def test_ghz(self, ghz):
         assert mn.classify(ghz, 64, 7) == TripartiteClass(ClassTag.GHZ_LIKE)

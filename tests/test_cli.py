@@ -179,6 +179,39 @@ class TestCommandSemantics:
         collapsed = mn.load_state(target)
         assert collapsed.amplitude(mn.Assignment.zeros(3)) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("name", ["ghz", "plusplus3"])
+    def test_classify_runs_one_census(self, capsys, monkeypatch, fixture_dir, tmp_path, name):
+        import importlib
+
+        classify_module = importlib.import_module("menet.classify")
+        cli_module = importlib.import_module("menet.cli")
+        if name == "plusplus3":  # stage 1 decides; the census is still printed
+            path = tmp_path / "product.state"
+            mn.save_state(mn.PureState([8 ** -0.5] * 8), path)
+        else:
+            path = fixture_dir / f"{name}.state"
+        calls = []
+        original = classify_module.topology_census
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(classify_module, "topology_census", counting)
+        monkeypatch.setattr(cli_module, "topology_census", counting)
+        rc, out = run_cli(capsys, ["classify", str(path), "--samples", "16"])
+        assert rc == 0
+        assert "bases_sampled:" in out
+        assert len(calls) == 1
+
+    def test_conditional_too_many_free_qubits_is_1(self, capsys, tmp_path):
+        path = tmp_path / "c40.model"
+        mn.save_model(mn.random_chain_model(40, seed=0), path)
+        rc = main(["conditional", str(path), "--query", "1=0", "--evidence", "2=1"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.count("\n") == 1 and "EnumerationBoundExceeded" in err
+
     def test_classify_census_contains_chain(self, capsys, fixture_dir):
         rc, out = run_cli(
             capsys,

@@ -108,6 +108,50 @@ class TestConditionalProbability:
         assert total == pytest.approx(1.0, abs=1e-9)
 
 
+class TestBruteForceIndexGuards:
+    """Brute-force sums refuse what they cannot enumerate or index."""
+
+    def test_too_many_free_qubits(self):
+        model = mn.random_chain_model(30, 0)
+        with pytest.raises(mn.EnumerationBoundExceeded):
+            mn.conditional_probability(model, Assignment({1: 0}), Assignment({2: 1}))
+        with pytest.raises(mn.EnumerationBoundExceeded):
+            mn.marginal_ratio(model, Assignment())
+
+    @pytest.mark.parametrize("n", [64, 70])
+    def test_indices_past_int64(self, n):
+        # formerly 0.5 on n = 70 (the true value is far from it): the high
+        # qubits' bits were shifted out of the int64 index without a word
+        model = mn.random_chain_model(n, 1)
+        evidence = Assignment({q: 0 for q in range(2, n - 4)})
+        with pytest.raises(mn.EnumerationBoundExceeded):
+            mn.conditional_probability(model, Assignment({1: 0}), evidence)
+        with pytest.raises(mn.EnumerationBoundExceeded):
+            mn.marginal_ratio(model, Assignment({1: 1}).merge(evidence))
+
+    def test_widest_indexable_chain_is_exact(self):
+        # n = 63 uses bits 62..0 of an int64 index: still exact
+        n = 63
+        model = mn.random_chain_model(n, 1)
+        query = Assignment({1: 1})
+        evidence = Assignment({q: q % 2 for q in range(2, n - 4)})
+        expected = (
+            mn.chain_marginal_ratio(model, query.merge(evidence)).value
+            / mn.chain_marginal_ratio(model, evidence).value
+        )
+        got = mn.conditional_probability(model, query, evidence)
+        assert got == pytest.approx(expected, rel=1e-9)
+
+    def test_dense_products_refuse_wide_indices(self):
+        from menet.network import _relative_amplitude_products
+
+        model = mn.random_chain_model(64, 0)
+        with pytest.raises(mn.EnumerationBoundExceeded):
+            _relative_amplitude_products(
+                model.potentials, model.reference_bits(), 64, np.arange(4)
+            )
+
+
 class TestChainPrefix:
     def test_full_prefix_is_plain_product(self):
         model = mn.random_chain_model(6, 3)

@@ -165,6 +165,95 @@ class TestExtractMen:
             _audit_well_defined(psi, graph, tuple(tables), mn.DEFAULT_TOL)
 
 
+class TestExhaustiveAudit:
+    @staticmethod
+    def path_state(n, seed):
+        rng = np.random.default_rng(seed)
+        index = np.arange(2**n)
+        bits = [(index >> (n - q)) & 1 for q in range(1, n + 1)]
+        amps = np.ones(2**n, dtype=np.complex128)
+        for i in range(1, n):
+            amps *= rng.uniform(0.5, 2.0, size=(2, 2))[bits[i - 1], bits[i]]
+        return mn.PureState.normalized(amps)
+
+    def test_single_bad_context_is_found_beyond_n_10(self):
+        # one amplitude off by 1e-3 breaks one context per node; a sampled
+        # audit of 64 contexts per node would miss it most of the time
+        n = 12
+        psi = self.path_state(n, 4)
+        model = mn.extract_men(psi)
+        bad = 0b101101011011  # qubit 1 set, non-neighbors away from the reference
+        amps = np.array(psi.amplitudes)
+        amps[bad] *= 1.001
+        broken = mn.PureState.normalized(amps)
+        with pytest.raises(mn.InconsistentGraph) as info:
+            _audit_well_defined(broken, model.graph, model.potentials, mn.DEFAULT_TOL)
+        # node 1 is audited first; its context is the other qubits' bits of `bad`
+        ctx = tuple((bad >> (n - q)) & 1 for q in range(2, n + 1))
+        assert "x_1=1" in str(info.value)
+        assert f"context {ctx}" in str(info.value)
+
+    def test_first_violation_in_loop_order(self):
+        # reference: the per-context loop over nodes, then contexts in
+        # product order over the other qubits
+        n = 5
+        psi = mn.random_nonzero_state(n, 8)
+        graph = MenGraph.path(n)
+        model_tables = []
+        for i in range(1, n + 1):
+            nb = graph.neighbors(i)
+            values = {}
+            for ctx in itertools.product((0, 1), repeat=len(nb)):
+                base = sum(b << (n - j) for b, j in zip(ctx, nb))
+                values[(0, ctx)] = 1.0
+                values[(1, ctx)] = psi.amplitudes[base | (1 << (n - i))] / psi.amplitudes[base]
+            model_tables.append(QFunctionTable(i, nb, 0, values))
+        expected = None
+        for table in model_tables:
+            i = table.node
+            others = [j for j in range(1, n + 1) if j != i]
+            for ctx in itertools.product((0, 1), repeat=n - 1):
+                base = sum(b << (n - j) for b, j in zip(ctx, others))
+                lhs = psi.amplitudes[base | (1 << (n - i))]
+                rhs = table.q(1, tuple(ctx[others.index(j)] for j in table.neighbors)) * psi.amplitudes[base]
+                if abs(lhs - rhs) > 1e-12 + 1e-9 * max(abs(lhs), abs(rhs)):
+                    expected = (i, ctx)
+                    break
+            if expected:
+                break
+        assert expected is not None
+        with pytest.raises(mn.InconsistentGraph) as info:
+            _audit_well_defined(psi, graph, tuple(model_tables), mn.DEFAULT_TOL)
+        assert f"x_{expected[0]}=1" in str(info.value)
+        assert f"context {expected[1]}" in str(info.value)
+
+
+class TestBuildGraphKernel:
+    def test_no_general_scan_per_pair(self, monkeypatch):
+        import importlib
+
+        calls = []
+        network = importlib.import_module("menet.network")
+        original = network.conditionally_separable
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(network, "conditionally_separable", counting)
+        monkeypatch.setattr(importlib.import_module("menet.separability"), "conditionally_separable", counting)
+        g = mn.build_graph(mn.random_nonzero_state(6, 2))
+        assert len(g.edges) == 15
+        assert calls == []
+
+    def test_zero_amplitude_warning_kept(self, ghz):
+        with pytest.warns(mn.ZeroAmplitudeWarning):
+            g = mn.build_graph(ghz)
+        assert g.edges == frozenset()
+        with pytest.raises(mn.ZeroReferenceAmplitude):
+            mn.build_graph(ghz, require_nonzero=True)
+
+
 class TestReconstruct:
     def test_empty_graph_all_ones_is_uniform(self):
         model = MenModel(

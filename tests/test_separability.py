@@ -203,3 +203,170 @@ class TestDefaultReference:
         # a(000) = 0, so the reference moves to a maximal amplitude
         ref = mn.default_reference(w_state)
         assert abs(w_state.amplitude(ref)) == pytest.approx(1 / math.sqrt(3))
+
+
+def _old_minor_bound(m1, m2, m3, m4, tol):
+    """The sort-based top-two formula, kept as the reference."""
+    stacked = np.sort(np.stack(np.broadcast_arrays(m1, m2, m3, m4)), axis=0)
+    return tol.abs_eps + tol.rel_eps * stacked[-1] * stacked[-2]
+
+
+def _old_scan_all_minors(arr, tol):
+    """The masked full-square scan, kept as the reference."""
+    rows, cols, _ = arr.shape
+    mods = np.abs(arr)
+    max_minor = 0.0
+    first = None
+    upper = np.triu(np.ones((cols, cols), dtype=bool), k=1)[None, :, :, None]
+    for i in range(rows - 1):
+        u = arr[i]
+        v = arr[i + 1 :]
+        minors = u[None, :, None, :] * v[:, None, :, :] - v[:, :, None, :] * u[None, None, :, :]
+        mags = np.abs(minors)
+        bounds = _old_minor_bound(
+            mods[i][None, :, None, :],
+            mods[i][None, None, :, :],
+            mods[i + 1 :][:, :, None, :],
+            mods[i + 1 :][:, None, :, :],
+            tol,
+        )
+        mags = np.where(upper, mags, 0.0)
+        max_minor = max(max_minor, float(mags.max(initial=0.0)))
+        viol = (mags > bounds) & upper
+        if viol.any():
+            pos = np.argwhere(viol)
+            best = pos[np.lexsort((pos[:, 2], pos[:, 1], pos[:, 0], pos[:, 3]))][0]
+            cand = (int(best[3]), i, i + 1 + int(best[0]), int(best[1]), int(best[2]))
+            if first is None or cand < first:
+                first = cand
+    return max_minor, first
+
+
+class TestMinorScanMatchesOldFormula:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_minor_bound_bit_identical(self, seed):
+        from menet.separability import _minor_bound
+
+        rng = np.random.default_rng(seed)
+        # few distinct values, so ties and zeros are common
+        m = [rng.integers(0, 4, size=(3, 1, 5)) * 0.25, rng.random((1, 4, 5)),
+             rng.integers(0, 4, size=(3, 4, 1)) * 0.25, rng.random((3, 4, 5))]
+        got = _minor_bound(*m, mn.DEFAULT_TOL)
+        want = _old_minor_bound(*m, mn.DEFAULT_TOL)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("shape", [(2, 2, 1), (2, 4, 3), (4, 2, 2), (4, 8, 1), (8, 4, 2), (1, 4, 2), (4, 1, 2)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_scan_same_max_and_first_violation(self, shape, seed):
+        from menet.separability import _scan_all_minors
+
+        rng = np.random.default_rng([seed, *shape])
+        rows, cols, held = shape
+        col = rng.normal(size=(rows, 1, held)) + 1j * rng.normal(size=(rows, 1, held))
+        row = rng.normal(size=(1, cols, held)) + 1j * rng.normal(size=(1, cols, held))
+        arr = col * row  # rank 1 in every context
+        # perturb a few entries, zero a few others, so the first violation moves
+        flat = arr.reshape(-1)
+        hits = rng.choice(flat.size, size=min(3, flat.size), replace=False)
+        flat[hits[:2]] *= 1.5
+        flat[hits[2:]] = 0.0
+        if seed % 2:
+            arr[0] = 0.0  # minors through row 0 vanish; the witness moves to i >= 1
+        got = _scan_all_minors(arr, mn.DEFAULT_TOL)
+        want = _old_scan_all_minors(arr, mn.DEFAULT_TOL)
+        assert got == want
+
+
+def _pairwise_factor_state(n, edges, seed, zero_fraction=0.0):
+    """Normalized product of one random factor per qubit and one per edge."""
+    rng = np.random.default_rng(seed)
+    index = np.arange(2**n)
+    bits = [(index >> (n - q)) & 1 for q in range(1, n + 1)]
+    amps = np.ones(2**n, dtype=np.complex128)
+    for q in range(n):
+        amps *= (rng.normal(size=2) + 1j * rng.normal(size=2))[bits[q]]
+    for i, j in edges:
+        factor = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        amps *= factor[bits[i - 1], bits[j - 1]]
+    if zero_fraction:
+        amps[rng.random(2**n) < zero_fraction] = 0.0
+        amps[0] = 1.0  # never the zero vector
+    return mn.PureState.normalized(amps)
+
+
+def _oracle_edges(psi):
+    n = psi.num_qubits
+    out = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", mn.ZeroAmplitudeWarning)
+        for i, j in itertools.combinations(range(1, n + 1), 2):
+            rest = set(range(1, n + 1)) - {i, j}
+            out.append(not mn.conditionally_separable(psi, {i}, {j}, rest, mode="robust").separable)
+    return out
+
+
+def _ghz(n):
+    amps = np.zeros(2**n)
+    amps[0] = amps[-1] = 1.0
+    return mn.PureState.normalized(amps)
+
+
+def _w(n):
+    amps = np.zeros(2**n)
+    amps[[1 << k for k in range(n)]] = 1.0
+    return mn.PureState.normalized(amps)
+
+
+class TestPairwiseKernel:
+    """The batched 2x2-minor kernel against pairwise conditionally_separable."""
+
+    @staticmethod
+    def kernel(psi):
+        from menet.separability import _pairwise_entangled
+
+        return list(_pairwise_entangled(psi.amplitudes[None, :], mn.DEFAULT_TOL)[0])
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_random_dense_states(self, n):
+        for seed in range(3):
+            psi = mn.random_state(n, [seed, n])
+            assert self.kernel(psi) == _oracle_edges(psi)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_pairwise_factor_states_on_sparse_graphs(self, n):
+        for seed in range(3):
+            rng = np.random.default_rng([seed, n, 1])
+            pairs = list(itertools.combinations(range(1, n + 1), 2))
+            edges = [p for p in pairs if rng.random() < 0.3]
+            psi = _pairwise_factor_state(n, edges, [seed, n])
+            got = self.kernel(psi)
+            assert got == _oracle_edges(psi)
+            assert {p for p, hit in zip(pairs, got) if hit} == set(edges)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_states_with_exact_zeros(self, n):
+        states = [_ghz(n), _w(n), mn.basis_state(n, 0), mn.basis_state(n, 2**n - 1)]
+        if n > 1:
+            states.append(mn.random_product_state(([1], list(range(2, n + 1))), n).state)
+            states.append(_pairwise_factor_state(n, [(1, n)], n, zero_fraction=0.3))
+        states.append(mn.PureState.normalized(
+            np.where(np.arange(2**n) % 3 == 1, 0.0, mn.random_state(n, n).amplitudes)
+        ))
+        for psi in states:
+            assert self.kernel(psi) == _oracle_edges(psi)
+
+    def test_batch_rows_are_independent(self):
+        from menet.separability import _pairwise_entangled
+
+        states = [_ghz(4), _w(4), mn.random_state(4, 1), mn.basis_state(4, 5)]
+        stack = np.stack([psi.amplitudes for psi in states])
+        batched = _pairwise_entangled(stack, mn.DEFAULT_TOL)
+        assert batched.shape == (4, 6)
+        for row, psi in zip(batched, states):
+            assert list(row) == self.kernel(psi)
+
+    def test_empty_batch(self):
+        from menet.separability import _pairwise_entangled
+
+        assert _pairwise_entangled(np.zeros((0, 8), dtype=np.complex128), mn.DEFAULT_TOL).shape == (0, 3)
