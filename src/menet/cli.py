@@ -22,6 +22,8 @@ from .errors import (
     ZeroEvidenceProbability,
 )
 from .inference import (
+    _EVIDENCE_FLOOR,
+    _model_marginal_probability,
     bench_chains,
     chain_marginal_ratio,
     conditional_probability,
@@ -34,6 +36,7 @@ from .inference import (
 )
 from .network import (
     MenGraph,
+    _model_from_payload,
     build_graph,
     check_graphoid_axioms,
     export_dot,
@@ -48,11 +51,11 @@ from .state import (
     Assignment,
     ToleranceConfig,
     fidelity_up_to_phase,
+    _state_from_payload,
     load_state,
     save_state,
 )
 
-_EVIDENCE_FLOOR = 1e-300
 _ZERO_AMP_NOTICE = (
     "warning: near-zero amplitudes present; graph-based results may be unreliable"
 )
@@ -109,10 +112,9 @@ def _load_state_or_model(path):
     except (OSError, json.JSONDecodeError) as exc:
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
     if isinstance(payload, dict) and "amplitudes" in payload:
-        return load_state(path), None
+        return _state_from_payload(payload), None
     if isinstance(payload, dict) and "q" in payload:
-        model = load_model(path)
-        return None, model
+        return None, _model_from_payload(payload, path)
     raise FileFormatError(f"{path} is neither a state file nor a model file")
 
 
@@ -166,13 +168,10 @@ def cmd_reconstruct(args) -> list[str]:
 def cmd_marginal(args) -> list[str]:
     psi, model = _load_state_or_model(args.file)
     if model is not None:
-        if model.graph.is_path():
-            ratio = chain_marginal_ratio(model, args.assign).value
-        else:
-            ratio = marginal_ratio(model, args.assign).value
-        if args.ratio:
-            return [f"ratio: {_fmt(ratio)}"]
-        return [f"probability: {_fmt_prob(ratio * model.reference_modulus**2)}"]
+        if not args.ratio:
+            return [f"probability: {_fmt_prob(_model_marginal_probability(model, args.assign))}"]
+        ratio_of = chain_marginal_ratio if model.graph.is_path() else marginal_ratio
+        return [f"ratio: {_fmt(ratio_of(model, args.assign).value)}"]
     probability = marginal_probability(psi, args.assign)
     if args.ratio:
         reference = probability_of(psi, Assignment.zeros(psi.num_qubits))

@@ -6,9 +6,9 @@ Two routes are kept deliberately independent so they can check each other:
   a partial assignment directly on the amplitude vector; marginal_ratio does
   the same on a model's telescoping q-products. Exponential, used as the
   oracle.
-- chain specializations: for path-graph models, marginal ratios and maximum
-  likelihood instantiations are computed by message passing along the chain
-  in time linear in the number of qubits.
+- chain specializations: on path-graph models, marginal ratios, conditionals
+  and maximum likelihood instantiations come from one sum-product and one
+  max-product sweep along the chain, linear in the number of qubits.
 
 QueryResult.op_count counts complex multiplications, additions, and
 modulus-square evaluations (one each); comparisons and rescaling divisions
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import statistics
+import sys
 import time
 import warnings
 from dataclasses import dataclass
@@ -50,6 +51,7 @@ from .state import (
     Assignment,
     PureState,
     ToleranceConfig,
+    assignment_of,
     measure_qubit,
 )
 
@@ -142,22 +144,42 @@ def marginal_ratio(model: MenModel, x_m: Assignment) -> QueryResult:
 def conditional_probability(
     model: MenModel, query: Assignment, evidence: Assignment
 ) -> float:
-    """p(query | evidence) as a ratio of marginal ratios; clamped to [0, 1]."""
+    """p(query | evidence) as a ratio of marginal ratios; clamped to [0, 1].
+
+    Chain models take sum-product sweeps (joint, evidence, and log Z for the
+    evidence floor); other graphs sum by brute force.
+    """
     n = model.num_qubits
     _validate_bindings(query, n)
     _validate_bindings(evidence, n)
     if set(query) & set(evidence):
         raise InvalidQuery("query and evidence domains must be disjoint")
-    denominator = marginal_ratio(model, evidence)
-    if denominator.value * model.reference_modulus**2 < _EVIDENCE_FLOOR:
+    joint = query.merge(evidence)
+    if model.graph.is_path():
+        levels = _chain_weights(model)
+        (value_e, scale_e, _), (value_j, scale_j, _) = (
+            _chain_marginal(levels, x_m) for x_m in (evidence, joint)
+        )
+        log_z = _chain_log_z(levels)[0]
+    else:
+        value_e, value_j = (marginal_ratio(model, x_m).value for x_m in (evidence, joint))
+        scale_e = scale_j = 0.0
+        ref_squared = model.reference_modulus**2
+        log_z = -math.log(ref_squared) if ref_squared > 0.0 else math.inf
+    if _log_of(value_e, scale_e) - log_z < math.log(_EVIDENCE_FLOOR):  # the modulus may be 0
         raise ZeroEvidenceProbability(
             f"evidence {evidence!r} has probability below {_EVIDENCE_FLOOR}"
         )
-    numerator = marginal_ratio(model, query.merge(evidence))
-    return min(max(numerator.value / denominator.value, 0.0), 1.0)
+    return min(max(_scale_back(value_j / value_e, scale_j - scale_e), 0.0), 1.0)
 
 
 # --- chain specializations ---------------------------------------------------
+#
+# On the chain 1-2-...-n the squared telescoping product is
+# prod_i w_i(x_{i-1}, x_i), with w_i(p, b) = |q(x_i = b | x_{i-1} = p,
+# x_{i+1} at reference)|^2. Node 1 has no left neighbor: both rows of its
+# level are equal, and x_0 is a dummy fixed at 0. Every chain query is a
+# sum-product or a max-product sweep over these n levels.
 
 
 def _require_chain(model: MenModel) -> None:
@@ -165,25 +187,30 @@ def _require_chain(model: MenModel) -> None:
         raise NotAChain("model graph is not the chain 1-2-...-n")
 
 
-def _chain_factor(
-    model: MenModel, i: int, prev_bit: int | None, bit: int, ref_bits: tuple[int, ...]
-) -> float:
-    """|q(x_i | x_{i-1}, x_{i+1} at reference)|^2 on a chain (one mod-square)."""
-    n = model.num_qubits
-    if i == 1:
-        ctx: tuple[int, ...] = (ref_bits[1],) if n > 1 else ()
-    elif i == n:
-        ctx = (prev_bit,)
-    else:
-        ctx = (prev_bit, ref_bits[i])
-    return abs(model.potentials[i - 1].values[(bit, ctx)]) ** 2
+def _chain_weights(model: MenModel) -> list:
+    _require_chain(model)
+    return _chain_levels(model.potentials, model.reference_bits())
 
 
-def _rescaled(message: dict, log_scale: float) -> tuple[dict, float]:
-    peak = max(message.values())
-    if peak > _RESCALE_HI or (0.0 < peak < _RESCALE_LO):
-        return {k: v / peak for k, v in message.items()}, log_scale + math.log(peak)
-    return message, log_scale
+def _chain_levels(potentials: tuple[QFunctionTable, ...], ref_bits: tuple[int, ...]) -> list:
+    """levels[i - 1][p][b] = w_i(p, b), one modulus square per entry.
+
+    A table's flat index is bit << k | ctx, and on a chain the context is
+    (x_{i-1}, x_{i+1}) with either end absent. Python's abs on .tolist()
+    values, not np.abs: the two differ in the last bit, and the chain
+    results are pinned to Python's.
+    """
+    n = len(ref_bits)
+    levels = []
+    for i, table in enumerate(potentials, start=1):
+        v = table.array.ravel().tolist()
+        right = ref_bits[i] if i < n else 0  # x_{i+1} at the reference
+        left = 0 if i == 1 else (2 if i < n else 1)  # place value of x_{i-1}
+        half = len(v) // 2
+        levels.append(
+            [[abs(v[c]) ** 2, abs(v[half + c]) ** 2] for c in (right, left + right)]
+        )
+    return levels
 
 
 def _scale_back(value: float, log_scale: float) -> float:
@@ -197,6 +224,93 @@ def _scale_back(value: float, log_scale: float) -> float:
         return math.inf
 
 
+def _sum_product(levels, allowed, normalize: bool = False) -> tuple[dict | None, float, int]:
+    """Sum out y_0, y_1, ... in order; levels[t][p][b] weighs y_t = p -> y_{t+1} = b.
+
+    allowed[t] lists the bits y_t may take. Returns the last message (bit ->
+    weight; None without levels), its log scale and the op count. The
+    message is divided by its peak when that leaves [1e-100, 1e100], or at
+    every level with `normalize`.
+    """
+    message = None
+    log_scale = 0.0
+    ops = 0
+    for t, level in enumerate(levels):
+        # per entry: a weight per term, a product per term once there is a
+        # message, and terms - 1 additions
+        terms = len(allowed[t])
+        if message is None:
+            new = {b: sum(level[p][b] for p in allowed[t]) for b in allowed[t + 1]}
+            ops += len(new) * (2 * terms - 1)
+        else:
+            new = {b: sum(level[p][b] * message[p] for p in allowed[t]) for b in allowed[t + 1]}
+            ops += len(new) * (3 * terms - 1)
+        peak = max(new.values())
+        if normalize or peak > _RESCALE_HI or (0.0 < peak < _RESCALE_LO):
+            new = {b: v / peak for b, v in new.items()}
+            log_scale += math.log(peak)
+        message = new
+    return message, log_scale, ops
+
+
+def _max_product(levels) -> tuple[list[int], list[float], int]:
+    """Lexicographically smallest argmax of prod_i levels[i][x_{i-1}][x_i].
+
+    A backward pass keeps, per bit, the best suffix product (divided by its
+    peak at each level: argmax-invariant, so no overflow); the forward pass
+    picks bits left to right, preferring 0 on exact ties. Returns the bits,
+    the chosen factors and the op count.
+    """
+    best = [(1.0, 1.0)] * len(levels)
+    for i in range(len(levels) - 1, 0, -1):
+        level, after = levels[i], best[i]
+        cur = [max(level[b][0] * after[0], level[b][1] * after[1]) for b in (0, 1)]
+        peak = max(cur)
+        best[i - 1] = [v / peak for v in cur] if peak > 0.0 else cur
+    bits: list[int] = []
+    chosen: list[float] = []
+    for level, after in zip(levels, best):
+        row = level[bits[-1] if bits else 0]
+        pick = 1 if row[1] * after[1] > row[0] * after[0] else 0
+        bits.append(pick)
+        chosen.append(row[pick])
+    return bits, chosen, 8 * (len(levels) - 1) + 4 * len(levels)
+
+
+def _chain_log_z(levels) -> tuple[float, int]:
+    """log of the sum over all assignments of the squared q-products."""
+    message, log_scale, ops = _sum_product(levels, [(0,)] + [(0, 1)] * len(levels), True)
+    return log_scale + math.log(sum(message.values())), ops + 1
+
+
+def _chain_marginal(levels, x_m: Assignment) -> tuple[float, float, int]:
+    """Marginal ratio of x_m as (value, log scale, op count), left to right."""
+    allowed = [(0,)] + [
+        (x_m[i],) if i in x_m else (0, 1) for i in range(1, len(levels) + 1)
+    ]
+    message, log_scale, ops = _sum_product(levels, allowed)
+    return sum(message.values()), log_scale, ops + len(message) - 1
+
+
+def _log_of(value: float, log_scale: float) -> float:
+    return log_scale + math.log(value) if value > 0.0 else -math.inf
+
+
+def _chain_probability(model: MenModel, levels, ratio: float, log_ratio: float) -> tuple[float, int]:
+    """p = ratio * reference_modulus**2 and its op count.
+
+    When that product (or the squared modulus in it) is not a normal
+    positive double, the modulus has under- or overflowed and
+    p = exp(log ratio - log Z) instead, with log Z from one more sweep.
+    """
+    ref = model.reference_modulus
+    probability = ref * ref * ratio
+    if math.isfinite(probability) and min(ref * ref, probability) >= sys.float_info.min:
+        return probability, 2
+    log_z, ops = _chain_log_z(levels)
+    return math.exp(log_ratio - log_z), 2 + ops
+
+
 def chain_prefix_marginal_ratio(model: MenModel, x_m: Assignment) -> QueryResult:
     """Marginal ratio for a prefix assignment {1..m} on a chain model.
 
@@ -204,52 +318,27 @@ def chain_prefix_marginal_ratio(model: MenModel, x_m: Assignment) -> QueryResult
     of suffix sums, so the cost is linear: op_count = 10*(n-m) + 2*m - 4 for
     1 <= m < n, affine in both n-m and m.
     """
-    n = model.num_qubits
-    _require_chain(model)
+    levels = _chain_weights(model)
+    n = len(levels)
     _validate_bindings(x_m, n)
     m = len(x_m)
     if sorted(x_m) != list(range(1, m + 1)):
         raise NotAPrefix(f"bindings {sorted(x_m)} are not a prefix 1..m")
-    ref_bits = model.reference_bits()
-    ops = 0
-    log_scale = 0.0
-
-    suffix: dict | None = None
-    for j in range(n, m, -1):
-        prev_bits: tuple = (0, 1) if j >= 2 else (None,)
-        new = {}
-        for p in prev_bits:
-            total = 0.0
-            for b in (0, 1):
-                f = _chain_factor(model, j, p, b, ref_bits)
-                ops += 1
-                if suffix is None:
-                    term = f
-                else:
-                    term = f * suffix[b]
-                    ops += 1
-                total += term
-            ops += 1  # the one addition of the two terms
-            new[p] = total
-        suffix, log_scale = _rescaled(new, log_scale)
-
+    # the suffix sweep runs over the reversed chain x_n, ..., x_m (x_0 if m == 0)
+    reversed_levels = [tuple(zip(*level)) for level in reversed(levels[m:])]
+    allowed = [(0, 1)] * (n - m) + [(0, 1) if m else (0,)]
+    suffix, log_scale, ops = _sum_product(reversed_levels, allowed)
     if m == 0:
-        value = suffix[None]  # the j == 1 level has no left neighbor
+        value = suffix[0]
     else:
-        prod = None
-        for i in range(1, m + 1):
-            f = _chain_factor(model, i, x_m[i - 1] if i > 1 else None, x_m[i], ref_bits)
-            ops += 1
-            if prod is None:
-                prod = f
-            else:
-                prod *= f
-                ops += 1
+        value = levels[0][0][x_m[1]]
+        ops += 1
+        for i in range(2, m + 1):
+            value *= levels[i - 1][x_m[i - 1]][x_m[i]]
+            ops += 2
         if m < n:
-            value = prod * suffix[x_m[m]]
+            value *= suffix[x_m[m]]
             ops += 1
-        else:
-            value = prod
     return QueryResult(float(_scale_back(value, log_scale)), ops)
 
 
@@ -259,41 +348,21 @@ def chain_marginal_ratio(model: MenModel, x_m: Assignment) -> QueryResult:
     Sequential elimination left to right with a 2-entry message; linear in n
     and equal to marginal_ratio up to rounding.
     """
-    n = model.num_qubits
-    _require_chain(model)
-    _validate_bindings(x_m, n)
-    ref_bits = model.reference_bits()
-    ops = 0
-    log_scale = 0.0
-
-    def allowed(i: int) -> tuple[int, ...]:
-        return (x_m[i],) if i in x_m else (0, 1)
-
-    message: dict | None = None
-    for i in range(1, n + 1):
-        new = {}
-        prev_bits = allowed(i - 1) if i > 1 else (None,)
-        for b in allowed(i):
-            total = 0.0
-            terms = 0
-            for p in prev_bits:
-                f = _chain_factor(model, i, p, b, ref_bits)
-                ops += 1
-                if message is None:
-                    term = f
-                else:
-                    term = f * message[p]
-                    ops += 1
-                total += term
-                terms += 1
-            ops += terms - 1
-            new[b] = total
-        message, log_scale = _rescaled(new, log_scale)
-    value = sum(message.values())
-    ops += len(message) - 1
-    if ops <= 0:  # pragma: no cover - n >= 1 always does work
-        ops = 1
+    levels = _chain_weights(model)
+    _validate_bindings(x_m, len(levels))
+    value, log_scale, ops = _chain_marginal(levels, x_m)
     return QueryResult(float(_scale_back(value, log_scale)), ops)
+
+
+def _model_marginal_probability(model: MenModel, x_m: Assignment) -> float:
+    """p(x_M) on a model: chain sweeps on chains, brute force elsewhere."""
+    if not model.graph.is_path():
+        return marginal_ratio(model, x_m).value * model.reference_modulus**2
+    levels = _chain_weights(model)
+    _validate_bindings(x_m, len(levels))
+    value, log_scale, _ = _chain_marginal(levels, x_m)
+    ratio = _scale_back(value, log_scale)
+    return _chain_probability(model, levels, ratio, _log_of(value, log_scale))[0]
 
 
 def mle_brute_force(psi: PureState) -> MleResult:
@@ -304,77 +373,26 @@ def mle_brute_force(psi: PureState) -> MleResult:
     """
     probs = np.abs(psi.amplitudes) ** 2
     best = int(np.argmax(probs))
-    from .state import assignment_of
-
     return MleResult(
         assignment_of(best, psi.num_qubits), float(probs[best]), int(probs.size)
     )
 
 
 def mle_chain(model: MenModel) -> MleResult:
-    """Exact maximum-likelihood assignment on a chain by max-product sweeps.
+    """Exact maximum-likelihood assignment on a chain by one max-product sweep.
 
-    A backward pass computes, per node value, the best achievable suffix
-    product; the forward pass then picks bits left to right, preferring 0 on
-    exact ties, which yields the lexicographically smallest global maximizer.
-    Linear in n.
+    Ties resolve to the lexicographically smallest global maximizer. Linear
+    in n.
     """
-    n = model.num_qubits
-    _require_chain(model)
-    ref_bits = model.reference_bits()
-    ops = 0
-
-    # best[i][b]: max over x_{i+1..n} of the product of factors i+1..n given
-    # x_i = b; rescaled per level (argmax-invariant), so no overflow.
-    best = [None] * (n + 1)
-    best[n] = {0: 1.0, 1: 1.0}
-    for i in range(n - 1, 0, -1):
-        cur = {}
-        for b in (0, 1):
-            top = -math.inf
-            for b2 in (0, 1):
-                f = _chain_factor(model, i + 1, b, b2, ref_bits)
-                ops += 1
-                cand = f * best[i + 1][b2]
-                ops += 1
-                if cand > top:
-                    top = cand
-            cur[b] = top
-        peak = max(cur.values())
-        if peak > 0.0:
-            cur = {b: v / peak for b, v in cur.items()}
-        best[i] = cur
-
-    bits: list[int] = []
-    chosen: list[float] = []
-    prev: int | None = None
-    for i in range(1, n + 1):
-        pick, pick_score, pick_f = None, -math.inf, None
-        for b in (0, 1):
-            f = _chain_factor(model, i, prev, b, ref_bits)
-            ops += 1
-            score = f * best[i][b]
-            ops += 1
-            if score > pick_score:
-                pick, pick_score, pick_f = b, score, f
-        bits.append(pick)
-        chosen.append(pick_f)
-        prev = pick
-
-    prod = 1.0
+    levels = _chain_weights(model)
+    bits, chosen, ops = _max_product(levels)
+    ratio = 1.0
     for f in chosen:
-        prod *= f
+        ratio *= f
         ops += 1
-    ref = model.reference_modulus
-    probability = ref * ref * prod
-    ops += 2
-    if not (math.isfinite(probability) and probability > 0.0):
-        if ref > 0.0 and all(f > 0.0 for f in chosen):
-            logp = 2.0 * math.log(ref) + sum(math.log(f) for f in chosen)
-            probability = math.exp(logp) if logp < 0.0 else math.inf
-        else:
-            probability = 0.0
-    return MleResult(Assignment.from_bits(bits), float(probability), ops)
+    log_ratio = sum(_log_of(f, 0.0) for f in chosen)
+    probability, p_ops = _chain_probability(model, levels, ratio, log_ratio)
+    return MleResult(Assignment.from_bits(bits), float(probability), ops + p_ops)
 
 
 def measure_and_update(
@@ -406,49 +424,20 @@ def random_chain_model(
 
     The reference modulus comes from the normalization formula evaluated by
     message passing along the chain (linear, log-stabilized), so arbitrarily
-    long chains are fine; below roughly n = 500 the stored modulus is exact,
-    beyond that it may underflow to 0 while ratio-scale queries stay valid.
+    long chains are fine. Its square leaves the normal double range from
+    roughly n = 355 and the modulus itself underflows to 0 from n ~ 745;
+    chain probabilities then come from log Z instead (_chain_probability).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     graph = MenGraph.path(n)
     rng = np.random.default_rng(seed)
     potentials = _random_q_tables(graph, rng, (0.2, 5.0), (0,) * n, zero_amp_threshold)
-    log_total = _chain_log_total(potentials, (0,) * n, n)
+    log_total, _ = _chain_log_z(_chain_levels(potentials, (0,) * n))
     modulus = math.exp(-0.5 * log_total) if log_total > -1400.0 else math.inf
     if not math.isfinite(modulus):  # total weight underflowed below exp(-1400)
         modulus = 0.0
     return MenModel(graph, potentials, Assignment.zeros(n), modulus)
-
-
-def _chain_log_total(
-    potentials: tuple[QFunctionTable, ...], ref_bits: tuple[int, ...], n: int
-) -> float:
-    """log of sum over all assignments of the chain's squared q-products."""
-
-    def factor(i: int, p: int | None, b: int) -> float:
-        if i == 1:
-            ctx: tuple[int, ...] = (ref_bits[1],) if n > 1 else ()
-        elif i == n:
-            ctx = (p,)
-        else:
-            ctx = (p, ref_bits[i])
-        return abs(potentials[i - 1].values[(b, ctx)]) ** 2
-
-    log_scale = 0.0
-    message: dict | None = None
-    for i in range(1, n + 1):
-        prev_bits: tuple = tuple(message) if message is not None else (None,)
-        new = {}
-        for b in (0, 1):
-            new[b] = sum(
-                factor(i, p, b) * (message[p] if message is not None else 1.0)
-                for p in prev_bits
-            )
-        peak = max(new.values())
-        log_scale += math.log(peak)
-        message = {b: v / peak for b, v in new.items()}
-    return log_scale + math.log(sum(message.values()))
 
 
 # --- benchmark harness -------------------------------------------------------

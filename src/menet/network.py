@@ -36,6 +36,7 @@ from .state import (
     Assignment,
     PureState,
     ToleranceConfig,
+    _fmt_real,
 )
 
 _NORM_AUDIT_MAX = 12  # brute-force normalization audit bound
@@ -95,24 +96,29 @@ class MenGraph:
         return sorted(self.edges)
 
     def is_path(self) -> bool:
-        return self.edges == MenGraph.path(self.num_nodes).edges
+        return len(self.edges) == self.num_nodes - 1 and all(
+            (i, i + 1) in self.edges for i in range(1, self.num_nodes)
+        )
 
 
 class QFunctionTable:
     """Per-node potential: (x_i, neighbor context) -> nonzero complex ratio.
 
-    Context bits follow the neighbor list in ascending index order. Entries
-    at the node's reference bit are exactly 1 (stored, not recomputed).
+    Stored as one read-only complex array of shape (2,)*(k+1): axis 0 is the
+    node's bit, the other axes are its k neighbors in ascending index order,
+    so the C-order flat index is bit << k | ctx. `values` may be that array
+    or a mapping keyed by (bit, ctx-tuple). Entries at the node's reference
+    bit are exactly 1 (stored, not recomputed).
     """
 
-    __slots__ = ("node", "neighbors", "reference_bit", "values")
+    __slots__ = ("node", "neighbors", "reference_bit", "array")
 
     def __init__(
         self,
         node: int,
         neighbors: tuple[int, ...],
         reference_bit: int,
-        values: Mapping[tuple[int, tuple[int, ...]], complex],
+        values: Mapping[tuple[int, tuple[int, ...]], complex] | np.ndarray,
         zero_threshold: float = DEFAULT_TOL.zero_amp_threshold,
     ):
         neighbors = tuple(int(j) for j in neighbors)
@@ -120,37 +126,51 @@ class QFunctionTable:
             raise ValueError("neighbors must be ascending and exclude the node")
         if reference_bit not in (0, 1):
             raise ValueError("reference_bit must be 0 or 1")
-        k = len(neighbors)
-        expected = {
-            (bit, ctx)
-            for bit in (0, 1)
-            for ctx in itertools.product((0, 1), repeat=k)
-        }
-        cleaned = {key: complex(val) for key, val in values.items()}
-        if set(cleaned) != expected:
+        shape = (2,) * (len(neighbors) + 1)
+        if isinstance(values, Mapping):
+            keys = [(key[0], key[1:]) for key in itertools.product((0, 1), repeat=len(shape))]
+            if set(values) != set(keys):
+                raise _coverage_error(node, len(keys))
+            values = np.reshape([complex(values[key]) for key in keys], shape)
+        array = np.array(values, dtype=np.complex128)
+        if array.shape != shape:
+            raise _coverage_error(node, 2 ** len(shape))
+        off_one = np.argwhere(array[reference_bit] != 1)
+        if len(off_one):
+            ctx = tuple(off_one[0].tolist())
             raise ValueError(
-                f"table for node {node} must cover all {len(expected)} (bit, context) keys"
+                f"node {node}: value at the reference bit must be exactly 1, "
+                f"got {complex(array[(reference_bit, *ctx)])!r} at context {ctx}"
             )
-        for (bit, ctx), val in cleaned.items():
-            if bit == reference_bit and val != 1:
-                raise ValueError(
-                    f"node {node}: value at the reference bit must be exactly 1, "
-                    f"got {val!r} at context {ctx}"
-                )
-            if abs(val) <= zero_threshold:
-                raise ValueError(
-                    f"node {node}: potential value {val!r} at {(bit, ctx)} is ~0"
-                )
+        small = np.argwhere(np.abs(array) <= zero_threshold)
+        if len(small):
+            bit, *ctx = small[0].tolist()
+            raise ValueError(
+                f"node {node}: potential value {complex(array[(bit, *ctx)])!r} "
+                f"at {(bit, tuple(ctx))} is ~0"
+            )
+        array.setflags(write=False)
         object.__setattr__(self, "node", int(node))
         object.__setattr__(self, "neighbors", neighbors)
         object.__setattr__(self, "reference_bit", int(reference_bit))
-        object.__setattr__(self, "values", MappingProxyType(cleaned))
+        object.__setattr__(self, "array", array)
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("QFunctionTable is immutable")
 
+    @property
+    def values(self) -> Mapping[tuple[int, tuple[int, ...]], complex]:
+        """Read-only (bit, ctx-tuple) -> value view, built on access."""
+        keys = itertools.product((0, 1), repeat=self.array.ndim)
+        return MappingProxyType(
+            {(key[0], key[1:]): val for key, val in zip(keys, self.array.reshape(-1).tolist())}
+        )
+
     def q(self, bit: int, context: tuple[int, ...]) -> complex:
-        return self.values[(bit, tuple(context))]
+        key = (bit, *context)
+        if len(key) != self.array.ndim or not set(key) <= {0, 1}:
+            raise KeyError((bit, tuple(context)))  # numpy would wrap a -1 silently
+        return complex(self.array[key])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QFunctionTable):
@@ -159,11 +179,15 @@ class QFunctionTable:
             self.node == other.node
             and self.neighbors == other.neighbors
             and self.reference_bit == other.reference_bit
-            and dict(self.values) == dict(other.values)
+            and np.array_equal(self.array, other.array)
         )
 
     def __repr__(self) -> str:
         return f"QFunctionTable(node={self.node}, neighbors={self.neighbors})"
+
+
+def _coverage_error(node: int, size: int) -> ValueError:
+    return ValueError(f"table for node {node} must cover all {size} (bit, context) keys")
 
 
 def _require_index_width(n: int) -> None:
@@ -190,21 +214,11 @@ def _relative_amplitude_products(
     out = np.ones(indices.shape, dtype=np.complex128)
     for table in potentials:
         i = table.node
-        k = len(table.neighbors)
-        dense = np.empty(2 ** (k + 1), dtype=np.complex128)
-        for (bit, ctx), val in table.values.items():
-            flat = bit << k
-            for pos in range(k):
-                flat |= ctx[pos] << (k - 1 - pos)
-            dense[flat] = val
-        flat_idx = ((indices >> (n - i)) & 1) << k
-        for pos, j in enumerate(table.neighbors):
-            if j < i:
-                bit_j = (indices >> (n - j)) & 1
-            else:
-                bit_j = reference_bits[j - 1]
-            flat_idx = flat_idx | (bit_j << (k - 1 - pos))
-        out = out * dense[flat_idx]
+        axes = [(indices >> (n - i)) & 1] + [
+            (indices >> (n - j)) & 1 if j < i else reference_bits[j - 1]
+            for j in table.neighbors
+        ]
+        out = out * table.array[tuple(axes)]
     return out
 
 
@@ -339,21 +353,15 @@ def extract_men(psi: PureState, tol: ToleranceConfig = DEFAULT_TOL) -> MenModel:
         )
     graph = build_graph(psi, tol)
     reference = Assignment.zeros(n)
-    amps = psi.amplitudes
+    tensor = psi.amplitudes.reshape((2,) * n)
     tables = []
     for i in range(1, n + 1):
         nb = graph.neighbors(i)
-        k = len(nb)
-        values: dict[tuple[int, tuple[int, ...]], complex] = {}
-        for ctx in itertools.product((0, 1), repeat=k):
-            base = 0
-            for pos, j in enumerate(nb):
-                base |= ctx[pos] << (n - j)
-            num = amps[base | (1 << (n - i))]
-            den = amps[base]
-            values[(0, ctx)] = complex(1.0)
-            values[(1, ctx)] = complex(num / den)
-        tables.append(QFunctionTable(i, nb, 0, values, tol.zero_amp_threshold))
+        at = [slice(None) if j in nb else 0 for j in range(1, n + 1)]  # x_i = 0: the reference
+        den = tensor[tuple(at)]
+        at[i - 1] = 1
+        ratios = np.stack([np.ones_like(den), tensor[tuple(at)] / den])
+        tables.append(QFunctionTable(i, nb, 0, ratios, tol.zero_amp_threshold))
     potentials = tuple(tables)
     _audit_well_defined(psi, graph, potentials, tol)
     modulus = normalization_modulus(potentials, (0,) * n, n)
@@ -379,16 +387,9 @@ def _audit_well_defined(
         i = table.node
         low = n - i  # bit position of qubit i; lower bits belong to qubits > i
         base = ((contexts >> low) << (low + 1)) | (contexts & ((1 << low) - 1))
-        k = len(table.neighbors)
-        nb_index = np.zeros_like(base)
-        for pos, j in enumerate(table.neighbors):
-            nb_index |= ((base >> (n - j)) & 1) << (k - 1 - pos)
-        q_dense = np.array(
-            [table.q(1, ctx) for ctx in itertools.product((0, 1), repeat=k)],
-            dtype=np.complex128,
-        )
+        q = table.array[1][tuple((base >> (n - j)) & 1 for j in table.neighbors)]
         lhs = amps[base | (1 << low)]
-        rhs = q_dense[nb_index] * amps[base]
+        rhs = q * amps[base]
         delta = np.abs(lhs - rhs)
         bound = tol.abs_eps + tol.rel_eps * np.maximum(np.abs(lhs), np.abs(rhs))
         violations = np.flatnonzero(delta > bound)
@@ -658,12 +659,10 @@ def _random_q_tables(
     for i in range(1, graph.num_nodes + 1):
         nb = graph.neighbors(i)
         ref_bit = reference_bits[i - 1]
-        values: dict[tuple[int, tuple[int, ...]], complex] = {}
-        for ctx in itertools.product((0, 1), repeat=len(nb)):
-            modulus = rng.uniform(lo, hi)
-            phase = rng.uniform(0.0, 2.0 * math.pi)
-            values[(ref_bit, ctx)] = complex(1.0)
-            values[(1 - ref_bit, ctx)] = modulus * complex(math.cos(phase), math.sin(phase))
+        values = np.ones((2,) * (len(nb) + 1), dtype=np.complex128)
+        for ctx in np.ndindex(values.shape[1:]):  # one (modulus, phase) draw per context, in order
+            modulus, phase = rng.uniform(lo, hi), rng.uniform(0.0, 2.0 * math.pi)
+            values[(1 - ref_bit, *ctx)] = modulus * complex(math.cos(phase), math.sin(phase))
         tables.append(QFunctionTable(i, nb, ref_bit, values, zero_amp_threshold))
     return tuple(tables)
 
@@ -674,10 +673,6 @@ def _random_q_tables(
 # qubit 1 first), "reference_modulus", and "q": per-node tables keyed by
 # bit-strings (node bit first, then neighbors in ascending index order),
 # values as [re, im] pairs.
-
-
-def _fmt_real(x: float) -> str:
-    return format(float(x), ".17e")
 
 
 def save_model(model: MenModel, path) -> None:
@@ -691,13 +686,11 @@ def save_model(model: MenModel, path) -> None:
     lines.append('  "q": {')
     node_blocks = []
     for table in model.potentials:
-        k = len(table.neighbors)
-        rows = []
-        for bit in (0, 1):
-            for ctx in itertools.product((0, 1), repeat=k):
-                key = str(bit) + "".join(str(c) for c in ctx)
-                val = table.q(bit, ctx)
-                rows.append(f'      "{key}": [{_fmt_real(val.real)}, {_fmt_real(val.imag)}]')
+        width = table.array.ndim
+        rows = [
+            f'      "{flat:0{width}b}": [{_fmt_real(val.real)}, {_fmt_real(val.imag)}]'
+            for flat, val in enumerate(table.array.reshape(-1).tolist())
+        ]
         node_blocks.append(f'    "{table.node}": {{\n' + ",\n".join(rows) + "\n    }")
     lines.append(",\n".join(node_blocks))
     lines.extend(["  }", "}"])
@@ -711,6 +704,11 @@ def load_model(path) -> MenModel:
             payload = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise FileFormatError(f"cannot read model file {path}: {exc}") from exc
+    return _model_from_payload(payload, path)
+
+
+def _model_from_payload(payload, path) -> MenModel:
+    """Build a model from a parsed model file; `path` names it in errors."""
     try:
         n = payload["n"]
         if not isinstance(n, int) or n < 1:
@@ -730,14 +728,15 @@ def load_model(path) -> MenModel:
         for i in range(1, n + 1):
             raw = q_section[str(i)]
             nb = graph.neighbors(i)
-            values: dict[tuple[int, tuple[int, ...]], complex] = {}
+            values = np.empty(2 ** (len(nb) + 1), dtype=np.complex128)
             for key, pair in raw.items():
                 if len(key) != 1 + len(nb) or any(ch not in "01" for ch in key):
                     raise ValueError(f"node {i}: bad table key {key!r}")
-                bit = int(key[0])
-                ctx = tuple(int(ch) for ch in key[1:])
-                values[(bit, ctx)] = complex(float(pair[0]), float(pair[1]))
-            tables.append(QFunctionTable(i, nb, int(ref_text[i - 1]), values))
+                values[int(key, 2)] = complex(float(pair[0]), float(pair[1]))
+            if len(raw) != values.size:  # distinct valid keys: the count decides coverage
+                raise _coverage_error(i, values.size)
+            shape = (2,) * (len(nb) + 1)
+            tables.append(QFunctionTable(i, nb, int(ref_text[i - 1]), values.reshape(shape)))
         return MenModel(graph, tuple(tables), reference, modulus)
     except FileFormatError:
         raise

@@ -450,6 +450,10 @@ def load_state(path) -> PureState:
             payload = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise FileFormatError(f"cannot read state file {path}: {exc}") from exc
+    return _state_from_payload(payload)
+
+
+def _state_from_payload(payload) -> PureState:
     if not isinstance(payload, dict) or "n" not in payload or "amplitudes" not in payload:
         raise FileFormatError("state file must be an object with 'n' and 'amplitudes'")
     n = payload["n"]

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 import menet as mn
@@ -21,6 +22,30 @@ def fixture_dir(tmp_path_factory):
     mn.save_model(mn.extract_men(mn.PureState([0.5] * 4)), root / "plusplus.model")
     mn.save_model(mn.random_chain_model(4, seed=5), root / "chain4.model")
     return root
+
+
+def off_chain_twin(model):
+    """A chain model's state on the path plus edge (1, 3), so not a chain.
+
+    Node 1's table ignores x_3 and node 3's ignores x_1, so the telescoping
+    products, and hence every amplitude, equal the chain's.
+    """
+    n = model.num_qubits
+    graph = mn.MenGraph.from_edges(n, sorted(model.graph.edges) + [(1, 3)])
+    ref = model.reference_bits()
+    tables = list(model.potentials)
+    tables[0] = mn.QFunctionTable(
+        1, graph.neighbors(1), ref[0], np.repeat(tables[0].array[:, :, None], 2, axis=2)
+    )
+    tables[2] = mn.QFunctionTable(
+        3, graph.neighbors(3), ref[2], np.repeat(tables[2].array[:, None], 2, axis=1)
+    )
+    return mn.MenModel(graph, tuple(tables), model.reference, model.reference_modulus)
+
+
+@pytest.fixture(name="off_chain_twin")
+def off_chain_twin_fixture():
+    return off_chain_twin
 
 
 @pytest.fixture

@@ -204,9 +204,9 @@ class TestCommandSemantics:
         assert "bases_sampled:" in out
         assert len(calls) == 1
 
-    def test_conditional_too_many_free_qubits_is_1(self, capsys, tmp_path):
+    def test_conditional_too_many_free_qubits_is_1(self, capsys, tmp_path, off_chain_twin):
         path = tmp_path / "c40.model"
-        mn.save_model(mn.random_chain_model(40, seed=0), path)
+        mn.save_model(off_chain_twin(mn.random_chain_model(40, seed=0)), path)
         rc = main(["conditional", str(path), "--query", "1=0", "--evidence", "2=1"])
         err = capsys.readouterr().err
         assert rc == 1
@@ -241,3 +241,73 @@ class TestCommandSemantics:
         )
         assert rc == 0
         assert "edge 1 2" in out
+
+
+class TestLongChainModels:
+    """A 1000-qubit chain: its stored reference modulus underflows to 0."""
+
+    @pytest.fixture(scope="class")
+    def chain1000(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("chains") / "c1000.model"
+        model = mn.random_chain_model(1000, seed=0)
+        assert model.reference_modulus == 0.0
+        mn.save_model(model, path)
+        return path
+
+    def test_conditional_on_chain_past_the_brute_force_guard(self, capsys, tmp_path):
+        path = tmp_path / "c40.model"
+        model = mn.random_chain_model(40, seed=0)
+        mn.save_model(model, path)
+        rc, out = run_cli(capsys, ["conditional", str(path), "--query", "1=0", "--evidence", "2=1"])
+        assert rc == 0
+        expected = mn.conditional_probability(model, mn.Assignment({1: 0}), mn.Assignment({2: 1}))
+        assert out == f"probability: {format(expected, '.12g')}\n"
+
+    def test_marginal_probability(self, capsys, chain1000):
+        rc, out = run_cli(capsys, ["marginal", str(chain1000), "--assign", "1=0,2=1"])
+        assert rc == 0
+        value = float(out.split(": ")[1])
+        assert 0.0 < value < 1.0
+
+    def test_marginal_ratio_past_the_double_range_is_inf(self, capsys, chain1000):
+        rc, out = run_cli(capsys, ["marginal", str(chain1000), "--assign", "1=0,2=1", "--ratio"])
+        assert rc == 0 and out == "ratio: inf\n"
+
+    def test_mle_probability_is_not_zero(self, capsys, chain1000):
+        rc, out = run_cli(capsys, ["mle", str(chain1000)])
+        assert rc == 0
+        assert float(out.splitlines()[1].split(": ")[1]) > 0.0
+
+
+class TestFileParsing:
+    @pytest.mark.parametrize("name", ["chain4.model", "plusplus.state"])
+    def test_each_file_parsed_once(self, name, capsys, fixture_dir, monkeypatch):
+        import json
+
+        calls = []
+        original = json.load
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(json, "load", counting)
+        rc, _ = run_cli(capsys, ["marginal", str(fixture_dir / name), "--assign", "1=0"])
+        assert rc == 0 and len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"n": 1, "amplitudes": [[1.0, 0.0]]}', "expected 2 amplitude pairs, got 1"),
+            ('{"n": 1, "edges": [], "reference": "0", "reference_modulus": 1.0, "q": {}}',
+             "malformed model file"),
+            ('[1, 2]', "is neither a state file nor a model file"),
+            ('{"n": ', "cannot read"),
+        ],
+    )
+    def test_errors_unchanged(self, text, message, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        rc = main(["mle", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.startswith("error: FileFormatError:") and message in err

@@ -109,27 +109,33 @@ class TestConditionalProbability:
 
 
 class TestBruteForceIndexGuards:
-    """Brute-force sums refuse what they cannot enumerate or index."""
+    """Brute-force sums refuse what they cannot enumerate or index.
 
-    def test_too_many_free_qubits(self):
+    Conditionals on chains take the sweeps, so the guards are exercised on
+    the same states over the chain plus edge (1, 3).
+    """
+
+    def test_too_many_free_qubits(self, off_chain_twin):
         model = mn.random_chain_model(30, 0)
         with pytest.raises(mn.EnumerationBoundExceeded):
-            mn.conditional_probability(model, Assignment({1: 0}), Assignment({2: 1}))
+            mn.conditional_probability(
+                off_chain_twin(model), Assignment({1: 0}), Assignment({2: 1})
+            )
         with pytest.raises(mn.EnumerationBoundExceeded):
             mn.marginal_ratio(model, Assignment())
 
     @pytest.mark.parametrize("n", [64, 70])
-    def test_indices_past_int64(self, n):
+    def test_indices_past_int64(self, n, off_chain_twin):
         # formerly 0.5 on n = 70 (the true value is far from it): the high
         # qubits' bits were shifted out of the int64 index without a word
         model = mn.random_chain_model(n, 1)
         evidence = Assignment({q: 0 for q in range(2, n - 4)})
         with pytest.raises(mn.EnumerationBoundExceeded):
-            mn.conditional_probability(model, Assignment({1: 0}), evidence)
+            mn.conditional_probability(off_chain_twin(model), Assignment({1: 0}), evidence)
         with pytest.raises(mn.EnumerationBoundExceeded):
             mn.marginal_ratio(model, Assignment({1: 1}).merge(evidence))
 
-    def test_widest_indexable_chain_is_exact(self):
+    def test_widest_indexable_chain_is_exact(self, off_chain_twin):
         # n = 63 uses bits 62..0 of an int64 index: still exact
         n = 63
         model = mn.random_chain_model(n, 1)
@@ -139,7 +145,7 @@ class TestBruteForceIndexGuards:
             mn.chain_marginal_ratio(model, query.merge(evidence)).value
             / mn.chain_marginal_ratio(model, evidence).value
         )
-        got = mn.conditional_probability(model, query, evidence)
+        got = mn.conditional_probability(off_chain_twin(model), query, evidence)
         assert got == pytest.approx(expected, rel=1e-9)
 
     def test_dense_products_refuse_wide_indices(self):
@@ -385,3 +391,115 @@ class TestBench:
     def test_timing_column_filled_when_enabled(self):
         report = mn.bench_chains([8], seed=0, repetitions=2, timing=True)
         assert all(row.wall_ns_median is not None for row in report.rows)
+
+
+def log_weights(model):
+    """Independent oracle input: log |q|^2 transfer weights [i, x_{i-1}, x_i] in numpy."""
+    n = model.num_qubits
+    ref = model.reference_bits()
+    logw = np.empty((n, 2, 2))
+    for i, table in enumerate(model.potentials, start=1):
+        q = table.array[..., ref[i]] if i < n else table.array
+        logw[i - 1] = np.log(np.abs(q) ** 2).T  # node 1: a (2,) row, broadcast
+    return logw
+
+
+def log_sum(logw, x_m):
+    """log of the sum of squared q-products over completions of x_m (transfer matrices)."""
+    alpha = logw[0][0].copy()
+    for i in range(1, len(logw) + 1):
+        if i > 1:
+            alpha = np.logaddexp.reduce(alpha[:, None] + logw[i - 1], axis=0)
+        if i in x_m:
+            alpha[1 - x_m[i]] = -np.inf
+    return float(np.logaddexp.reduce(alpha))
+
+
+def viterbi(logw):
+    """Most likely assignment and its log squared q-product."""
+    delta = logw[0][0].copy()
+    back = []
+    for level in logw[1:]:
+        scores = delta[:, None] + level
+        back.append(np.argmax(scores, axis=0))
+        delta = scores.max(axis=0)
+    bits = [int(np.argmax(delta))]
+    for pointers in reversed(back):
+        bits.append(int(pointers[bits[-1]]))
+    return tuple(reversed(bits)), float(delta.max())
+
+
+class TestLongChainsAgainstLogDomain:
+    """Past n ~ 355 the stored reference modulus squared is subnormal or 0."""
+
+    SIZES = [356, 500, 1000, 2000]
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_mle(self, n):
+        model = mn.random_chain_model(n, [n, 11])
+        logw = log_weights(model)
+        bits, log_best = viterbi(logw)
+        result = mn.mle_chain(model)
+        assert result.assignment.bits(n) == bits
+        expected = math.exp(log_best - log_sum(logw, {}))
+        assert result.probability == pytest.approx(expected, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_marginal_probability(self, n):
+        from menet.inference import _model_marginal_probability
+
+        model = mn.random_chain_model(n, [n, 12])
+        rng = np.random.default_rng(n)
+        logw = log_weights(model)
+        for size in (1, 2, 10):
+            qubits = rng.choice(np.arange(1, n + 1), size=size, replace=False)
+            x_m = Assignment({int(q): int(rng.integers(0, 2)) for q in qubits})
+            expected = math.exp(log_sum(logw, x_m) - log_sum(logw, {}))
+            assert _model_marginal_probability(model, x_m) == pytest.approx(expected, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_conditional(self, n):
+        model = mn.random_chain_model(n, [n, 13])
+        logw = log_weights(model)
+        query = Assignment({5: 1, n - 3: 0})
+        evidence = Assignment({1: 0, 2: 1, n // 2: 1, n: 0})
+        expected = math.exp(log_sum(logw, query.merge(evidence)) - log_sum(logw, evidence))
+        got = mn.conditional_probability(model, query, evidence)
+        assert got == pytest.approx(expected, rel=1e-9, abs=0.0)
+
+    def test_mle_counts_the_log_z_sweep(self):
+        # 13n - 6 for the max-product sweep and the product; when the modulus
+        # squared underflows, one sum-product sweep (10n - 7) more
+        assert mn.mle_chain(mn.random_chain_model(10, 0)).op_count == 13 * 10 - 6
+        assert mn.mle_chain(mn.random_chain_model(1000, 0)).op_count == 23 * 1000 - 13
+
+
+class TestChainConditional:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_brute_force_on_the_twin(self, seed, off_chain_twin):
+        model = mn.random_chain_model(9, seed + 30)
+        twin = off_chain_twin(model)
+        query, evidence = Assignment({2: 1, 7: 0}), Assignment({1: 0, 5: 1, 9: 1})
+        chain = mn.conditional_probability(model, query, evidence)
+        brute = mn.conditional_probability(twin, query, evidence)
+        assert chain == pytest.approx(brute, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [30, 64, 70])
+    def test_past_the_brute_force_guards(self, n):
+        # these sizes are refused on the twin (see TestBruteForceIndexGuards)
+        model = mn.random_chain_model(n, 1)
+        query = Assignment({1: 0})
+        evidence = Assignment({q: 0 for q in range(2, n - 4)})
+        expected = (
+            mn.chain_marginal_ratio(model, query.merge(evidence)).value
+            / mn.chain_marginal_ratio(model, evidence).value
+        )
+        assert mn.conditional_probability(model, query, evidence) == pytest.approx(expected, rel=1e-12)
+
+    def test_zero_evidence_floor_in_log_domain(self):
+        # p(evidence) ~ e^-1100 while the stored modulus is 0
+        model = mn.random_chain_model(1000, 0)
+        assert model.reference_modulus == 0.0
+        evidence = Assignment({q: 0 for q in range(1, 1001)})
+        with pytest.raises(mn.ZeroEvidenceProbability):
+            mn.conditional_probability(model, Assignment(), evidence)

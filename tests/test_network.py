@@ -1,6 +1,7 @@
 import itertools
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -428,6 +429,81 @@ class TestModelFiles:
         bad.write_text(json.dumps(payload))
         with pytest.raises(mn.FileFormatError):
             mn.load_model(bad)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def golden_models():
+    """The models behind tests/golden/model_*.model (files written by an earlier release)."""
+    star = mn.random_model(MenGraph.from_edges(4, [(1, 2), (2, 3), (2, 4)]), seed=7)
+    return {
+        "model_chain6": mn.random_chain_model(6, seed=2),
+        "model_k4": mn.random_model(MenGraph.from_edges(4, itertools.combinations(range(1, 5), 2)), seed=4),
+        "model_extract4": mn.extract_men(mn.reconstruct_state(star)),
+    }
+
+
+class TestGoldenModelFiles:
+    @pytest.mark.parametrize("name", sorted(golden_models()))
+    def test_written_byte_for_byte(self, name, tmp_path):
+        path = tmp_path / f"{name}.model"
+        mn.save_model(golden_models()[name], path)
+        assert path.read_bytes() == (GOLDEN / f"{name}.model").read_bytes()
+
+    @pytest.mark.parametrize("name", sorted(golden_models()))
+    def test_loads_to_an_equal_model(self, name):
+        model = golden_models()[name]
+        back = mn.load_model(GOLDEN / f"{name}.model")
+        assert back.graph == model.graph
+        assert back.reference == model.reference
+        assert back.reference_modulus == model.reference_modulus
+        assert back.potentials == model.potentials
+
+
+class TestTableStorage:
+    def test_mapping_and_array_build_equal_tables(self):
+        for table in mn.random_model(MenGraph.from_edges(4, [(1, 2), (2, 3), (2, 4)]), 3).potentials:
+            from_map = QFunctionTable(table.node, table.neighbors, 0, dict(table.values))
+            from_array = QFunctionTable(table.node, table.neighbors, 0, table.array)
+            assert from_map == table and from_array == table
+            assert from_map.array.shape == (2,) * (len(table.neighbors) + 1)
+
+    def test_flat_index_is_bit_then_context(self):
+        table = mn.random_chain_model(3, 1).potentials[1]  # node 2: context (x_1, x_3)
+        for (bit, ctx), val in table.values.items():
+            assert table.array.reshape(-1)[bit << 2 | ctx[0] << 1 | ctx[1]] == val
+            assert table.q(bit, ctx) == val
+
+    @pytest.mark.parametrize("bit, ctx", [(-1, (0, 0)), (2, (0, 0)), (1, (0,)), (1, (0, 0, 0)), (0, (0, -1))])
+    def test_lookup_outside_the_table_is_a_key_error(self, bit, ctx):
+        with pytest.raises(KeyError):
+            all_ones_table(2, (1, 3)).q(bit, ctx)
+
+    def test_writes_refused(self):
+        table = all_ones_table(2, (1, 3))
+        with pytest.raises(ValueError, match="read-only"):
+            table.array[1, 0, 0] = 2.0
+        with pytest.raises(TypeError):
+            table.values[(1, (0, 0))] = 2.0
+
+    def test_array_is_copied(self):
+        source = np.ones((2, 2), dtype=np.complex128)
+        table = QFunctionTable(1, (2,), 0, source)
+        source[1, 1] = 5.0
+        assert table.q(1, (1,)) == 1.0
+
+    def test_array_shape_checked(self):
+        with pytest.raises(ValueError, match="cover"):
+            QFunctionTable(1, (2,), 0, np.ones(4))
+
+    def test_array_input_validated_like_a_mapping(self):
+        bad = np.ones((2, 2), dtype=np.complex128)
+        bad[1, 0] = 1e-9
+        with pytest.raises(ValueError, match="~0"):
+            QFunctionTable(1, (2,), 0, bad)
+        with pytest.raises(ValueError, match="reference"):
+            QFunctionTable(1, (2,), 1, np.full((2, 2), 2.0))
 
 
 class TestRandomModel:
