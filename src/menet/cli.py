@@ -35,6 +35,7 @@ from .inference import (
     probability_of,
 )
 from .network import (
+    _GRAPHOID_MAX,
     MenGraph,
     _model_from_payload,
     build_graph,
@@ -243,7 +244,7 @@ def cmd_verify(args) -> list[str]:
         f"perfect_map: {status} (checked={report.partitions_checked}, "
         f"disagreements={len(report.disagreements)})"
     )
-    if psi.num_qubits <= 4:
+    if psi.num_qubits <= _GRAPHOID_MAX:
         gx = check_graphoid_axioms(psi)
         violations = sum(len(ax.violations) for ax in gx.axioms)
         status = "pass" if gx.passed else "FAIL"
@@ -251,7 +252,7 @@ def cmd_verify(args) -> list[str]:
             f"graphoids: {status} (instances={gx.instances}, violations={violations})"
         )
     else:
-        lines.append("graphoids: skipped (n > 4)")
+        lines.append(f"graphoids: skipped (n > {_GRAPHOID_MAX})")
     return lines
 
 

@@ -36,12 +36,13 @@ from .state import (
     Assignment,
     PureState,
     ToleranceConfig,
+    _broadcast_over,
     _fmt_real,
 )
 
 _NORM_AUDIT_MAX = 12  # brute-force normalization audit bound
-_INDEX_QUBITS_MAX = 63  # int64 basis indices hold qubit bits 62..0
 _RECONSTRUCT_MAX = 24
+_GRAPHOID_MAX = 4  # exhaustive graphoid-axiom enumeration bound
 _MODULUS_ATOL = 1e-9
 
 
@@ -190,35 +191,32 @@ def _coverage_error(node: int, size: int) -> ValueError:
     return ValueError(f"table for node {node} must cover all {size} (bit, context) keys")
 
 
-def _require_index_width(n: int) -> None:
-    """Refuse n-qubit basis indices that do not fit in int64."""
-    if n > _INDEX_QUBITS_MAX:
-        raise EnumerationBoundExceeded(
-            f"basis indices of {n} qubits overflow int64 (limit n <= {_INDEX_QUBITS_MAX})"
-        )
-
-
 def _relative_amplitude_products(
     potentials: tuple[QFunctionTable, ...],
     reference_bits: tuple[int, ...],
     n: int,
-    indices: np.ndarray | None = None,
+    bound: Mapping[int, int] | None = None,
 ) -> np.ndarray:
     """prod_i q(x_i | lower neighbors actual, higher neighbors at reference).
 
-    Evaluated at the given basis indices (all 2**n when omitted).
+    Evaluated on every completion of `bound` (of everything when omitted):
+    a tensor with one axis per free qubit, ascending, or shape (1,) when
+    none is free.
     """
-    _require_index_width(n)
-    if indices is None:
-        indices = np.arange(2**n)
-    out = np.ones(indices.shape, dtype=np.complex128)
+    bound = bound or {}
+    free = [q for q in range(1, n + 1) if q not in bound]
+    out = np.ones((2,) * len(free) or (1,), dtype=np.complex128)
     for table in potentials:
         i = table.node
-        axes = [(indices >> (n - i)) & 1] + [
-            (indices >> (n - j)) & 1 if j < i else reference_bits[j - 1]
-            for j in table.neighbors
+        lower = [j for j in table.neighbors if j < i]
+        at = [bound.get(j, slice(None)) for j in (i, *lower)] + [
+            reference_bits[j - 1] for j in table.neighbors if j > i
         ]
-        out = out * table.array[tuple(axes)]
+        values = table.array[tuple(at)]
+        if i not in bound:
+            values = np.moveaxis(values, 0, -1)  # the node after its lower neighbors
+        axes = [j for j in (*lower, i) if j not in bound]
+        out = out * _broadcast_over(values, axes, free)
     return out
 
 
@@ -269,7 +267,7 @@ def normalization_modulus(
     potentials: tuple[QFunctionTable, ...], reference_bits: tuple[int, ...], n: int
 ) -> float:
     """1 / sqrt(sum over all assignments of |prod_i q(...)|^2)."""
-    rel = _relative_amplitude_products(potentials, reference_bits, n)
+    rel = _relative_amplitude_products(potentials, reference_bits, n).reshape(-1)
     return 1.0 / math.sqrt(float(np.sum(np.abs(rel) ** 2)))
 
 
@@ -381,21 +379,18 @@ def _audit_well_defined(
     violating context in that order is reported.
     """
     n = psi.num_qubits
-    amps = psi.amplitudes
-    contexts = np.arange(2 ** (n - 1))
+    tensor = psi.amplitudes.reshape((2,) * n)
     for table in potentials:
         i = table.node
-        low = n - i  # bit position of qubit i; lower bits belong to qubits > i
-        base = ((contexts >> low) << (low + 1)) | (contexts & ((1 << low) - 1))
-        q = table.array[1][tuple((base >> (n - j)) & 1 for j in table.neighbors)]
-        lhs = amps[base | (1 << low)]
-        rhs = q * amps[base]
+        others = [j for j in range(1, n + 1) if j != i]
+        at_zero, lhs = np.moveaxis(tensor, i - 1, 0).reshape(2, -1)  # x_i = 0, 1 per context
+        rhs = _broadcast_over(table.array[1], table.neighbors, others).reshape(-1) * at_zero
         delta = np.abs(lhs - rhs)
         bound = tol.abs_eps + tol.rel_eps * np.maximum(np.abs(lhs), np.abs(rhs))
         violations = np.flatnonzero(delta > bound)
         if violations.size:
             c = int(violations[0])
-            ctx = tuple((c >> (n - 2 - pos)) & 1 for pos in range(n - 1))
+            ctx = tuple(int(b) for b in np.unravel_index(c, (2,) * (n - 1)))
             raise InconsistentGraph(
                 f"q(x_{i}=1 | full context) varies with non-neighbor coordinates "
                 f"(context {ctx}: |delta|={delta[c]:.3e} > {bound[c]:.3e}); "
@@ -412,7 +407,7 @@ def reconstruct_state(model: MenModel) -> PureState:
     if n > _RECONSTRUCT_MAX:
         raise ValueError(f"dense reconstruction is limited to n <= {_RECONSTRUCT_MAX}")
     rel = _relative_amplitude_products(model.potentials, model.reference_bits(), n)
-    return PureState(model.reference_modulus * rel)
+    return PureState(model.reference_modulus * rel.reshape(-1))
 
 
 def node_separation(g: MenGraph, a, b, c) -> bool:
@@ -517,20 +512,18 @@ class GraphoidReport:
         return sum(ax.instances for ax in self.axioms)
 
 
-def check_graphoid_axioms(
-    psi: PureState, tol: ToleranceConfig = DEFAULT_TOL, n_bound: int = 4
-) -> GraphoidReport:
+def check_graphoid_axioms(psi: PureState, tol: ToleranceConfig = DEFAULT_TOL) -> GraphoidReport:
     """Exhaustively test symmetry, decomposition, intersection, strong union
     and transitivity of the conditional-separability predicate.
 
     All disjoint subset tuples over 1..n are enumerated (A, B and, where the
-    axiom mentions it, D nonempty; C possibly empty). Exponential, hence the
-    n_bound guard (default 4).
+    axiom mentions it, D nonempty; C possibly empty). Exponential, hence
+    the n <= _GRAPHOID_MAX guard.
     """
     n = psi.num_qubits
-    if n > n_bound:
+    if n > _GRAPHOID_MAX:
         raise EnumerationBoundExceeded(
-            f"graphoid enumeration is limited to n <= {n_bound}, got {n}"
+            f"graphoid enumeration is limited to n <= {_GRAPHOID_MAX}, got {n}"
         )
     qubits = list(range(1, n + 1))
     cache: dict[tuple[frozenset, frozenset], bool] = {}

@@ -4,7 +4,8 @@ Conventions (fixed for file-format stability):
 
 - Qubits are numbered 1..n and qubit 1 is the most significant bit of the
   basis index, so the basis state (x_1, ..., x_n) sits at index
-  sum(x_i * 2**(n - i)).
+  sum(x_i * 2**(n - i)). Equivalently, qubit q is axis q - 1 of the tensor
+  amplitudes.reshape((2,) * n); dense code addresses qubits that way.
 - States are unit-norm within 1e-9.
 - Every value is immutable after construction and every operation is a pure
   function of its inputs; randomness enters only through explicit seeds.
@@ -229,21 +230,24 @@ def basis_state(n: int, index: int = 0) -> PureState:
     return PureState(amps)
 
 
-def _subindices(indices: np.ndarray, qubits: list[int], n: int) -> np.ndarray:
-    """Pack the bits of `qubits` (ascending) out of composite basis indices."""
-    k = len(qubits)
-    out = np.zeros_like(indices)
-    for pos, q in enumerate(qubits):
-        out |= ((indices >> (n - q)) & 1) << (k - 1 - pos)
-    return out
+def _broadcast_over(values: np.ndarray, qubits, over) -> np.ndarray:
+    """Contiguous copy of `values` broadcast to the tensor over `over`.
+
+    `values` has one axis per qubit of `qubits` and `over` one per qubit it
+    lists, both ascending; the result is at least 1-D. Complex products of
+    such copies round like numpy's flat contiguous loops, which its strided
+    and 0-d loops need not do.
+    """
+    shape = tuple(2 if q in qubits else 1 for q in over)
+    return np.ascontiguousarray(np.broadcast_to(values.reshape(shape), (2,) * len(over)))
 
 
 def _compose_blocks(factors, blocks, n: int) -> np.ndarray:
-    indices = np.arange(2**n)
-    amps = np.ones(2**n, dtype=np.complex128)
+    amps = np.ones((2,) * n, dtype=np.complex128)
     for factor, block in zip(factors, blocks):
-        amps *= factor.amplitudes[_subindices(indices, sorted(block), n)]
-    return amps
+        tensor = factor.amplitudes.reshape((2,) * len(block))
+        amps *= _broadcast_over(tensor, sorted(block), range(1, n + 1))
+    return amps.reshape(-1)
 
 
 def tensor_product(phi: PureState, chi: PureState, m: Iterable[int] | None = None) -> PureState:
@@ -358,15 +362,16 @@ def measure_qubit(
         raise ValueError(f"qubit {qubit} out of range 1..{n}")
     if outcome not in (0, 1):
         raise ValueError(f"outcome must be 0 or 1, got {outcome}")
-    bits = (np.arange(psi.dim) >> (n - qubit)) & 1
-    keep = bits == outcome
-    probability = float(np.sum(np.abs(psi.amplitudes[keep]) ** 2))
+    tensor = psi.amplitudes.reshape((2,) * n)
+    at = (slice(None),) * (qubit - 1) + (outcome,)
+    probability = float(np.sum(np.abs(tensor[at].reshape(-1)) ** 2))
     if probability < tol.zero_amp_threshold**2:
         raise ZeroProbabilityOutcome(
             f"outcome {outcome} on qubit {qubit} has probability {probability:.3e}"
         )
-    collapsed = np.where(keep, psi.amplitudes, 0.0) / math.sqrt(probability)
-    return probability, PureState(collapsed)
+    collapsed = np.zeros_like(tensor)
+    collapsed[at] = tensor[at]
+    return probability, PureState(collapsed.reshape(-1) / math.sqrt(probability))
 
 
 def fidelity_up_to_phase(psi: PureState, chi: PureState) -> float:

@@ -8,6 +8,7 @@ import pytest
 
 import menet as mn
 from menet import Assignment, MenGraph, MenModel, QFunctionTable
+from menet.cli import main
 
 
 def uniform_chain_model(n, entry=1.0):
@@ -109,10 +110,11 @@ class TestConditionalProbability:
 
 
 class TestBruteForceIndexGuards:
-    """Brute-force sums refuse what they cannot enumerate or index.
+    """Brute-force sums refuse what they cannot enumerate or represent.
 
-    Conditionals on chains take the sweeps, so the guards are exercised on
-    the same states over the chain plus edge (1, 3).
+    The bounds are the number of free qubits and the double range of the
+    sum, not n. Conditionals on chains take the sweeps, so the brute-force
+    route is exercised on the same states over the chain plus edge (1, 3).
     """
 
     def test_too_many_free_qubits(self, off_chain_twin):
@@ -126,14 +128,21 @@ class TestBruteForceIndexGuards:
 
     @pytest.mark.parametrize("n", [64, 70])
     def test_indices_past_int64(self, n, off_chain_twin):
-        # formerly 0.5 on n = 70 (the true value is far from it): the high
-        # qubits' bits were shifted out of the int64 index without a word
+        # dense products address qubits as tensor axes, so n past the width
+        # of an int64 basis index is exact as long as few qubits are free
         model = mn.random_chain_model(n, 1)
+        twin = off_chain_twin(model)
+        query = Assignment({1: 0})
         evidence = Assignment({q: 0 for q in range(2, n - 4)})
-        with pytest.raises(mn.EnumerationBoundExceeded):
-            mn.conditional_probability(off_chain_twin(model), Assignment({1: 0}), evidence)
-        with pytest.raises(mn.EnumerationBoundExceeded):
-            mn.marginal_ratio(model, Assignment({1: 1}).merge(evidence))
+        expected = (
+            mn.chain_marginal_ratio(model, query.merge(evidence)).value
+            / mn.chain_marginal_ratio(model, evidence).value
+        )
+        got = mn.conditional_probability(twin, query, evidence)
+        assert got == pytest.approx(expected, rel=1e-9)
+        x_m = Assignment({1: 1}).merge(evidence)
+        expected = mn.chain_marginal_ratio(model, x_m).value
+        assert mn.marginal_ratio(twin, x_m).value == pytest.approx(expected, rel=1e-9)
 
     def test_widest_indexable_chain_is_exact(self, off_chain_twin):
         # n = 63 uses bits 62..0 of an int64 index: still exact
@@ -148,14 +157,26 @@ class TestBruteForceIndexGuards:
         got = mn.conditional_probability(off_chain_twin(model), query, evidence)
         assert got == pytest.approx(expected, rel=1e-9)
 
-    def test_dense_products_refuse_wide_indices(self):
-        from menet.network import _relative_amplitude_products
-
-        model = mn.random_chain_model(64, 0)
-        with pytest.raises(mn.EnumerationBoundExceeded):
-            _relative_amplitude_products(
-                model.potentials, model.reference_bits(), 64, np.arange(4)
-            )
+    def test_sum_past_the_double_range_is_an_error(self, off_chain_twin, tmp_path, capsys):
+        # n = 500 with all-ones evidence: the evidence sum overflows to inf
+        # and the conditional ratio would be nan; no RuntimeWarning either
+        n = 500
+        twin = off_chain_twin(mn.random_chain_model(n, 1))
+        evidence = Assignment({q: 1 for q in range(2, n - 4)})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(mn.EnumerationBoundExceeded, match="double range"):
+                mn.marginal_ratio(twin, evidence)
+            with pytest.raises(mn.EnumerationBoundExceeded, match="double range"):
+                mn.conditional_probability(twin, Assignment({1: 0}), evidence)
+        path = tmp_path / "twin500.model"
+        mn.save_model(twin, path)
+        evidence_text = ",".join(f"{q}={b}" for q, b in evidence.items())
+        rc = main(["conditional", str(path), "--query", "1=0", "--evidence", evidence_text])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err.startswith("error: EnumerationBoundExceeded:")
+        assert captured.err.count("\n") == 1
 
 
 class TestChainPrefix:
@@ -346,6 +367,23 @@ class TestRandomChainModel:
         b = mn.random_chain_model(6, 42)
         assert a.potentials == b.potentials
 
+    @pytest.mark.parametrize(
+        "seed, n, stored",
+        [
+            (0, 1, "0.29347403458758714"),
+            (0, 355, "1.3534761676047205e-158"),
+            (0, 744, "0.0"),
+            (0, 746, "0.0"),
+            (0, 2000, "0.0"),
+            (11, 744, "4.743e-321"),
+            (11, 746, "2.3e-322"),
+            (11, 2000, "0.0"),
+        ],
+    )
+    def test_stored_modulus_pinned(self, seed, n, stored):
+        # exp(-log Z / 2) with log Z >= 0, underflowing to 0 past n ~ 745
+        assert repr(mn.random_chain_model(n, seed).reference_modulus) == stored
+
     def test_moduli_range(self):
         model = mn.random_chain_model(8, 5)
         for table in model.potentials:
@@ -503,3 +541,45 @@ class TestChainConditional:
         evidence = Assignment({q: 0 for q in range(1, 1001)})
         with pytest.raises(mn.ZeroEvidenceProbability):
             mn.conditional_probability(model, Assignment(), evidence)
+
+
+def loop_relative_amplitude(model, bits):
+    """prod_i q(x_i | lower neighbors at x, higher ones at the reference), one q call each."""
+    ref = model.reference_bits()
+    value = complex(1.0)
+    for table in model.potentials:
+        i = table.node
+        ctx = tuple(bits[j - 1] if j < i else ref[j - 1] for j in table.neighbors)
+        value *= table.q(bits[i - 1], ctx)
+    return value
+
+
+def loop_marginal_ratio(model, x_m):
+    n = model.num_qubits
+    free = [q for q in range(1, n + 1) if q not in x_m]
+    total = 0.0
+    for completion in itertools.product((0, 1), repeat=len(free)):
+        bound = {**x_m, **dict(zip(free, completion))}
+        bits = [bound[q] for q in range(1, n + 1)]
+        total += abs(loop_relative_amplitude(model, bits)) ** 2
+    return total
+
+
+class TestDenseProductsAgainstLoopOracle:
+    """The dense evaluator against plain loops of telescoping q-products."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_graphs_and_bindings(self, n, seed):
+        rng = np.random.default_rng([n, seed, 77])
+        edges = [e for e in itertools.combinations(range(1, n + 1), 2) if rng.random() < 0.5]
+        model = mn.random_model(MenGraph.from_edges(n, edges), [n, seed])
+        psi = mn.reconstruct_state(model)
+        for index, bits in enumerate(itertools.product((0, 1), repeat=n)):
+            expected = model.reference_modulus * loop_relative_amplitude(model, bits)
+            assert abs(psi.amplitudes[index] - expected) <= 1e-12 * abs(expected)
+        for _ in range(5):
+            qubits = rng.choice(n, size=rng.integers(0, n + 1), replace=False) + 1
+            x_m = Assignment({int(q): int(rng.integers(0, 2)) for q in qubits})
+            expected = loop_marginal_ratio(model, x_m)
+            assert mn.marginal_ratio(model, x_m).value == pytest.approx(expected, rel=1e-12)
