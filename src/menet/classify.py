@@ -17,6 +17,7 @@ trustworthy in the nonzero-amplitude regime.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -170,6 +171,44 @@ def structured_bases() -> tuple[LocalBasisChange, ...]:
     )
 
 
+@functools.lru_cache(maxsize=1)
+def _structured_stack() -> np.ndarray:
+    """structured_bases() as one read-only (64, 3, 2, 2) array, built once."""
+    rotations = np.array([rotation(theta) for theta in STRUCTURED_ANGLES])
+    choices = itertools.product(range(len(STRUCTURED_ANGLES)), repeat=3)
+    stack = rotations[np.array(list(choices))]
+    stack.setflags(write=False)
+    return stack
+
+
+@functools.lru_cache(maxsize=8)
+def _haar_stack(seed: int, samples: int) -> np.ndarray:
+    """Read-only (samples, 3, 2, 2) array whose k-th entry is, bit for bit,
+    the matrices of LocalBasisChange.random(3, seed=[seed, k]).
+
+    Each sample keeps its own generator and haar_qubit_unitary's draws
+    (alpha, beta, then the uniform behind theta, per qubit), taken as
+    random(9): uniform(0, 2*pi) is exactly 2*pi times the same uniform.
+    theta goes through the scalar math functions, because numpy's
+    vectorized arcsin, cos and sin may round differently.
+    """
+    draws = np.empty((samples, 9))
+    for k in range(samples):
+        draws[k] = np.random.default_rng([seed, k]).random(9)
+    alpha, beta, uniform = np.moveaxis(draws.reshape(samples, 3, 3), 2, 0)
+    alpha, beta = 2.0 * math.pi * alpha, 2.0 * math.pi * beta
+    theta = [math.asin(math.sqrt(t)) for t in uniform.reshape(-1).tolist()]
+    c = np.reshape([math.cos(t) for t in theta], (samples, 3))
+    s = np.reshape([math.sin(t) for t in theta], (samples, 3))
+    stack = np.empty((samples, 3, 2, 2), dtype=np.complex128)
+    stack[..., 0, 0] = np.exp(1j * alpha) * c
+    stack[..., 0, 1] = np.exp(1j * beta) * s
+    stack[..., 1, 0] = -np.exp(-1j * beta) * s
+    stack[..., 1, 1] = np.exp(-1j * alpha) * c
+    stack.setflags(write=False)
+    return stack
+
+
 _ADAPTIVE_PAIR_ANGLES = (math.pi / 8, math.pi / 5, math.pi / 3)
 
 
@@ -232,6 +271,11 @@ def adaptive_bases(
     rotations on the other two; candidates are deterministic functions of
     the state.
     """
+    return tuple(LocalBasisChange(tuple(mats)) for mats in _adaptive_stack(psi, tol))
+
+
+def _adaptive_stack(psi: PureState, tol: ToleranceConfig) -> np.ndarray:
+    """adaptive_bases(psi, tol) as one (m, 3, 2, 2) array."""
     out = []
     for qubit in (1, 2, 3):
         u = _singular_direction_basis(psi, qubit, tol)
@@ -240,8 +284,8 @@ def adaptive_bases(
         for t1, t2 in itertools.product(_ADAPTIVE_PAIR_ANGLES, repeat=2):
             mats: list[np.ndarray] = [rotation(t1), rotation(t2)]
             mats.insert(qubit - 1, u)
-            out.append(LocalBasisChange(tuple(mats)))
-    return tuple(out)
+            out.append(mats)
+    return np.array(out, dtype=np.complex128).reshape(-1, 3, 2, 2)
 
 
 def topology_census(
@@ -255,17 +299,17 @@ def topology_census(
     be evaluated in any order. Bases whose transformed state has
     min |a| <= zero_amp_threshold are rejected. All bases are applied as
     one stack and all accepted graphs come from one pairwise-minor pass.
+    The structured and Haar stacks do not depend on the state and are
+    built once per process (the Haar one per seed and sample count).
     """
     if psi.num_qubits != 3:
         raise WrongArity(f"census requires a 3-qubit state, got n={psi.num_qubits}")
     if samples < 0:
         raise ValueError("samples must be >= 0")
-    bases = list(structured_bases())
-    bases.extend(adaptive_bases(psi, tol))
-    bases.extend(
-        LocalBasisChange.random(3, seed=[_seed_scalar(seed), k]) for k in range(samples)
+    bases = np.concatenate(
+        [_structured_stack(), _adaptive_stack(psi, tol), _haar_stack(_seed_scalar(seed), samples)]
     )
-    rotated = _rotate_stack(psi, np.array([change.matrices for change in bases]))
+    rotated = _rotate_stack(psi, bases)
     accepted = np.abs(rotated).min(axis=1) > tol.zero_amp_threshold
     edges = _pairwise_entangled(rotated[accepted], tol)  # pairs (1,2), (1,3), (2,3)
     codes = edges @ np.array([4, 2, 1])

@@ -12,12 +12,13 @@ higher-indexed ones at the reference).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
 import warnings
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from types import MappingProxyType
 
 import numpy as np
@@ -30,7 +31,7 @@ from .errors import (
     ZeroAmplitudeWarning,
     ZeroReferenceAmplitude,
 )
-from .separability import _pairwise_entangled, conditionally_separable
+from .separability import _pairwise_entangled, _splits_separable
 from .state import (
     DEFAULT_TOL,
     Assignment,
@@ -43,6 +44,7 @@ from .state import (
 _NORM_AUDIT_MAX = 12  # brute-force normalization audit bound
 _RECONSTRUCT_MAX = 24
 _GRAPHOID_MAX = 4  # exhaustive graphoid-axiom enumeration bound
+_PERFECT_MAP_MAX = 6  # exhaustive perfect-map enumeration bound
 _MODULUS_ATOL = 1e-9
 
 
@@ -222,14 +224,21 @@ def _relative_amplitude_products(
 
 @dataclass(frozen=True)
 class MenModel:
-    """Graph + per-node potentials + reference point; fixes a state up to phase."""
+    """Graph + per-node potentials + reference point; fixes a state up to phase.
+
+    For n <= _NORM_AUDIT_MAX the reference modulus is audited against the
+    normalization formula. `_normalization` is for constructors that have
+    just evaluated that formula on these very potentials and hand its value
+    over instead of having the audit repeat the dense sum.
+    """
 
     graph: MenGraph
     potentials: tuple[QFunctionTable, ...]
     reference: Assignment
     reference_modulus: float
+    _normalization: InitVar[float | None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _normalization: float | None) -> None:
         n = self.graph.num_nodes
         object.__setattr__(self, "potentials", tuple(self.potentials))
         if len(self.potentials) != n:
@@ -248,7 +257,9 @@ class MenModel:
         if not (self.reference_modulus >= 0.0 and math.isfinite(self.reference_modulus)):
             raise ValueError("reference_modulus must be finite and >= 0")
         if n <= _NORM_AUDIT_MAX:
-            formula = normalization_modulus(self.potentials, bits, n)
+            formula = _normalization
+            if formula is None:
+                formula = normalization_modulus(self.potentials, bits, n)
             if abs(self.reference_modulus - formula) > _MODULUS_ATOL:
                 raise ValueError(
                     f"reference_modulus {self.reference_modulus!r} disagrees with the "
@@ -340,8 +351,9 @@ def extract_men(psi: PureState, tol: ToleranceConfig = DEFAULT_TOL) -> MenModel:
     (all-zeros) point; a well-definedness audit verifies, on every one of
     the 2^(n-1) contexts of every node, that the full-context ratio really
     is independent of non-neighbor coordinates, and raises InconsistentGraph
-    on violation. The reference modulus is recomputed from the normalization
-    formula rather than read off the state.
+    on violation. The reference modulus is computed from the normalization
+    formula rather than read off the state, once: the model's audit is
+    handed that value.
     """
     n = psi.num_qubits
     if psi.min_modulus() <= tol.zero_amp_threshold:
@@ -363,7 +375,7 @@ def extract_men(psi: PureState, tol: ToleranceConfig = DEFAULT_TOL) -> MenModel:
     potentials = tuple(tables)
     _audit_well_defined(psi, graph, potentials, tol)
     modulus = normalization_modulus(potentials, (0,) * n, n)
-    return MenModel(graph, potentials, reference, modulus)
+    return MenModel(graph, potentials, reference, modulus, _normalization=modulus)
 
 
 def _audit_well_defined(
@@ -460,36 +472,48 @@ def verify_perfect_map(
     Enumerates all ways of splitting 1..n into nonempty A, B and the exact
     complement C (possibly empty, which makes the check plain bipartite
     separability versus graph connectivity); A/B symmetric duplicates are
-    skipped. n is capped at 6 because the count grows as 3^n.
+    skipped. There are (3^n - 2^(n+1) + 1) / 2 splits, so n is capped at
+    _PERFECT_MAP_MAX. Every split's separability is tested directly, all of
+    them in one batched minor pass, independently of the pairwise test that
+    builds graphs.
     """
     n = psi.num_qubits
     if g.num_nodes != n:
         raise ValueError("graph and state sizes differ")
-    if n > 6:
-        raise EnumerationBoundExceeded(f"perfect-map enumeration is limited to n <= 6, got {n}")
+    if n > _PERFECT_MAP_MAX:
+        raise EnumerationBoundExceeded(
+            f"perfect-map enumeration is limited to n <= {_PERFECT_MAP_MAX}, got {n}"
+        )
     zero = psi.min_modulus() <= tol.zero_amp_threshold
+    # (A, B) and (B, A) are the same check: keep the one whose lowest qubit is in A
+    splits = [
+        groups
+        for groups in _colorings(n, 3)
+        if groups[0] and groups[1] and groups[0][0] < groups[1][0]
+    ]
+    separable = _splits_separable(psi.amplitudes, [(a, b) for a, b, _ in splits], tol)
     disagreements = []
-    checked = 0
-    qubits = list(range(1, n + 1))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ZeroAmplitudeWarning)
-        for colors in itertools.product((0, 1, 2), repeat=n):
-            groups = ([], [], [])
-            for q, color in zip(qubits, colors):
-                groups[color].append(q)
-            set_a, set_b, set_c = groups
-            if not (set_a and set_b):
-                continue
-            if min(set_a + set_b) in set_b:
-                continue  # (A,B) and (B,A) are the same check
-            checked += 1
-            sep = conditionally_separable(psi, set_a, set_b, set_c, tol, mode="robust").separable
-            graph_sep = node_separation(g, set_a, set_b, set_c)
-            if sep != graph_sep:
-                disagreements.append(
-                    (tuple(set_a), tuple(set_b), tuple(set_c), sep, graph_sep)
-                )
-    return PerfectMapReport(n, checked, tuple(disagreements), zero)
+    for (set_a, set_b, set_c), sep in zip(splits, separable.tolist()):
+        graph_sep = node_separation(g, set_a, set_b, set_c)
+        if sep != graph_sep:
+            disagreements.append((set_a, set_b, set_c, sep, graph_sep))
+    return PerfectMapReport(n, len(splits), tuple(disagreements), zero)
+
+
+@functools.lru_cache(maxsize=16)
+def _colorings(n: int, parts: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Every assignment of qubits 1..n to `parts` roles, as per-role qubit tuples.
+
+    In itertools.product order over the roles of qubits 1..n; each tuple is
+    ascending.
+    """
+    out = []
+    for colors in itertools.product(range(parts), repeat=n):
+        groups: tuple[list[int], ...] = tuple([] for _ in range(parts))
+        for q, color in enumerate(colors, start=1):
+            groups[color].append(q)
+        out.append(tuple(map(tuple, groups)))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -525,25 +549,14 @@ def check_graphoid_axioms(psi: PureState, tol: ToleranceConfig = DEFAULT_TOL) ->
         raise EnumerationBoundExceeded(
             f"graphoid enumeration is limited to n <= {_GRAPHOID_MAX}, got {n}"
         )
-    qubits = list(range(1, n + 1))
-    cache: dict[tuple[frozenset, frozenset], bool] = {}
+    # I(A, B | complement), tabulated over ordered (A, B): "symmetry" then
+    # compares two verdicts computed from different views
+    pairs = [(a, b) for a, b, _ in _colorings(n, 3) if a and b]
+    verdicts = _splits_separable(psi.amplitudes, pairs, tol).tolist()
+    table = {(frozenset(a), frozenset(b)): sep for (a, b), sep in zip(pairs, verdicts)}
 
     def ind(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-        key = (frozenset(a), frozenset(b))
-        if key not in cache:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", ZeroAmplitudeWarning)
-                cache[key] = conditionally_separable(psi, a, b, (), tol, mode="robust").separable
-        return cache[key]
-
-    def colorings(parts: int):
-        """Assign each qubit one of `parts` roles; last role is 'remaining'."""
-        for colors in itertools.product(range(parts), repeat=n):
-            groups = tuple(
-                tuple(q for q, color in zip(qubits, colors) if color == role)
-                for role in range(parts)
-            )
-            yield groups
+        return table[frozenset(a), frozenset(b)]
 
     def fmt(**sets) -> str:
         return ", ".join(f"{k}={v}" for k, v in sets.items())
@@ -552,7 +565,7 @@ def check_graphoid_axioms(psi: PureState, tol: ToleranceConfig = DEFAULT_TOL) ->
 
     # Symmetry: I(A,B|C) -> I(B,A|C)
     instances, violations = 0, []
-    for set_a, set_b, set_c, _rest in colorings(4):
+    for set_a, set_b, set_c, _rest in _colorings(n, 4):
         if not set_a or not set_b:
             continue
         instances += 1
@@ -562,7 +575,7 @@ def check_graphoid_axioms(psi: PureState, tol: ToleranceConfig = DEFAULT_TOL) ->
 
     # Decomposition: I(A, B+D | C) -> I(A,B|C) and I(A,D|C)
     instances, violations = 0, []
-    for set_a, set_b, set_d, set_c, _rest in colorings(5):
+    for set_a, set_b, set_d, set_c, _rest in _colorings(n, 5):
         if not set_a or not set_b or not set_d:
             continue
         instances += 1
@@ -572,7 +585,7 @@ def check_graphoid_axioms(psi: PureState, tol: ToleranceConfig = DEFAULT_TOL) ->
 
     # Intersection: I(A,B|C+D) and I(A,D|B+C) -> I(A, B+D | C)
     instances, violations = 0, []
-    for set_a, set_b, set_d, set_c, _rest in colorings(5):
+    for set_a, set_b, set_d, set_c, _rest in _colorings(n, 5):
         if not set_a or not set_b or not set_d:
             continue
         instances += 1
@@ -582,7 +595,7 @@ def check_graphoid_axioms(psi: PureState, tol: ToleranceConfig = DEFAULT_TOL) ->
 
     # Strong union: I(A,B|C) -> I(B,A|C+D)
     instances, violations = 0, []
-    for set_a, set_b, set_d, set_c, _rest in colorings(5):
+    for set_a, set_b, set_d, set_c, _rest in _colorings(n, 5):
         if not set_a or not set_b or not set_d:
             continue
         instances += 1
@@ -592,7 +605,7 @@ def check_graphoid_axioms(psi: PureState, tol: ToleranceConfig = DEFAULT_TOL) ->
 
     # Transitivity: I(A,B|C) -> I(A,{v}|C) or I({v},B|C), v outside A,B,C
     instances, violations = 0, []
-    for set_a, set_b, set_c, rest in colorings(4):
+    for set_a, set_b, set_c, rest in _colorings(n, 4):
         if not set_a or not set_b:
             continue
         for v in rest:

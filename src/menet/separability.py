@@ -164,6 +164,51 @@ def _pairwise_entangled(amps: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
     return out
 
 
+_SPLIT_PASS_MINORS = 1 << 16  # minors tested per pass; bounds one pass's temporaries
+
+
+def _splits_separable(amps: np.ndarray, splits, tol: ToleranceConfig) -> np.ndarray:
+    """Robust conditional test of many (A, B) splits of one state.
+
+    `amps` is a state's amplitude vector (2**n,); each split is a pair
+    (A, B) of disjoint nonempty qubit collections, with every other qubit
+    held. The result has one bool per split, True where A and B are
+    conditionally separable, i.e. equal to
+    `conditionally_separable(psi, A, B, rest, tol).separable`. Every split
+    is tested directly on its own (2^|A|, 2^|B|, 2^rest) view: the splits
+    are grouped by (|A|, |B|), each group's views are stacked, and all
+    their 2x2 minors go through one pass with the arithmetic and the
+    tolerance law of `_scan_all_minors`.
+    """
+    n = amps.size.bit_length() - 1
+    tensor = amps.reshape((2,) * n)
+    groups: dict[tuple[int, int], list[int]] = {}
+    perms = []
+    for index, (a, b) in enumerate(splits):
+        a, b = sorted(a), sorted(b)
+        rest = [q for q in range(1, n + 1) if q not in a and q not in b]
+        perms.append([q - 1 for q in a + b + rest])
+        groups.setdefault((len(a), len(b)), []).append(index)
+    out = np.empty(len(perms), dtype=bool)
+    for (size_a, size_b), members in groups.items():
+        rows, cols = 1 << size_a, 1 << size_b
+        ii, ii2 = np.triu_indices(rows, k=1)
+        jj, jj2 = np.triu_indices(cols, k=1)
+        i, i2 = ii[:, None], ii2[:, None]
+        per_split = (len(ii) * len(jj)) << (n - size_a - size_b)
+        step = max(1, _SPLIT_PASS_MINORS // per_split)
+        for start in range(0, len(members), step):
+            chunk = members[start : start + step]
+            arr = np.stack([tensor.transpose(perms[k]).reshape(rows, cols, -1) for k in chunk])
+            mods = np.abs(arr)
+            # (split, row pair, column pair, context): u = [i, j], v = [i2, j2], w = [i2, j], z = [i, j2]
+            u, v, w, z = arr[:, i, jj], arr[:, i2, jj2], arr[:, i2, jj], arr[:, i, jj2]
+            mags = np.abs(u * v - w * z)
+            bounds = _minor_bound(mods[:, i, jj], mods[:, i, jj2], mods[:, i2, jj], mods[:, i2, jj2], tol)
+            out[chunk] = ~np.any(mags > bounds, axis=(1, 2, 3))
+    return out
+
+
 def _scan_reference_minors(arr: np.ndarray, row0: int, col0: int, tol: ToleranceConfig):
     """Minor scan against a fixed reference row/column, per held context.
 

@@ -164,6 +164,72 @@ class TestBatchedCensus:
         assert calls == []
 
 
+def _bits(stack):
+    return np.asarray(stack, dtype=np.complex128).view(np.float64)
+
+
+class TestBasisStacks:
+    """The census's array-built bases against the LocalBasisChange constructors."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 123, 2**40])
+    def test_haar_stack_bit_identical(self, seed):
+        from menet.classify import _haar_stack
+
+        want = [mn.LocalBasisChange.random(3, seed=[seed, k]).matrices for k in range(40)]
+        assert np.array_equal(_bits(_haar_stack(seed, 40)), _bits(want))
+
+    def test_numpy_integer_seed(self, ghz):
+        from menet.classify import _haar_stack
+
+        seed = np.int64(11)
+        want = [mn.LocalBasisChange.random(3, seed=[seed, k]).matrices for k in range(8)]
+        assert np.array_equal(_bits(_haar_stack(11, 8)), _bits(want))
+        assert mn.topology_census(ghz, 8, seed) == mn.topology_census(ghz, 8, 11)
+
+    def test_stacks_are_cached_and_read_only(self):
+        from menet.classify import _haar_stack, _structured_stack
+
+        for stack in (_haar_stack(5, 6), _structured_stack()):
+            assert not stack.flags.writeable
+            with pytest.raises(ValueError):
+                stack[0, 0, 0, 0] = 0.0
+        assert _haar_stack(5, 6) is _haar_stack(5, 6)
+        assert _haar_stack(5, 0).shape == (0, 3, 2, 2)
+
+    def test_structured_stack_bit_identical(self):
+        from menet.classify import _structured_stack, structured_bases
+
+        want = [change.matrices for change in structured_bases()]
+        assert np.array_equal(_bits(_structured_stack()), _bits(want))
+
+    @pytest.mark.parametrize("name", ["ghz", "w"])
+    def test_adaptive_stack_matches_adaptive_bases(self, name):
+        from menet.classify import _adaptive_stack, adaptive_bases
+
+        psi = mn.apply_local_basis_change(mn.canonical_state(name), mn.LocalBasisChange.random(3, seed=4))
+        stack = _adaptive_stack(psi, mn.DEFAULT_TOL)
+        assert len(stack) == (27 if name == "ghz" else 0)
+        want = [change.matrices for change in adaptive_bases(psi)]
+        assert np.array_equal(_bits(stack), _bits(want).reshape(-1, 3, 2, 4))
+
+    def test_census_builds_no_basis_objects(self, monkeypatch, ghz):
+        import menet.state as state_module
+
+        calls = []
+        original = state_module.LocalBasisChange.__post_init__
+
+        def counting(self):
+            calls.append(1)
+            original(self)
+
+        monkeypatch.setattr(state_module.LocalBasisChange, "__post_init__", counting)
+        rotated = mn.apply_local_basis_change(ghz, mn.LocalBasisChange.random(3, seed=2))
+        calls.clear()
+        census = mn.topology_census(rotated, 32, 19)
+        assert census.bases_sampled == 64 + 27 + 32
+        assert calls == []
+
+
 class TestClassify:
     def test_ghz(self, ghz):
         assert mn.classify(ghz, 64, 7) == TripartiteClass(ClassTag.GHZ_LIKE)

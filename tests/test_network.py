@@ -152,6 +152,34 @@ class TestExtractMen:
         formula = mn.normalization_modulus(model.potentials, (0,) * 4, 4)
         assert abs(model.reference_modulus - formula) <= 1e-9
 
+    def test_normalization_summed_once(self, monkeypatch):
+        import importlib
+
+        network = importlib.import_module("menet.network")
+        original = network.normalization_modulus
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(network, "normalization_modulus", counting)
+        model = mn.extract_men(mn.random_nonzero_state(5, 1))
+        assert len(calls) == 1
+        assert model.reference_modulus == original(model.potentials, (0,) * 5, 5)
+
+    def test_caller_built_model_keeps_the_audit(self):
+        import dataclasses
+
+        model = mn.extract_men(mn.random_nonzero_state(4, 3))
+        wrong = model.reference_modulus * 1.01
+        with pytest.raises(ValueError, match="normalization formula"):
+            MenModel(model.graph, model.potentials, model.reference, wrong)
+        with pytest.raises(ValueError, match="normalization formula"):
+            dataclasses.replace(model, reference_modulus=wrong)
+        again = MenModel(model.graph, model.potentials, model.reference, model.reference_modulus)
+        assert again == model
+
     def test_audit_catches_wrong_graph(self):
         # potentials sampled as if the graph were empty do not explain an
         # entangled state
@@ -235,13 +263,14 @@ class TestBuildGraphKernel:
 
         calls = []
         network = importlib.import_module("menet.network")
-        original = network.conditionally_separable
+        original = mn.conditionally_separable
 
         def counting(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(network, "conditionally_separable", counting)
+        # network no longer imports the scan; the patch still catches a call through its globals
+        monkeypatch.setattr(network, "conditionally_separable", counting, raising=False)
         monkeypatch.setattr(importlib.import_module("menet.separability"), "conditionally_separable", counting)
         g = mn.build_graph(mn.random_nonzero_state(6, 2))
         assert len(g.edges) == 15
@@ -318,6 +347,16 @@ class TestNodeSeparation:
             mn.node_separation(MenGraph.empty(3), {1}, {1}, {2})
 
 
+def _all_splits(n):
+    """(A, B, C) with A, B nonempty, C the rest, lowest qubit of A | B in A."""
+    out = []
+    for colors in itertools.product((0, 1, 2), repeat=n):
+        groups = tuple(tuple(q for q in range(1, n + 1) if colors[q - 1] == role) for role in range(3))
+        if groups[0] and groups[1] and min(groups[0] + groups[1]) in groups[0]:
+            out.append(groups)
+    return out
+
+
 class TestPerfectMap:
     @pytest.mark.parametrize("seed", range(4))
     def test_chain_states_pass(self, seed):
@@ -339,6 +378,43 @@ class TestPerfectMap:
         assert len(report.disagreements) == 3
         for _a, _b, c, sep, graph_sep in report.disagreements:
             assert c == () and not sep and graph_sep
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_verdicts_equal_the_scan(self, n):
+        """Every split's verdict is conditionally_separable's, so a wrong graph
+        disagrees exactly where the scan and graph separation differ."""
+        rng = np.random.default_rng([n, 5])
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        psi = mn.reconstruct_state(
+            mn.random_model(MenGraph.from_edges(n, [p for p in pairs if rng.random() < 0.5]), seed=n)
+        )
+        wrong = MenGraph.path(n)
+        report = mn.verify_perfect_map(psi, wrong)
+        want = []
+        for a, b, c in _all_splits(n):
+            sep = mn.conditionally_separable(psi, a, b, c).separable
+            if sep != mn.node_separation(wrong, a, b, c):
+                want.append((a, b, c, sep, not sep))
+        assert report.partitions_checked == (3**n - 2 ** (n + 1) + 1) // 2
+        assert list(report.disagreements) == want
+        assert want or n == 2
+
+    def test_no_general_scan_per_split(self, monkeypatch):
+        import importlib
+
+        calls = []
+        original = mn.conditionally_separable
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(importlib.import_module("menet.separability"), "conditionally_separable", counting)
+        monkeypatch.setattr(importlib.import_module("menet.network"), "conditionally_separable", counting, raising=False)
+        psi = mn.random_nonzero_state(4, 8)
+        assert mn.verify_perfect_map(psi, mn.build_graph(psi)).passed
+        assert mn.check_graphoid_axioms(psi).passed
+        assert calls == []
 
     def test_enumeration_bound(self):
         psi = mn.random_state(7, 0)
@@ -415,6 +491,7 @@ class TestModelFiles:
             lambda d: d.update(n=0),
             lambda d: d["q"]["1"].pop("10"),
             lambda d: d["q"]["1"].update({"10": [0.0, 0.0]}),
+            lambda d: d.update(reference_modulus=d["reference_modulus"] * 1.01),
         ],
     )
     def test_rejects_malformed(self, tmp_path, mutate):

@@ -370,3 +370,104 @@ class TestPairwiseKernel:
         from menet.separability import _pairwise_entangled
 
         assert _pairwise_entangled(np.zeros((0, 8), dtype=np.complex128), mn.DEFAULT_TOL).shape == (0, 3)
+
+
+def _split_oracle(psi, splits):
+    n = psi.num_qubits
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", mn.ZeroAmplitudeWarning)
+        return [
+            mn.conditionally_separable(psi, a, b, set(range(1, n + 1)) - set(a) - set(b)).separable
+            for a, b in splits
+        ]
+
+
+def _ordered_splits(n):
+    """Every ordered (A, B) pair of nonempty disjoint qubit sets; the rest is held."""
+    from menet.network import _colorings
+
+    return [(a, b) for a, b, _ in _colorings(n, 3) if a and b]
+
+
+class TestSplitKernel:
+    """The batched split kernel against conditionally_separable, split by split."""
+
+    @staticmethod
+    def kernel(psi, splits):
+        from menet.separability import _splits_separable
+
+        return _splits_separable(psi.amplitudes, splits, mn.DEFAULT_TOL).tolist()
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_pairwise_factor_states(self, n):
+        splits = _ordered_splits(n)
+        for seed in range(2 if n < 6 else 1):
+            rng = np.random.default_rng([seed, n, 2])
+            pairs = list(itertools.combinations(range(1, n + 1), 2))
+            edges = [p for p in pairs if rng.random() < 0.4]
+            psi = _pairwise_factor_state(n, edges, [seed, n, 2])
+            got = self.kernel(psi, splits)
+            assert got == _split_oracle(psi, splits)
+            assert all(got) == (not edges)  # an edge's ends on both sides are entangled
+            assert any(got) == (len(edges) < len(pairs))  # two non-neighbours are not
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_states_with_exact_zeros(self, n):
+        splits = _ordered_splits(n)
+        states = [_ghz(n), _w(n), mn.basis_state(n, 0)]
+        bell = np.zeros(2**n)
+        bell[0] = bell[2 ** (n - 1) + 1] = 1.0  # qubits 1 and n entangled, the rest |0>
+        states.append(mn.PureState.normalized(bell))
+        states.append(mn.random_product_state(([1], list(range(2, n + 1))), n).state)
+        states.append(_pairwise_factor_state(n, [(1, n)], [n, 3], zero_fraction=0.4))
+        for psi in states:
+            assert self.kernel(psi, splits) == _split_oracle(psi, splits)
+
+    def test_split_order_and_repeats_do_not_matter(self):
+        psi = _pairwise_factor_state(5, [(1, 2), (2, 5), (3, 4)], 9)
+        splits = _ordered_splits(5)
+        want = _split_oracle(psi, splits)
+        shuffled = list(range(len(splits)))
+        np.random.default_rng(1).shuffle(shuffled)
+        picked = shuffled + shuffled[:7]
+        got = self.kernel(psi, [(tuple(reversed(splits[k][0])), splits[k][1]) for k in picked])
+        assert got == [want[k] for k in picked]
+        assert self.kernel(psi, []) == []
+
+    @pytest.mark.parametrize("held", [0, 1])
+    def test_minor_at_the_tolerance_boundary(self, held):
+        """Real amplitudes (0.1, 0.3, 0.3, s), normalized: both routes do the same
+        real arithmetic, and a one-ulp step in s takes the minor across its bound.
+        The entries' moduli differ, so the bound's choice of the two largest shows;
+        `held` adds a qubit in |0>."""
+
+        def state(s):
+            amps = np.array([0.1, 0.3, 0.3, s])
+            return mn.PureState.normalized(np.kron(amps, [1.0, 0.0]) if held else amps)
+
+        splits = _ordered_splits(2 + held)
+        first = [((1,), (2,))]
+
+        def separable(s):
+            return _split_oracle(state(s), first)[0]
+
+        tol = mn.DEFAULT_TOL
+        s = 0.9 + (tol.abs_eps + tol.rel_eps * 0.27) / 0.1  # minor = bound, to first order
+        while not separable(s):
+            s = np.nextafter(s, 0.0)
+        while separable(np.nextafter(s, 1.0)):
+            s = np.nextafter(s, 1.0)
+        on, past = state(s), state(np.nextafter(s, 1.0))
+        assert _split_oracle(on, first) == [True]
+        assert _split_oracle(past, first) == [False]
+        for psi in (on, past):
+            assert self.kernel(psi, splits) == _split_oracle(psi, splits)
+
+    def test_passes_are_chunked(self, monkeypatch):
+        from menet import separability
+
+        psi = _pairwise_factor_state(5, [(1, 3), (3, 4)], 4)
+        splits = _ordered_splits(5)
+        want = self.kernel(psi, splits)
+        monkeypatch.setattr(separability, "_SPLIT_PASS_MINORS", 1)
+        assert self.kernel(psi, splits) == want
