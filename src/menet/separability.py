@@ -20,6 +20,7 @@ carry a ZeroAmplitudeWarning.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -132,6 +133,39 @@ def _scan_all_minors(arr: np.ndarray, tol: ToleranceConfig):
     return max_minor, first
 
 
+def _bound_range(mods: np.ndarray, tol: ToleranceConfig):
+    """Per-row (lo, hi) bracketing every `_minor_bound` among one row's moduli.
+
+    `mods` has shape (R, ...), row r holding the entry moduli of one state.
+    A bound is abs_eps + (rel_eps * top) * second with
+    small <= second <= top <= big for the row's smallest and largest modulus;
+    IEEE rounding is monotone, so the same expression at (small, small) and
+    at (big, big) gives lo <= bound <= hi exactly, in every context.
+    """
+    axes = tuple(range(1, mods.ndim))
+    big, small = mods.max(axis=axes), mods.min(axis=axes)
+    return tol.abs_eps + tol.rel_eps * small * small, tol.abs_eps + tol.rel_eps * big * big
+
+
+def _screened_violations(mags: np.ndarray, lo, hi, exact_bounds) -> np.ndarray:
+    """Per row of `mags` (R, ...), whether some minor exceeds its `_minor_bound`.
+
+    `lo` and `hi` come from `_bound_range`, so they bracket every bound of
+    their row: a row whose peak minor is above hi has a violation, and one
+    whose peak is at or below lo has none. Only the other rows (a peak in
+    between, or a NaN) are compared exactly, against `exact_bounds(rows)`,
+    the bounds of those rows laid out like `mags[rows]`.
+    """
+    flat = mags.reshape(len(mags), math.prod(mags.shape[1:]))  # not -1: the batch may be empty
+    peak = flat.max(axis=1)
+    found = peak > hi
+    undecided = ~(found | (peak <= lo))
+    if undecided.any():
+        rows = np.flatnonzero(undecided)
+        found[rows] = (flat[rows] > exact_bounds(rows).reshape(rows.size, -1)).any(axis=1)
+    return found
+
+
 def _pairwise_entangled(amps: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
     """Robust conditional test of every qubit pair, for a stack of states.
 
@@ -140,15 +174,17 @@ def _pairwise_entangled(amps: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
     others, with pairs (i, j) in itertools.combinations order. For single
     qubits the all-minors scan reduces to one 2x2 minor per context,
     a00*a11 - a10*a01, held to the same tolerance law, so each entry equals
-    `not conditionally_separable(psi, {i}, {j}, rest, tol).separable`.
+    `not conditionally_separable(psi, {i}, {j}, rest, tol).separable`. Each
+    state's minors are screened against its bound range; only pairs the
+    range leaves undecided get their exact bounds.
     """
     batch, dim = amps.shape
     n = dim.bit_length() - 1
     tensor = amps.reshape((batch,) + (2,) * n)
     mods = np.abs(tensor)
+    lo, hi = _bound_range(mods, tol)
     pairs = list(itertools.combinations(range(1, n + 1), 2))
     out = np.empty((batch, len(pairs)), dtype=bool)
-    context_axes = tuple(range(1, n - 1))
 
     def at(i: int, j: int, bit_i: int, bit_j: int) -> tuple:
         """Basic index (a view, no copy) fixing qubits i and j; axis 0 is the batch."""
@@ -157,10 +193,14 @@ def _pairwise_entangled(amps: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
         return tuple(index)
 
     for col, (i, j) in enumerate(pairs):
-        c00, c11, c10, c01 = at(i, j, 0, 0), at(i, j, 1, 1), at(i, j, 1, 0), at(i, j, 0, 1)
+        corners = at(i, j, 0, 0), at(i, j, 1, 1), at(i, j, 1, 0), at(i, j, 0, 1)
+        c00, c11, c10, c01 = corners
         mags = np.abs(tensor[c00] * tensor[c11] - tensor[c10] * tensor[c01])
-        bounds = _minor_bound(mods[c00], mods[c11], mods[c10], mods[c01], tol)
-        out[:, col] = np.any(mags > bounds, axis=context_axes)
+
+        def exact_bounds(rows, corners=corners):
+            return _minor_bound(*(mods[c][rows] for c in corners), tol)
+
+        out[:, col] = _screened_violations(mags, lo, hi, exact_bounds)
     return out
 
 
@@ -178,10 +218,12 @@ def _splits_separable(amps: np.ndarray, splits, tol: ToleranceConfig) -> np.ndar
     is tested directly on its own (2^|A|, 2^|B|, 2^rest) view: the splits
     are grouped by (|A|, |B|), each group's views are stacked, and all
     their 2x2 minors go through one pass with the arithmetic and the
-    tolerance law of `_scan_all_minors`.
+    tolerance law of `_scan_all_minors`, screened against the state's bound
+    range as in `_pairwise_entangled`.
     """
     n = amps.size.bit_length() - 1
     tensor = amps.reshape((2,) * n)
+    lo, hi = _bound_range(np.abs(amps)[None], tol)
     groups: dict[tuple[int, int], list[int]] = {}
     perms = []
     for index, (a, b) in enumerate(splits):
@@ -200,12 +242,15 @@ def _splits_separable(amps: np.ndarray, splits, tol: ToleranceConfig) -> np.ndar
         for start in range(0, len(members), step):
             chunk = members[start : start + step]
             arr = np.stack([tensor.transpose(perms[k]).reshape(rows, cols, -1) for k in chunk])
-            mods = np.abs(arr)
             # (split, row pair, column pair, context): u = [i, j], v = [i2, j2], w = [i2, j], z = [i, j2]
             u, v, w, z = arr[:, i, jj], arr[:, i2, jj2], arr[:, i2, jj], arr[:, i, jj2]
             mags = np.abs(u * v - w * z)
-            bounds = _minor_bound(mods[:, i, jj], mods[:, i, jj2], mods[:, i2, jj], mods[:, i2, jj2], tol)
-            out[chunk] = ~np.any(mags > bounds, axis=(1, 2, 3))
+
+            def exact_bounds(picked, arr=arr):
+                mods = np.abs(arr[picked])
+                return _minor_bound(mods[:, i, jj], mods[:, i, jj2], mods[:, i2, jj], mods[:, i2, jj2], tol)
+
+            out[chunk] = ~_screened_violations(mags, lo, hi, exact_bounds)
     return out
 
 

@@ -439,12 +439,10 @@ def _fmt_real(x: float) -> str:
 
 
 def save_state(psi: PureState, path) -> None:
-    lines = ["{", f'  "n": {psi.num_qubits},', '  "amplitudes": [']
-    rows = [
-        f"    [{_fmt_real(a.real)}, {_fmt_real(a.imag)}]" for a in psi.amplitudes
-    ]
-    lines.append(",\n".join(rows))
-    lines.extend(["  ]", "}"])
+    # "%.17e" on a float renders exactly as _fmt_real; one format call covers every amplitude
+    parts = np.stack([psi.amplitudes.real, psi.amplitudes.imag], axis=1).ravel().tolist()
+    rows = ",\n".join(["    [%.17e, %.17e]"] * len(psi.amplitudes)) % tuple(parts)
+    lines = ["{", f'  "n": {psi.num_qubits},', '  "amplitudes": [', rows, "  ]", "}"]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -467,15 +465,7 @@ def _state_from_payload(payload) -> PureState:
     raw = payload["amplitudes"]
     if not isinstance(raw, list) or len(raw) != 2**n:
         raise FileFormatError(f"expected {2**n} amplitude pairs, got {len(raw) if isinstance(raw, list) else type(raw).__name__}")
-    amps = np.empty(2**n, dtype=np.complex128)
-    for i, pair in enumerate(raw):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not all(isinstance(v, (int, float)) for v in pair)
-        ):
-            raise FileFormatError(f"amplitude {i} must be a [re, im] pair of reals")
-        amps[i] = complex(float(pair[0]), float(pair[1]))
+    amps = _parse_amplitudes(raw)
     if not np.all(np.isfinite(amps)):
         raise FileFormatError("amplitudes must be finite")
     norm = float(np.linalg.norm(amps))
@@ -484,3 +474,29 @@ def _state_from_payload(payload) -> PureState:
             f"state file norm {norm!r} deviates from 1 by {abs(norm - 1.0):.3e} (>= {_FILE_NORM_ATOL})"
         )
     return PureState(amps / norm)
+
+
+def _parse_amplitudes(raw: list) -> np.ndarray:
+    """The [re, im] pairs of `raw` as complex amplitudes.
+
+    One array conversion when every entry is a pair of JSON numbers;
+    otherwise the pair-by-pair loop, which names the first bad entry. The
+    dtype is inferred, not forced: float64 would read None as nan and
+    numeric strings as numbers.
+    """
+    try:
+        values = np.array(raw)
+    except (TypeError, ValueError, OverflowError):
+        values = None
+    if values is not None and values.shape == (len(raw), 2) and values.dtype.kind in "biuf":
+        return values.astype(np.float64).view(np.complex128).reshape(-1)
+    amps = np.empty(len(raw), dtype=np.complex128)
+    for i, pair in enumerate(raw):
+        if (
+            not isinstance(pair, list)
+            or len(pair) != 2
+            or not all(isinstance(v, (int, float)) for v in pair)
+        ):
+            raise FileFormatError(f"amplitude {i} must be a [re, im] pair of reals")
+        amps[i] = complex(float(pair[0]), float(pair[1]))
+    return amps

@@ -6,7 +6,6 @@ shows them); tolerances are pinned here, not configurable.
 
 import itertools
 import math
-import statistics
 import time
 import warnings
 from pathlib import Path
@@ -227,16 +226,16 @@ def test_criterion_6_chain_inference():
     mid = mn.random_chain_model(1000, 7)
     query = Assignment({1: 1})
 
-    def median_ns(model):
-        mn.chain_marginal_ratio(model, query)  # warm-up
-        samples = []
-        for _ in range(25):
-            t0 = time.perf_counter_ns()
-            mn.chain_marginal_ratio(model, query)
-            samples.append(time.perf_counter_ns() - t0)
-        return statistics.median(samples)
+    def call_ns(model):
+        t0 = time.perf_counter_ns()
+        mn.chain_marginal_ratio(model, query)
+        return time.perf_counter_ns() - t0
 
-    ratio = median_ns(big) / median_ns(mid)
+    call_ns(big), call_ns(mid)  # warm-up
+    # alternate the sizes so that load on a shared machine falls on both alike;
+    # the fastest call of each is the one least disturbed by it
+    samples = [(call_ns(big), call_ns(mid)) for _ in range(60)]
+    ratio = min(s[0] for s in samples) / min(s[1] for s in samples)
     assert 1.5 <= ratio <= 3.0, f"wall ratio {ratio:.2f} outside [1.5, 3.0]"
 
     for seed in range(100):

@@ -346,6 +346,20 @@ class TestNodeSeparation:
         with pytest.raises(mn.InvalidPartition):
             mn.node_separation(MenGraph.empty(3), {1}, {1}, {2})
 
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_complement_rule_equals_node_separation(self, n):
+        """With C the exact complement, verify's edge rule equals the search."""
+        from menet.network import _complement_separated
+
+        rng = np.random.default_rng([n, 5])
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for density in (0.0, 0.25, 0.5, 0.75, 1.0):
+            for _ in range(3):
+                g = MenGraph.from_edges(n, [p for p in pairs if rng.random() < density])
+                for a, b, c in _all_splits(n):
+                    for x, y in ((a, b), (b, a)):
+                        assert _complement_separated(g, x, y) == mn.node_separation(g, x, y, c)
+
 
 def _all_splits(n):
     """(A, B, C) with A, B nonempty, C the rest, lowest qubit of A | B in A."""

@@ -471,3 +471,156 @@ class TestSplitKernel:
         want = self.kernel(psi, splits)
         monkeypatch.setattr(separability, "_SPLIT_PASS_MINORS", 1)
         assert self.kernel(psi, splits) == want
+
+
+def _exact_pairwise(rows, tol=mn.DEFAULT_TOL):
+    """The tolerance law on raw rows (B, 2**n), pair by pair, with no screen."""
+    from menet.separability import _minor_bound
+
+    batch, dim = rows.shape
+    n = dim.bit_length() - 1
+    out = []
+    for i, j in itertools.combinations(range(1, n + 1), 2):
+        t = np.moveaxis(rows.reshape((batch,) + (2,) * n), (i, j), (1, 2)).reshape(batch, 2, 2, -1)
+        minor = np.abs(t[:, 0, 0] * t[:, 1, 1] - t[:, 1, 0] * t[:, 0, 1])
+        bound = _minor_bound(*(np.abs(t[:, a, b]) for a, b in ((0, 0), (1, 1), (1, 0), (0, 1))), tol)
+        out.append((minor > bound).any(axis=1))
+    return np.stack(out, axis=1).reshape(batch, -1)
+
+
+def _dense_factor_state(n, edges, seed):
+    """Pairwise-factor state whose factor moduli lie in [0.8, 1.25]: no amplitude near zero."""
+    rng = np.random.default_rng(seed)
+    bits = [(np.arange(2**n) >> (n - q)) & 1 for q in range(1, n + 1)]
+    amps = np.ones(2**n, dtype=np.complex128)
+
+    def factor(shape):
+        return rng.uniform(0.8, 1.25, size=shape) * np.exp(2j * np.pi * rng.random(shape))
+
+    for q in range(n):
+        amps *= factor(2)[bits[q]]
+    for i, j in edges:
+        amps *= factor((2, 2))[bits[i - 1], bits[j - 1]]
+    return mn.PureState.normalized(amps)
+
+
+def _ladder(n):
+    return [(k, k + 1) for k in range(1, n, 2)] + [(k, k + 2) for k in range(1, n - 1)]
+
+
+class TestBoundScreen:
+    """The per-row bound range: decided pairs skip `_minor_bound`, and verdicts
+    equal the exact tolerance law, undecided pairs included."""
+
+    @staticmethod
+    def count_exact_bounds(monkeypatch):
+        from menet import separability
+
+        calls = []
+        original = separability._minor_bound
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(separability, "_minor_bound", counting)
+        return calls
+
+    @staticmethod
+    def at_the_bound():
+        """y with the minor of (1, 0, 0, y) equal to its bound abs_eps + (rel_eps*1)*y."""
+        tol = mn.DEFAULT_TOL
+        y = tol.abs_eps
+        for _ in range(3):
+            y = tol.abs_eps + tol.rel_eps * 1.0 * y
+        assert y == tol.abs_eps + tol.rel_eps * 1.0 * y
+        return y
+
+    def test_undecided_pairs_fall_back_to_the_exact_law(self, monkeypatch):
+        """Rows (1, 0, 0, y) put the minor y strictly between lo = abs_eps and hi:
+        at the bound it is separable, one ulp above it entangled."""
+        from menet.separability import _bound_range, _pairwise_entangled, _splits_separable
+
+        y = self.at_the_bound()
+        values = [np.nextafter(y, 0.0), y, np.nextafter(y, 1.0)]
+        rows = np.array([[1.0, 0.0, 0.0, v] for v in values], dtype=np.complex128)
+        lo, hi = _bound_range(np.abs(rows), mn.DEFAULT_TOL)
+        assert np.all((lo < rows[:, 3].real) & (rows[:, 3].real < hi))
+        want = [_oracle_edges(mn.PureState(row)) for row in rows]
+        assert want == [[False], [False], [True]]
+        assert _exact_pairwise(rows).tolist() == want
+        calls = self.count_exact_bounds(monkeypatch)
+        assert _pairwise_entangled(rows, mn.DEFAULT_TOL).tolist() == want
+        assert len(calls) == 1
+        splits = [((1,), (2,)), ((2,), (1,))]
+        for row, (entangled,) in zip(rows, want):
+            assert _splits_separable(row, splits, mn.DEFAULT_TOL).tolist() == [not entangled] * 2
+        assert len(calls) == 4
+
+    def test_a_peak_equal_to_hi_is_not_a_violation(self):
+        """Row (x, p, q, x): the two largest moduli are both the row's largest, so
+        the bound of its one minor x*x - q*p is hi itself, and p and q are picked
+        to make the minor equal to it, exactly. It does not exceed its bound."""
+        from menet.separability import _bound_range, _pairwise_entangled, _splits_separable
+
+        tol = mn.DEFAULT_TOL
+        x = math.sqrt(tol.abs_eps / (1.0 - tol.rel_eps))
+        while x * x <= tol.abs_eps + tol.rel_eps * x * x:
+            x = float(np.nextafter(x, 1.0))
+        hi = tol.abs_eps + tol.rel_eps * x * x
+        q = 2.0**-20
+        p = (x * x - hi) / q  # both steps exact: Sterbenz, then a power of two
+        assert 0.0 < p < q < x and x * x - q * p == hi
+        row = np.array([[x, p, q, x]], dtype=np.complex128)  # a00, a01, a10, a11
+        lo, top = _bound_range(np.abs(row), tol)
+        assert lo[0] < hi == top[0]
+        assert _exact_pairwise(row).tolist() == [[False]]
+        assert _pairwise_entangled(row, tol).tolist() == [[False]]
+        assert _splits_separable(row[0], [((1,), (2,))], tol).tolist() == [True]
+        past = np.array([[x, p / 2, q, x]], dtype=np.complex128)
+        assert _exact_pairwise(past).tolist() == [[True]]
+        assert _pairwise_entangled(past, tol).tolist() == [[True]]
+
+    def test_thresholds_are_per_row(self, monkeypatch):
+        """Rows 1e6 apart in scale are each decided by their own range, with no
+        exact bound: a range shared by the batch would leave the small row's
+        entangled pairs undecided."""
+        from menet.separability import _pairwise_entangled
+
+        edges = [(1, 2), (2, 3), (3, 5), (4, 6)]
+        psi = _dense_factor_state(6, edges, 5)
+        rows = np.stack([psi.amplitudes, 1e6 * psi.amplitudes, 1e-3 * psi.amplitudes])
+        want = _exact_pairwise(rows)
+        pairs = list(itertools.combinations(range(1, 7), 2))
+        assert want.tolist() == [[p in edges for p in pairs]] * 3
+        calls = self.count_exact_bounds(monkeypatch)
+        assert _pairwise_entangled(rows, mn.DEFAULT_TOL).tolist() == want.tolist()
+        assert calls == []
+
+    def test_rows_with_exact_zeros_and_the_empty_batch(self):
+        from menet.separability import _bound_range, _pairwise_entangled
+
+        tol = mn.DEFAULT_TOL
+        states = [_ghz(4), _w(4), mn.basis_state(4, 6), _dense_factor_state(4, [(1, 3)], 2)]
+        states.append(_pairwise_factor_state(4, [(2, 4)], 3, zero_fraction=0.3))
+        rows = np.stack([psi.amplitudes for psi in states])
+        lo, _ = _bound_range(np.abs(rows), tol)
+        assert lo.tolist() == [tol.abs_eps] * 3 + [lo[3], tol.abs_eps]
+        assert lo[3] > tol.abs_eps
+        got = _pairwise_entangled(rows, tol).tolist()
+        assert got == _exact_pairwise(rows).tolist() == [_oracle_edges(psi) for psi in states]
+        empty = np.zeros((0, 16), dtype=np.complex128)
+        assert [a.shape for a in _bound_range(np.abs(empty), tol)] == [(0,), (0,)]
+        assert _pairwise_entangled(empty, tol).shape == (0, 6)
+
+    def test_dense_states_make_no_exact_bound_call(self, monkeypatch):
+        """On all-nonzero factor states like the dense benchmark inputs, the range
+        decides every pair of build_graph and every split of verify."""
+        graph_state = _dense_factor_state(10, _ladder(10), 7)
+        verify_state = _dense_factor_state(6, _ladder(6), 8)
+        calls = self.count_exact_bounds(monkeypatch)
+        assert mn.build_graph(graph_state).edges == frozenset(_ladder(10))
+        g = mn.build_graph(verify_state)
+        assert g.edges == frozenset(_ladder(6))
+        assert mn.verify_perfect_map(verify_state, g).passed
+        assert calls == []

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -317,6 +318,55 @@ class TestStateFiles:
         path = tmp_path / "bad.state"
         path.write_text(text)
         with pytest.raises(mn.FileFormatError):
+            mn.load_state(path)
+
+    def test_writer_matches_per_amplitude_format(self, tmp_path):
+        """Byte-identical to rendering each part with _fmt_real, signed zeros,
+        subnormals and exact binary fractions included."""
+        from menet.state import _fmt_real
+
+        special = np.zeros(8, dtype=np.complex128)
+        special[0] = complex(0.5, -0.0)
+        special[1] = complex(-0.5, 5e-324)
+        special[2] = complex(-0.0, 1e-300)
+        special[3] = complex(0.125, -0.375)
+        special[4] = complex(-2.2250738585072014e-308, 0.0)
+        special[5] = complex(0.25, 1 / 3)
+        special[6] = complex(math.sqrt(1 - sum(abs(special) ** 2)), 0.0)
+        for psi in (mn.random_state(6, 4), mn.PureState(special)):
+            path = tmp_path / "a.state"
+            mn.save_state(psi, path)
+            rows = ",\n".join(
+                f"    [{_fmt_real(a.real)}, {_fmt_real(a.imag)}]" for a in psi.amplitudes
+            )
+            want = f'{{\n  "n": {psi.num_qubits},\n  "amplitudes": [\n{rows}\n  ]\n}}\n'
+            assert path.read_text() == want
+
+    def test_reader_matches_the_pair_loop(self, tmp_path):
+        """Integers, booleans and signed zeros read as complex(float(re), float(im))."""
+        for raw in (
+            [[0.6, 0], [-0.0, -0.0], [0, 0.8], [False, 1e-300]],
+            [[0, 0], [True, -0.0], [-0.0, 0], [0, -1e-300]],
+        ):
+            path = tmp_path / "mixed.state"
+            path.write_text(json.dumps({"n": 2, "amplitudes": raw}))
+            amps = np.array([complex(float(re), float(im)) for re, im in raw])
+            want = amps / float(np.linalg.norm(amps))
+            got = mn.load_state(path).amplitudes
+            assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "[null, 0.0]", '["0.5", 0.0]', "[0.5, [0.0]]", "[0.5]", "[0.5, 0.0, 0.0]",
+            "[[0.5], [0.0]]", "0.5", '{"re": 0.5}', "null",
+        ],
+    )
+    def test_reader_names_the_first_bad_pair(self, tmp_path, bad):
+        """A null or a numeric string is not read as nan or a number."""
+        path = tmp_path / "bad.state"
+        path.write_text('{"n": 2, "amplitudes": [[0.5, 0.0], %s, [0.5, 0.0], [0.5, 0.0]]}' % bad)
+        with pytest.raises(mn.FileFormatError, match=r"^amplitude 1 must be a \[re, im\] pair of reals$"):
             mn.load_state(path)
 
     def test_writer_emits_17_significant_digits(self, tmp_path):
