@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import warnings
 
@@ -23,6 +24,7 @@ from .errors import (
 )
 from .inference import (
     _EVIDENCE_FLOOR,
+    _chain_log_ratio,
     _model_marginal_probability,
     bench_chains,
     chain_marginal_ratio,
@@ -172,7 +174,10 @@ def cmd_marginal(args) -> list[str]:
         if not args.ratio:
             return [f"probability: {_fmt_prob(_model_marginal_probability(model, args.assign))}"]
         ratio_of = chain_marginal_ratio if model.graph.is_path() else marginal_ratio
-        return [f"ratio: {_fmt(ratio_of(model, args.assign).value)}"]
+        ratio = ratio_of(model, args.assign).value
+        if math.isinf(ratio):  # past the double range on a chain; its log is not
+            return [f"log_ratio: {_fmt(_chain_log_ratio(model, args.assign))}"]
+        return [f"ratio: {_fmt(ratio)}"]
     probability = marginal_probability(psi, args.assign)
     if args.ratio:
         reference = probability_of(psi, Assignment.zeros(psi.num_qubits))

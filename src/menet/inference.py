@@ -175,30 +175,40 @@ def _require_chain(model: MenModel) -> None:
         raise NotAChain("model graph is not the chain 1-2-...-n")
 
 
-def _chain_weights(model: MenModel) -> list:
+def _chain_weights(model: MenModel) -> list[list[float]]:
     _require_chain(model)
     return _chain_levels(model.potentials, model.reference_bits())
 
 
-def _chain_levels(potentials: tuple[QFunctionTable, ...], ref_bits: tuple[int, ...]) -> list:
-    """levels[i - 1][p][b] = w_i(p, b), one modulus square per entry.
+def _chain_levels(
+    potentials: tuple[QFunctionTable, ...], ref_bits: tuple[int, ...]
+) -> list[list[float]]:
+    """levels[i - 1] = [w_i(0, 0), w_i(0, 1), w_i(1, 0), w_i(1, 1)], one gather.
 
     A table's flat index is bit << k | ctx, and on a chain the context is
-    (x_{i-1}, x_{i+1}) with either end absent. Python's abs on .tolist()
-    values, not np.abs: the two differ in the last bit, and the chain
-    results are pinned to Python's.
+    (x_{i-1}, x_{i+1}) with either end absent, so w_i(p, b) sits at offset
+    b * half + right + p * left of table i. The chain results are pinned
+    to Python's abs(v) ** 2, which is libm hypot(re, im) raised by libm
+    pow(h, 2.0); np.hypot and np.float_power call those same functions and
+    so agree bit for bit, where np.abs and h * h differ in the last bit.
+    Where Python's power would raise OverflowError, so does this.
     """
     n = len(ref_bits)
-    levels = []
-    for i, table in enumerate(potentials, start=1):
-        v = table.array.ravel().tolist()
-        right = ref_bits[i] if i < n else 0  # x_{i+1} at the reference
-        left = 0 if i == 1 else (2 if i < n else 1)  # place value of x_{i-1}
-        half = len(v) // 2
-        levels.append(
-            [[abs(v[c]) ** 2, abs(v[half + c]) ** 2] for c in (right, left + right)]
-        )
-    return levels
+    half = np.full(n, 4, dtype=np.intp)  # tables of 4, 8, ..., 8, 4 entries
+    half[0] = half[-1] = 2 if n > 1 else 1
+    right = np.zeros(n, dtype=np.intp)
+    right[:-1] = ref_bits[1:]  # x_{i+1} at the reference
+    left = np.full(n, 2, dtype=np.intp)  # place value of x_{i-1}
+    left[-1] = 1
+    left[0] = 0
+    base = np.cumsum(2 * half) - 2 * half + right
+    at = np.stack([base, base + half, base + left, base + half + left], axis=1)
+    v = np.concatenate([table.array.ravel() for table in potentials])[at]
+    with np.errstate(over="ignore"):
+        w = np.float_power(np.hypot(v.real, v.imag), 2.0)
+    if not np.isfinite(w).all():
+        raise OverflowError("a chain weight |q|^2 is past the double range")
+    return w.tolist()
 
 
 def _scale_back(value: float, log_scale: float) -> float:
@@ -212,72 +222,102 @@ def _scale_back(value: float, log_scale: float) -> float:
         return math.inf
 
 
-def _sum_product(levels, allowed, normalize: bool = False) -> tuple[dict | None, float, int]:
-    """Sum out y_0, y_1, ... in order; levels[t][p][b] weighs y_t = p -> y_{t+1} = b.
+def _sweep_ops(num_levels: int, bound: dict[int, int]) -> int:
+    """Op count of _sum_product: per level t, s(t+1) * (c * s(t) - 1).
 
-    allowed[t] lists the bits y_t may take. Returns the last message (bit ->
-    weight; None without levels), its log scale and the op count. The
+    s(t) is the number of bits y_t may take (1 if bound, else 2) and c is 2
+    at the first level, which has no message to multiply, and 3 after. All
+    free, that is 6 and then 10 per level; only levels next to a bound
+    position differ.
+    """
+    if not num_levels:
+        return 0
+    ops = 6 + 10 * (num_levels - 1)
+    for t in {u for b in bound for u in (b - 1, b) if 0 <= u < num_levels}:
+        s_t = 1 if t in bound else 2
+        s_next = 1 if t + 1 in bound else 2
+        ops += s_next * ((3 if t else 2) * s_t - 1) - (10 if t else 6)
+    return ops
+
+
+def _sum_product(
+    levels, bound: dict[int, int], normalize: bool = False
+) -> tuple[tuple[float, float], float, int]:
+    """Sum out y_0, y_1, ... in order; levels[t][2p + b] weighs y_t = p -> y_{t+1} = b.
+
+    `bound` maps positions t to the one bit y_t may take. Returns the last
+    message (m0, m1), 0.0 at a bound-out bit, its log scale and the op
+    count. A bound-out term adds w * 0.0 = 0.0 (weights are finite and
+    >= 0), so every entry equals the sum over the allowed terms alone. The
     message is divided by its peak when that leaves [1e-100, 1e100], or at
     every level with `normalize`.
     """
-    message = None
+    first = bound.get(0)
+    m0 = 0.0 if first == 1 else 1.0
+    m1 = 0.0 if first == 0 else 1.0
+    keep = [None] * len(levels)  # keep[t]: the bit y_{t+1} is bound to
+    for t, bit in bound.items():
+        if 0 < t <= len(levels):
+            keep[t - 1] = bit
     log_scale = 0.0
-    ops = 0
-    for t, level in enumerate(levels):
-        # per entry: a weight per term, a product per term once there is a
-        # message, and terms - 1 additions
-        terms = len(allowed[t])
-        if message is None:
-            new = {b: sum(level[p][b] for p in allowed[t]) for b in allowed[t + 1]}
-            ops += len(new) * (2 * terms - 1)
-        else:
-            new = {b: sum(level[p][b] * message[p] for p in allowed[t]) for b in allowed[t + 1]}
-            ops += len(new) * (3 * terms - 1)
-        peak = max(new.values())
+    for (w00, w01, w10, w11), k in zip(levels, keep):
+        n0 = w00 * m0 + w10 * m1
+        n1 = w01 * m0 + w11 * m1
+        if k is not None:
+            if k:
+                n0 = 0.0
+            else:
+                n1 = 0.0
+        peak = n1 if n1 > n0 else n0
         if normalize or peak > _RESCALE_HI or (0.0 < peak < _RESCALE_LO):
-            new = {b: v / peak for b, v in new.items()}
+            n0 /= peak
+            n1 /= peak
             log_scale += math.log(peak)
-        message = new
-    return message, log_scale, ops
+        m0, m1 = n0, n1
+    return (m0, m1), log_scale, _sweep_ops(len(levels), bound)
 
 
 def _max_product(levels) -> tuple[list[int], list[float], int]:
-    """Lexicographically smallest argmax of prod_i levels[i][x_{i-1}][x_i].
+    """Lexicographically smallest argmax of prod_i w_i(x_{i-1}, x_i).
 
     A backward pass keeps, per bit, the best suffix product (divided by its
     peak at each level: argmax-invariant, so no overflow); the forward pass
     picks bits left to right, preferring 0 on exact ties. Returns the bits,
     the chosen factors and the op count.
     """
-    best = [(1.0, 1.0)] * len(levels)
-    for i in range(len(levels) - 1, 0, -1):
-        level, after = levels[i], best[i]
-        cur = [max(level[b][0] * after[0], level[b][1] * after[1]) for b in (0, 1)]
-        peak = max(cur)
-        best[i - 1] = [v / peak for v in cur] if peak > 0.0 else cur
+    a0 = a1 = 1.0
+    best = [(a0, a1)]
+    for w00, w01, w10, w11 in reversed(levels[1:]):
+        x, y = w00 * a0, w01 * a1
+        c0 = y if y > x else x
+        x, y = w10 * a0, w11 * a1
+        c1 = y if y > x else x
+        peak = c1 if c1 > c0 else c0
+        a0, a1 = (c0 / peak, c1 / peak) if peak > 0.0 else (c0, c1)
+        best.append((a0, a1))
+    best.reverse()
     bits: list[int] = []
     chosen: list[float] = []
-    for level, after in zip(levels, best):
-        row = level[bits[-1] if bits else 0]
-        pick = 1 if row[1] * after[1] > row[0] * after[0] else 0
+    pick = 0
+    for (w00, w01, w10, w11), (a0, a1) in zip(levels, best):
+        r0, r1 = (w10, w11) if pick else (w00, w01)
+        pick = 1 if r1 * a1 > r0 * a0 else 0
         bits.append(pick)
-        chosen.append(row[pick])
+        chosen.append(r1 if pick else r0)
     return bits, chosen, 8 * (len(levels) - 1) + 4 * len(levels)
 
 
 def _chain_log_z(levels) -> tuple[float, int]:
     """log of the sum over all assignments of the squared q-products."""
-    message, log_scale, ops = _sum_product(levels, [(0,)] + [(0, 1)] * len(levels), True)
-    return log_scale + math.log(sum(message.values())), ops + 1
+    (m0, m1), log_scale, ops = _sum_product(levels, {0: 0}, True)
+    return log_scale + math.log(m0 + m1), ops + 1
 
 
 def _chain_marginal(levels, x_m: Assignment) -> tuple[float, float, int]:
     """Marginal ratio of x_m as (value, log scale, op count), left to right."""
-    allowed = [(0,)] + [
-        (x_m[i],) if i in x_m else (0, 1) for i in range(1, len(levels) + 1)
-    ]
-    message, log_scale, ops = _sum_product(levels, allowed)
-    return sum(message.values()), log_scale, ops + len(message) - 1
+    bound = {0: 0, **x_m}  # y_0 is the dummy x_0
+    (m0, m1), log_scale, ops = _sum_product(levels, bound)
+    return m0 + m1, log_scale, ops + (0 if len(levels) in bound else 1)
 
 
 def _log_of(value: float, log_scale: float) -> float:
@@ -313,19 +353,19 @@ def chain_prefix_marginal_ratio(model: MenModel, x_m: Assignment) -> QueryResult
     if sorted(x_m) != list(range(1, m + 1)):
         raise NotAPrefix(f"bindings {sorted(x_m)} are not a prefix 1..m")
     # the suffix sweep runs over the reversed chain x_n, ..., x_m (x_0 if m == 0)
-    reversed_levels = [tuple(zip(*level)) for level in reversed(levels[m:])]
-    allowed = [(0, 1)] * (n - m) + [(0, 1) if m else (0,)]
-    suffix, log_scale, ops = _sum_product(reversed_levels, allowed)
+    reversed_levels = [(w00, w10, w01, w11) for w00, w01, w10, w11 in reversed(levels[m:])]
+    suffix, log_scale, ops = _sum_product(reversed_levels, {} if m else {n: 0})
     if m == 0:
         value = suffix[0]
     else:
-        value = levels[0][0][x_m[1]]
+        bits = x_m.bits(m)
+        value = levels[0][bits[0]]
         ops += 1
-        for i in range(2, m + 1):
-            value *= levels[i - 1][x_m[i - 1]][x_m[i]]
+        for i in range(1, m):
+            value *= levels[i][2 * bits[i - 1] + bits[i]]
             ops += 2
         if m < n:
-            value *= suffix[x_m[m]]
+            value *= suffix[bits[-1]]
             ops += 1
     return QueryResult(float(_scale_back(value, log_scale)), ops)
 
@@ -334,12 +374,20 @@ def chain_marginal_ratio(model: MenModel, x_m: Assignment) -> QueryResult:
     """Marginal ratio for any partial assignment on a chain model.
 
     Sequential elimination left to right with a 2-entry message; linear in n
-    and equal to marginal_ratio up to rounding.
+    and equal to marginal_ratio up to rounding; inf past the double range
+    (see _chain_log_ratio).
     """
     levels = _chain_weights(model)
     _validate_bindings(x_m, len(levels))
     value, log_scale, ops = _chain_marginal(levels, x_m)
     return QueryResult(float(_scale_back(value, log_scale)), ops)
+
+
+def _chain_log_ratio(model: MenModel, x_m: Assignment) -> float:
+    """Natural log of chain_marginal_ratio, finite past the double range too."""
+    levels = _chain_weights(model)
+    _validate_bindings(x_m, len(levels))
+    return _log_of(*_chain_marginal(levels, x_m)[:2])
 
 
 def _model_marginal_probability(model: MenModel, x_m: Assignment) -> float:
@@ -374,11 +422,9 @@ def mle_chain(model: MenModel) -> MleResult:
     """
     levels = _chain_weights(model)
     bits, chosen, ops = _max_product(levels)
-    ratio = 1.0
-    for f in chosen:
-        ratio *= f
-        ops += 1
-    log_ratio = sum(_log_of(f, 0.0) for f in chosen)
+    ratio = math.prod(chosen)
+    ops += len(chosen)
+    log_ratio = sum(map(math.log, chosen)) if min(chosen) > 0.0 else -math.inf
     probability, p_ops = _chain_probability(model, levels, ratio, log_ratio)
     return MleResult(Assignment.from_bits(bits), float(probability), ops + p_ops)
 

@@ -99,9 +99,14 @@ class MenGraph:
         return sorted(self.edges)
 
     def is_path(self) -> bool:
-        return len(self.edges) == self.num_nodes - 1 and all(
-            (i, i + 1) in self.edges for i in range(1, self.num_nodes)
-        )
+        """Whether the graph is the chain 1-2-...-n; worked out once per graph."""
+        cached = self.__dict__.get("_is_path")
+        if cached is None:
+            cached = len(self.edges) == self.num_nodes - 1 and all(
+                (i, i + 1) in self.edges for i in range(1, self.num_nodes)
+            )
+            object.__setattr__(self, "_is_path", cached)
+        return cached
 
 
 class QFunctionTable:
@@ -756,5 +761,5 @@ def _model_from_payload(payload, path) -> MenModel:
         return MenModel(graph, tuple(tables), reference, modulus)
     except FileFormatError:
         raise
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise FileFormatError(f"malformed model file {path}: {exc}") from exc

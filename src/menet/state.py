@@ -90,7 +90,12 @@ class Assignment(Mapping):
     @classmethod
     def from_bits(cls, bits: Iterable[int]) -> "Assignment":
         """Full assignment from a bit sequence for qubits 1..n in order."""
-        return cls({i + 1: b for i, b in enumerate(bits)})
+        bound = dict(enumerate(bits, start=1))
+        if set(map(type, bound.values())) <= {int} and set(bound.values()) <= {0, 1}:
+            full = cls.__new__(cls)  # already canonical: nothing to check or sort
+            object.__setattr__(full, "_bound", bound)
+            return full
+        return cls(bound)
 
     @classmethod
     def zeros(cls, n: int) -> "Assignment":
@@ -102,14 +107,15 @@ class Assignment(Mapping):
         return frozenset(self._bound)
 
     def is_full(self, n: int) -> bool:
-        return len(self._bound) == n and self.domain == frozenset(range(1, n + 1))
+        # the keys are distinct, ascending and >= 1: n of them ending at n are 1..n
+        return len(self._bound) == n and (n == 0 or next(reversed(self._bound)) == n)
 
     def bits(self, n: int) -> tuple[int, ...]:
         """Bit tuple (x_1, ..., x_n); raises MissingBinding if not full."""
         if not self.is_full(n):
             missing = sorted(set(range(1, n + 1)) - set(self._bound))
             raise MissingBinding(f"assignment does not bind qubits {missing} of 1..{n}")
-        return tuple(self._bound[i] for i in range(1, n + 1))
+        return tuple(self._bound.values())
 
     def restrict(self, qubits: Iterable[int]) -> "Assignment":
         """Sub-assignment on the given qubits (all must be bound)."""
@@ -130,6 +136,9 @@ class Assignment(Mapping):
 
     def __getitem__(self, qubit: int) -> int:
         return self._bound[qubit]
+
+    def __contains__(self, qubit) -> bool:
+        return qubit in self._bound
 
     def __iter__(self):
         return iter(self._bound)
@@ -490,6 +499,7 @@ def _parse_amplitudes(raw: list) -> np.ndarray:
         values = None
     if values is not None and values.shape == (len(raw), 2) and values.dtype.kind in "biuf":
         return values.astype(np.float64).view(np.complex128).reshape(-1)
+    bad = "amplitude {} must be a [re, im] pair of reals"
     amps = np.empty(len(raw), dtype=np.complex128)
     for i, pair in enumerate(raw):
         if (
@@ -497,6 +507,9 @@ def _parse_amplitudes(raw: list) -> np.ndarray:
             or len(pair) != 2
             or not all(isinstance(v, (int, float)) for v in pair)
         ):
-            raise FileFormatError(f"amplitude {i} must be a [re, im] pair of reals")
-        amps[i] = complex(float(pair[0]), float(pair[1]))
+            raise FileFormatError(bad.format(i))
+        try:
+            amps[i] = complex(float(pair[0]), float(pair[1]))
+        except OverflowError:  # an int too large for a double
+            raise FileFormatError(bad.format(i)) from None
     return amps

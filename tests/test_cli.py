@@ -1,6 +1,8 @@
 import argparse
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import menet as mn
@@ -269,9 +271,25 @@ class TestLongChainModels:
         value = float(out.split(": ")[1])
         assert 0.0 < value < 1.0
 
-    def test_marginal_ratio_past_the_double_range_is_inf(self, capsys, chain1000):
+    def test_marginal_ratio_past_the_double_range_prints_its_log(self, capsys, chain1000):
+        """The sum is about e^2016: its natural log, against a log-domain sum."""
+        bound = {1: 0, 2: 1}
         rc, out = run_cli(capsys, ["marginal", str(chain1000), "--assign", "1=0,2=1", "--ratio"])
-        assert rc == 0 and out == "ratio: inf\n"
+        assert rc == 0 and out.startswith("log_ratio: ") and out.count("\n") == 1
+        model = mn.load_model(chain1000)
+        n, ref = model.num_qubits, model.reference_bits()
+        log_message = np.array([0.0, -np.inf])  # over the dummy x_0 = 0
+        for i, table in enumerate(model.potentials, start=1):
+            def context(p):
+                return tuple(([p] if i > 1 else []) + ([ref[i]] if i < n else []))
+
+            log_w = np.log([[abs(table.q(b, context(p))) ** 2 for b in (0, 1)] for p in (0, 1)])
+            log_message = np.logaddexp.reduce(log_message[:, None] + log_w, axis=0)
+            if i in bound:
+                log_message[1 - bound[i]] = -np.inf
+        want = np.logaddexp.reduce(log_message)
+        assert float(out.split(": ")[1]) == pytest.approx(want, rel=1e-9)
+        assert mn.chain_marginal_ratio(model, mn.Assignment(bound)).value == math.inf
 
     def test_mle_probability_is_not_zero(self, capsys, chain1000):
         rc, out = run_cli(capsys, ["mle", str(chain1000)])
@@ -311,3 +329,26 @@ class TestFileParsing:
         rc = main(["mle", str(path)])
         err = capsys.readouterr().err
         assert rc == 1 and err.startswith("error: FileFormatError:") and message in err
+
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            ("graph", '{"n": 1, "amplitudes": [[0.6, 0.0], [1%s, 0.8]]}' % ("0" * 400),
+             "amplitude 1 must be a [re, im] pair of reals"),
+            ("mle", '{"n": 1, "edges": [], "reference": "0", "reference_modulus": 1%s, '
+             '"q": {"1": {"0": [1.0, 0.0], "1": [1.0, 0.0]}}}' % ("0" * 400),
+             "int too large to convert to float"),
+            ("mle", '{"n": 1, "edges": [], "reference": "0", "reference_modulus": 0.7, '
+             '"q": {"1": {"0": [1.0, 0.0], "1": [-1%s, 0.0]}}}' % ("0" * 400),
+             "int too large to convert to float"),
+        ],
+    )
+    def test_integer_past_the_double_range_is_a_file_error(
+        self, command, text, message, capsys, tmp_path
+    ):
+        path = tmp_path / "big.json"
+        path.write_text(text)
+        rc = main([command, str(path)])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.startswith("error: FileFormatError:") and message in err
+        assert err.count("\n") == 1 and "Traceback" not in err

@@ -506,6 +506,8 @@ class TestModelFiles:
             lambda d: d["q"]["1"].pop("10"),
             lambda d: d["q"]["1"].update({"10": [0.0, 0.0]}),
             lambda d: d.update(reference_modulus=d["reference_modulus"] * 1.01),
+            lambda d: d.update(reference_modulus=10**400),
+            lambda d: d["q"]["2"].update({"100": [0.5, 10**400]}),
         ],
     )
     def test_rejects_malformed(self, tmp_path, mutate):
@@ -520,6 +522,20 @@ class TestModelFiles:
         bad.write_text(json.dumps(payload))
         with pytest.raises(mn.FileFormatError):
             mn.load_model(bad)
+
+    def test_integer_past_the_double_range_names_the_file(self, tmp_path):
+        import json
+
+        path = tmp_path / "m.model"
+        mn.save_model(mn.random_chain_model(3, 2), path)
+        payload = json.loads(path.read_text())
+        payload["q"]["3"]["11"] = [10**400, 0.0]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(
+            mn.FileFormatError,
+            match=r"^malformed model file .*m\.model: int too large to convert to float$",
+        ):
+            mn.load_model(path)
 
 
 GOLDEN = Path(__file__).parent / "golden"

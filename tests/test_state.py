@@ -360,6 +360,7 @@ class TestStateFiles:
         [
             "[null, 0.0]", '["0.5", 0.0]', "[0.5, [0.0]]", "[0.5]", "[0.5, 0.0, 0.0]",
             "[[0.5], [0.0]]", "0.5", '{"re": 0.5}', "null",
+            "[1%s, 0.0]" % ("0" * 400), "[0.5, -1%s]" % ("0" * 400),
         ],
     )
     def test_reader_names_the_first_bad_pair(self, tmp_path, bad):
@@ -367,6 +368,23 @@ class TestStateFiles:
         path = tmp_path / "bad.state"
         path.write_text('{"n": 2, "amplitudes": [[0.5, 0.0], %s, [0.5, 0.0], [0.5, 0.0]]}' % bad)
         with pytest.raises(mn.FileFormatError, match=r"^amplitude 1 must be a \[re, im\] pair of reals$"):
+            mn.load_state(path)
+
+    @pytest.mark.parametrize(
+        "rows, index",
+        [
+            ("[0.5, 0.0], [null, 0.0], [1%s, 0.0], [0.5, 0.0]", 1),
+            ("[0.5, 0.0], [1%s, 0.0], [null, 0.0], [0.5, 0.0]", 1),
+            ("[0.5, 0.0], [0.5, 0.0], [0.5, 0.0], [0.5, 1%s]", 3),
+        ],
+    )
+    def test_reader_names_an_integer_past_the_double_range(self, tmp_path, rows, index):
+        """An int no float holds is a bad entry like any other, not an OverflowError."""
+        path = tmp_path / "big.state"
+        path.write_text('{"n": 2, "amplitudes": [%s]}' % (rows % ("0" * 400)))
+        with pytest.raises(
+            mn.FileFormatError, match=rf"^amplitude {index} must be a \[re, im\] pair of reals$"
+        ):
             mn.load_state(path)
 
     def test_writer_emits_17_significant_digits(self, tmp_path):
