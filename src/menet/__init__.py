@@ -7,192 +7,87 @@ probabilistic queries (linear-time on chains), and classifies 3-qubit
 states by topology.
 """
 
-from .errors import (
-    AllBasesRejected,
-    DegenerateState,
-    EnumerationBoundExceeded,
-    FileFormatError,
-    InconsistentGraph,
-    InvalidPartition,
-    InvalidQuery,
-    InvalidUnitary,
-    MenError,
-    MissingBinding,
-    NotAChain,
-    NotAPrefix,
-    NotSeparable,
-    WrongArity,
-    ZeroAmplitudeWarning,
-    ZeroEvidenceProbability,
-    ZeroProbabilityOutcome,
-    ZeroReferenceAmplitude,
-)
-from .state import (
-    DEFAULT_TOL,
-    Assignment,
-    LocalBasisChange,
-    ProductStateSample,
-    PureState,
-    ToleranceConfig,
-    apply_local_basis_change,
-    assignment_of,
-    basis_state,
-    fidelity_up_to_phase,
-    haar_qubit_unitary,
-    index_of,
-    load_state,
-    measure_qubit,
-    random_nonzero_state,
-    random_product_state,
-    random_state,
-    rotation,
-    save_state,
-    tensor_product,
-)
-from .separability import (
-    SeparabilityVerdict,
-    a_independent,
-    conditionally_separable,
-    default_reference,
-    extract_factors,
-    factor_round_trip_fidelity,
-    is_separable,
-)
-from .network import (
-    GraphoidReport,
-    MenGraph,
-    MenModel,
-    PerfectMapReport,
-    QFunctionTable,
-    build_graph,
-    check_graphoid_axioms,
-    export_dot,
-    extract_men,
-    load_model,
-    node_separation,
-    normalization_modulus,
-    q_value,
-    random_model,
-    reconstruct_state,
-    save_model,
-    verify_perfect_map,
-)
-from .inference import (
-    BenchReport,
-    BenchRow,
-    MleResult,
-    QueryResult,
-    bench_chains,
-    chain_marginal_ratio,
-    chain_prefix_marginal_ratio,
-    conditional_probability,
-    marginal_probability,
-    marginal_ratio,
-    measure_and_update,
-    mle_brute_force,
-    mle_chain,
-    probability_of,
-    random_chain_model,
-)
-from .classify import (
-    ClassTag,
-    InvarianceReport,
-    TopologyCensus,
-    TripartiteClass,
-    canonical_state,
-    class_invariance_check,
-    classify,
-    topology_census,
-    topology_shape,
-)
+import importlib
+import sys
+import types
+
+# Each submodule -> the public names it defines. A submodule is imported the
+# first time one of its names is looked up (PEP 562), so a command pays only
+# for the modules it runs.
+_EXPORTS = {
+    "errors": (
+        "AllBasesRejected", "DegenerateState", "EnumerationBoundExceeded",
+        "FileFormatError", "InconsistentGraph", "InvalidPartition", "InvalidQuery",
+        "InvalidUnitary", "MenError", "MissingBinding", "NotAChain", "NotAPrefix",
+        "NotSeparable", "WrongArity", "ZeroAmplitudeWarning", "ZeroEvidenceProbability",
+        "ZeroProbabilityOutcome", "ZeroReferenceAmplitude",
+    ),
+    "state": (
+        "DEFAULT_TOL", "Assignment", "LocalBasisChange", "ProductStateSample",
+        "PureState", "ToleranceConfig", "apply_local_basis_change", "assignment_of",
+        "basis_state", "fidelity_up_to_phase", "haar_qubit_unitary", "index_of",
+        "load_state", "measure_qubit", "random_nonzero_state", "random_product_state",
+        "random_state", "rotation", "save_state", "tensor_product",
+    ),
+    "separability": (
+        "SeparabilityVerdict", "a_independent", "conditionally_separable",
+        "default_reference", "extract_factors", "factor_round_trip_fidelity",
+        "is_separable",
+    ),
+    "network": (
+        "GraphoidReport", "MenGraph", "MenModel", "PerfectMapReport", "QFunctionTable",
+        "build_graph", "check_graphoid_axioms", "export_dot", "extract_men",
+        "load_model", "node_separation", "normalization_modulus", "q_value",
+        "random_model", "reconstruct_state", "save_model", "verify_perfect_map",
+    ),
+    "inference": (
+        "BenchReport", "BenchRow", "MleResult", "QueryResult", "bench_chains",
+        "chain_marginal_ratio", "chain_prefix_marginal_ratio",
+        "conditional_probability", "marginal_probability", "marginal_ratio",
+        "measure_and_update", "mle_brute_force", "mle_chain", "probability_of",
+        "random_chain_model",
+    ),
+    "classify": (
+        "ClassTag", "InvarianceReport", "TopologyCensus", "TripartiteClass",
+        "canonical_state", "class_invariance_check", "classify", "topology_census",
+        "topology_shape",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AllBasesRejected",
-    "Assignment",
-    "BenchReport",
-    "BenchRow",
-    "ClassTag",
-    "DEFAULT_TOL",
-    "DegenerateState",
-    "EnumerationBoundExceeded",
-    "FileFormatError",
-    "GraphoidReport",
-    "InconsistentGraph",
-    "InvalidPartition",
-    "InvalidQuery",
-    "InvalidUnitary",
-    "InvarianceReport",
-    "LocalBasisChange",
-    "MenError",
-    "MenGraph",
-    "MenModel",
-    "MissingBinding",
-    "MleResult",
-    "NotAChain",
-    "NotAPrefix",
-    "NotSeparable",
-    "PerfectMapReport",
-    "ProductStateSample",
-    "PureState",
-    "QFunctionTable",
-    "QueryResult",
-    "SeparabilityVerdict",
-    "ToleranceConfig",
-    "TopologyCensus",
-    "TripartiteClass",
-    "WrongArity",
-    "ZeroAmplitudeWarning",
-    "ZeroEvidenceProbability",
-    "ZeroProbabilityOutcome",
-    "ZeroReferenceAmplitude",
-    "a_independent",
-    "apply_local_basis_change",
-    "assignment_of",
-    "basis_state",
-    "bench_chains",
-    "build_graph",
-    "canonical_state",
-    "chain_marginal_ratio",
-    "chain_prefix_marginal_ratio",
-    "check_graphoid_axioms",
-    "class_invariance_check",
-    "classify",
-    "conditional_probability",
-    "conditionally_separable",
-    "default_reference",
-    "export_dot",
-    "extract_factors",
-    "extract_men",
-    "factor_round_trip_fidelity",
-    "fidelity_up_to_phase",
-    "haar_qubit_unitary",
-    "index_of",
-    "is_separable",
-    "load_model",
-    "load_state",
-    "marginal_probability",
-    "marginal_ratio",
-    "measure_and_update",
-    "measure_qubit",
-    "mle_brute_force",
-    "mle_chain",
-    "node_separation",
-    "normalization_modulus",
-    "probability_of",
-    "q_value",
-    "random_chain_model",
-    "random_model",
-    "random_nonzero_state",
-    "random_product_state",
-    "random_state",
-    "reconstruct_state",
-    "rotation",
-    "save_model",
-    "save_state",
-    "tensor_product",
-    "topology_census",
-    "topology_shape",
-    "verify_perfect_map",
-]
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{home}"), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
+
+class _Package(types.ModuleType):
+    """The package module; binds each submodule's names as the submodule loads.
+
+    The import system sets a submodule that has just loaded as an attribute
+    of its package. Binding the submodule's public names at that moment
+    gives them the objects it defined, read as plain attributes from then
+    on, as eager imports would. `classify` is both a submodule and a public
+    function: the function keeps the name, whichever is imported first.
+    """
+
+    def __setattr__(self, name, value):
+        if isinstance(value, types.ModuleType) and value.__name__ == f"{self.__name__}.{name}":
+            for export in _EXPORTS.get(name, ()):
+                super().__setattr__(export, getattr(value, export))
+            if name in _HOME:
+                return
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

@@ -4,6 +4,10 @@ One subcommand per invocation; deterministic text output (12 significant
 digits for reals, stable orderings everywhere). Exit codes: 0 success,
 1 domain error (stable one-line message on stderr, keyed by the error
 name), 2 usage error.
+
+Only the modules every command needs are imported here; each command
+imports the inference and classification names it uses when it runs, so a
+fresh `menet` process loads only what its command runs.
 """
 
 from __future__ import annotations
@@ -14,27 +18,12 @@ import math
 import sys
 import warnings
 
-from .classify import _classify_with_census, topology_census
 from .errors import (
     FileFormatError,
     InvalidQuery,
     MenError,
     ZeroAmplitudeWarning,
     ZeroEvidenceProbability,
-)
-from .inference import (
-    _EVIDENCE_FLOOR,
-    _chain_log_ratio,
-    _model_marginal_probability,
-    bench_chains,
-    chain_marginal_ratio,
-    conditional_probability,
-    marginal_probability,
-    marginal_ratio,
-    measure_and_update,
-    mle_brute_force,
-    mle_chain,
-    probability_of,
 )
 from .network import (
     _GRAPHOID_MAX,
@@ -169,13 +158,26 @@ def cmd_reconstruct(args) -> list[str]:
 
 
 def cmd_marginal(args) -> list[str]:
+    from .inference import (
+        _EVIDENCE_FLOOR,
+        _chain_log_ratio,
+        _model_marginal_probability,
+        chain_marginal_ratio,
+        marginal_probability,
+        marginal_ratio,
+        probability_of,
+    )
+
     psi, model = _load_state_or_model(args.file)
     if model is not None:
         if not args.ratio:
             return [f"probability: {_fmt_prob(_model_marginal_probability(model, args.assign))}"]
-        ratio_of = chain_marginal_ratio if model.graph.is_path() else marginal_ratio
-        ratio = ratio_of(model, args.assign).value
-        if math.isinf(ratio):  # past the double range on a chain; its log is not
+        if not model.graph.is_path():
+            return [f"ratio: {_fmt(marginal_ratio(model, args.assign).value)}"]
+        ratio = chain_marginal_ratio(model, args.assign).value
+        # chain weights are > 0: a ratio of 0 has underflowed and inf has
+        # overflowed, and the log of either is finite
+        if ratio == 0.0 or math.isinf(ratio):
             return [f"log_ratio: {_fmt(_chain_log_ratio(model, args.assign))}"]
         return [f"ratio: {_fmt(ratio)}"]
     probability = marginal_probability(psi, args.assign)
@@ -188,6 +190,8 @@ def cmd_marginal(args) -> list[str]:
 
 
 def cmd_conditional(args) -> list[str]:
+    from .inference import _EVIDENCE_FLOOR, conditional_probability, marginal_probability
+
     psi, model = _load_state_or_model(args.file)
     if model is not None:
         value = conditional_probability(model, args.query, args.evidence)
@@ -202,6 +206,8 @@ def cmd_conditional(args) -> list[str]:
 
 
 def cmd_mle(args) -> list[str]:
+    from .inference import mle_brute_force, mle_chain
+
     psi, model = _load_state_or_model(args.file)
     if model is not None:
         if model.graph.is_path():
@@ -217,6 +223,8 @@ def cmd_mle(args) -> list[str]:
 
 
 def cmd_measure(args) -> list[str]:
+    from .inference import measure_and_update
+
     psi = load_state(args.state)
     tol = _tolerance(args)
     with warnings.catch_warnings():
@@ -230,6 +238,8 @@ def cmd_measure(args) -> list[str]:
 
 
 def cmd_classify(args) -> list[str]:
+    from .classify import _classify_with_census, topology_census
+
     psi = load_state(args.state)
     result, census = _classify_with_census(psi, args.samples, args.seed, DEFAULT_TOL)
     if census is None:  # stage 1 decided the class; the census is printed regardless
@@ -262,6 +272,8 @@ def cmd_verify(args) -> list[str]:
 
 
 def cmd_bench(args) -> list[str]:
+    from .inference import bench_chains
+
     report = bench_chains(
         args.sizes, seed=args.seed, repetitions=args.reps, timing=not args.no_timing
     )

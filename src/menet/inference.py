@@ -20,7 +20,6 @@ cost model is 6*(n-m) + 2*m - 1; only affinity is load-bearing).
 from __future__ import annotations
 
 import math
-import statistics
 import sys
 import time
 import warnings
@@ -191,7 +190,9 @@ def _chain_levels(
     to Python's abs(v) ** 2, which is libm hypot(re, im) raised by libm
     pow(h, 2.0); np.hypot and np.float_power call those same functions and
     so agree bit for bit, where np.abs and h * h differ in the last bit.
-    Where Python's power would raise OverflowError, so does this.
+    Where Python's power would raise OverflowError, this raises
+    EnumerationBoundExceeded, as brute force does for sums past the double
+    range.
     """
     n = len(ref_bits)
     half = np.full(n, 4, dtype=np.intp)  # tables of 4, 8, ..., 8, 4 entries
@@ -207,7 +208,7 @@ def _chain_levels(
     with np.errstate(over="ignore"):
         w = np.float_power(np.hypot(v.real, v.imag), 2.0)
     if not np.isfinite(w).all():
-        raise OverflowError("a chain weight |q|^2 is past the double range")
+        raise EnumerationBoundExceeded("a chain weight |q|^2 is past the double range")
     return w.tolist()
 
 
@@ -506,6 +507,8 @@ class BenchReport:
 
 
 def _median_wall_ns(fn, repetitions: int) -> int:
+    import statistics  # with decimal and fractions behind it; only `menet bench` needs it
+
     samples = []
     fn()  # warm-up
     for _ in range(repetitions):

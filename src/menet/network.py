@@ -31,7 +31,6 @@ from .errors import (
     ZeroAmplitudeWarning,
     ZeroReferenceAmplitude,
 )
-from .separability import _pairwise_entangled, _splits_separable
 from .state import (
     DEFAULT_TOL,
     Assignment,
@@ -143,16 +142,16 @@ class QFunctionTable:
         array = np.array(values, dtype=np.complex128)
         if array.shape != shape:
             raise _coverage_error(node, 2 ** len(shape))
-        off_one = np.argwhere(array[reference_bit] != 1)
-        if len(off_one):
-            ctx = tuple(off_one[0].tolist())
+        off_one = array[reference_bit] != 1
+        if off_one.any():
+            ctx = tuple(np.argwhere(off_one)[0].tolist())
             raise ValueError(
                 f"node {node}: value at the reference bit must be exactly 1, "
                 f"got {complex(array[(reference_bit, *ctx)])!r} at context {ctx}"
             )
-        small = np.argwhere(np.abs(array) <= zero_threshold)
-        if len(small):
-            bit, *ctx = small[0].tolist()
+        small = np.abs(array) <= zero_threshold
+        if small.any():
+            bit, *ctx = np.argwhere(small)[0].tolist()
             raise ValueError(
                 f"node {node}: potential value {complex(array[(bit, *ctx)])!r} "
                 f"at {(bit, tuple(ctx))} is ~0"
@@ -331,6 +330,9 @@ def build_graph(
     dependencies: a ZeroAmplitudeWarning is attached, or the state rejected
     when require_nonzero is set.
     """
+    # imported here, not at the top: commands that only read models never load it
+    from .separability import _pairwise_entangled
+
     n = psi.num_qubits
     if psi.min_modulus() <= tol.zero_amp_threshold:
         if require_nonzero:
@@ -482,6 +484,8 @@ def verify_perfect_map(
     them in one batched minor pass, independently of the pairwise test that
     builds graphs.
     """
+    from .separability import _splits_separable
+
     n = psi.num_qubits
     if g.num_nodes != n:
         raise ValueError("graph and state sizes differ")
@@ -559,6 +563,8 @@ def check_graphoid_axioms(psi: PureState, tol: ToleranceConfig = DEFAULT_TOL) ->
     axiom mentions it, D nonempty; C possibly empty). Exponential, hence
     the n <= _GRAPHOID_MAX guard.
     """
+    from .separability import _splits_separable
+
     n = psi.num_qubits
     if n > _GRAPHOID_MAX:
         raise EnumerationBoundExceeded(
@@ -744,18 +750,15 @@ def _model_from_payload(payload, path) -> MenModel:
             raise ValueError(f"'reference' must be an n-bit string, got {ref_text!r}")
         reference = Assignment.from_bits(int(ch) for ch in ref_text)
         modulus = float(payload["reference_modulus"])
-        tables = []
         q_section = payload["q"]
-        for i in range(1, n + 1):
-            raw = q_section[str(i)]
-            nb = graph.neighbors(i)
-            values = np.empty(2 ** (len(nb) + 1), dtype=np.complex128)
-            for key, pair in raw.items():
-                if len(key) != 1 + len(nb) or any(ch not in "01" for ch in key):
-                    raise ValueError(f"node {i}: bad table key {key!r}")
-                values[int(key, 2)] = complex(float(pair[0]), float(pair[1]))
-            if len(raw) != values.size:  # distinct valid keys: the count decides coverage
-                raise _coverage_error(i, values.size)
+        neighbors = [graph.neighbors(i) for i in range(1, n + 1)]
+        batched = _batched_table_values(q_section, neighbors)
+        tables = []
+        for i, nb in enumerate(neighbors, start=1):
+            if batched is None:  # entry by entry, to name the first bad one
+                values = _table_values(i, q_section[str(i)], nb)
+            else:
+                values = batched[i - 1]
             shape = (2,) * (len(nb) + 1)
             tables.append(QFunctionTable(i, nb, int(ref_text[i - 1]), values.reshape(shape)))
         return MenModel(graph, tuple(tables), reference, modulus)
@@ -763,3 +766,51 @@ def _model_from_payload(payload, path) -> MenModel:
         raise
     except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise FileFormatError(f"malformed model file {path}: {exc}") from exc
+
+
+def _table_values(node: int, raw, neighbors: tuple[int, ...]) -> np.ndarray:
+    """One node's flat table from its {bit-string: [re, im]} entries, in file order."""
+    width = len(neighbors) + 1
+    values = np.empty(2**width, dtype=np.complex128)
+    for key, pair in raw.items():
+        if len(key) != width or key.strip("01"):
+            raise ValueError(f"node {node}: bad table key {key!r}")
+        values[int(key, 2)] = complex(float(pair[0]), float(pair[1]))
+    if len(raw) != values.size:  # distinct valid keys: the count decides coverage
+        raise _coverage_error(node, values.size)
+    return values
+
+
+def _batched_table_values(q_section, neighbors: list[tuple[int, ...]]) -> list[np.ndarray] | None:
+    """Every node's flat table from one array conversion of all [re, im] pairs.
+
+    None when some table is missing, has a bad key, does not cover its keys,
+    or holds an entry that is not a pair of JSON numbers; _table_values then
+    reads the tables one entry at a time and raises at the first bad entry.
+    The dtype is inferred, not forced, as in state._parse_amplitudes.
+    """
+    if not isinstance(q_section, dict):
+        return None
+    sizes = [2 ** (len(nb) + 1) for nb in neighbors]
+    keys: list[str] = []
+    pairs: list = []
+    for i, (nb, size) in enumerate(zip(neighbors, sizes), start=1):
+        raw = q_section.get(str(i))
+        if not isinstance(raw, dict) or len(raw) != size:
+            return None
+        # every key as long as the table is wide, and only 0s and 1s in them all
+        if set(map(len, raw)) != {len(nb) + 1} or "".join(raw).strip("01"):
+            return None
+        keys.extend(raw)
+        pairs.extend(raw.values())
+    try:
+        converted = np.array(pairs)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if converted.shape != (len(pairs), 2) or converted.dtype.kind not in "biuf":
+        return None
+    ends = np.cumsum(sizes)
+    at = np.repeat(ends - sizes, sizes) + list(map(int, keys, itertools.repeat(2)))
+    flat = np.empty(len(pairs), dtype=np.complex128)
+    flat[at] = converted.astype(np.float64).view(np.complex128)[:, 0]
+    return np.split(flat, ends[:-1])

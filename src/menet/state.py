@@ -191,7 +191,10 @@ class PureState:
             raise ValueError(f"amplitude count must be 2**n with n >= 1, got {arr.size}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("amplitudes must be finite")
-        norm = float(np.linalg.norm(arr))
+        # a ufunc sum, not np.linalg.norm: BLAS would wake its worker threads
+        # in a fresh process, which costs far more than the sum itself
+        parts = arr.view(np.float64)
+        norm = math.sqrt(float(np.sum(parts * parts)))
         if abs(norm - 1.0) > NORM_ATOL:
             raise ValueError(f"state norm {norm!r} deviates from 1 by more than {NORM_ATOL}")
         arr.setflags(write=False)

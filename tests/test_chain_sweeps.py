@@ -249,13 +249,14 @@ def test_exact_ties_match_the_dict_sweeps(n):
     assert_queries_match(model, np.random.default_rng(n), range(n + 1), bindings=4, conditionals=3)
 
 
-def test_weights_past_the_double_range_raise_overflow_as_before():
+def test_weights_past_the_double_range_raise_enumeration_bound():
+    """Where Python's abs(v) ** 2 overflows, the sweeps raise the brute-force error."""
     model = rescaled(mn.random_chain_model(20, seed=3), 1e160)
     with pytest.raises(OverflowError):
         ref_levels(model.potentials, model.reference_bits())
-    with pytest.raises(OverflowError):
+    with pytest.raises(mn.EnumerationBoundExceeded, match="past the double range"):
         inf._chain_weights(model)
-    assert outcome(mn.mle_chain, model) == "OverflowError"
+    assert outcome(mn.mle_chain, model) == "EnumerationBoundExceeded"
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])

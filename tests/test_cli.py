@@ -200,7 +200,8 @@ class TestCommandSemantics:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(classify_module, "topology_census", counting)
-        monkeypatch.setattr(cli_module, "topology_census", counting)
+        # cli imports the census when `classify` runs; patched here too in case it is bound early
+        monkeypatch.setattr(cli_module, "topology_census", counting, raising=False)
         rc, out = run_cli(capsys, ["classify", str(path), "--samples", "16"])
         assert rc == 0
         assert "bases_sampled:" in out
@@ -245,6 +246,31 @@ class TestCommandSemantics:
         assert "edge 1 2" in out
 
 
+def off_reference_scaled(model, factor):
+    """The chain model with every entry off the reference bit multiplied by `factor`."""
+    tables = []
+    for table in model.potentials:
+        array = np.array(table.array)
+        array[1 - table.reference_bit] *= factor
+        tables.append(mn.QFunctionTable(table.node, table.neighbors, table.reference_bit, array, 0.0))
+    return mn.MenModel(model.graph, tuple(tables), model.reference, 0.0)
+
+
+def log_domain_ratio(model, bound):
+    """log of the chain's marginal ratio, summed by log-domain transfer matrices."""
+    n, ref = model.num_qubits, model.reference_bits()
+    log_message = np.array([0.0, -np.inf])  # over the dummy x_0 = 0
+    for i, table in enumerate(model.potentials, start=1):
+        def context(p):
+            return tuple(([p] if i > 1 else []) + ([ref[i]] if i < n else []))
+
+        log_w = np.log([[abs(table.q(b, context(p))) ** 2 for b in (0, 1)] for p in (0, 1)])
+        log_message = np.logaddexp.reduce(log_message[:, None] + log_w, axis=0)
+        if i in bound:
+            log_message[1 - bound[i]] = -np.inf
+    return float(np.logaddexp.reduce(log_message))
+
+
 class TestLongChainModels:
     """A 1000-qubit chain: its stored reference modulus underflows to 0."""
 
@@ -277,19 +303,30 @@ class TestLongChainModels:
         rc, out = run_cli(capsys, ["marginal", str(chain1000), "--assign", "1=0,2=1", "--ratio"])
         assert rc == 0 and out.startswith("log_ratio: ") and out.count("\n") == 1
         model = mn.load_model(chain1000)
-        n, ref = model.num_qubits, model.reference_bits()
-        log_message = np.array([0.0, -np.inf])  # over the dummy x_0 = 0
-        for i, table in enumerate(model.potentials, start=1):
-            def context(p):
-                return tuple(([p] if i > 1 else []) + ([ref[i]] if i < n else []))
-
-            log_w = np.log([[abs(table.q(b, context(p))) ** 2 for b in (0, 1)] for p in (0, 1)])
-            log_message = np.logaddexp.reduce(log_message[:, None] + log_w, axis=0)
-            if i in bound:
-                log_message[1 - bound[i]] = -np.inf
-        want = np.logaddexp.reduce(log_message)
-        assert float(out.split(": ")[1]) == pytest.approx(want, rel=1e-9)
+        assert float(out.split(": ")[1]) == pytest.approx(log_domain_ratio(model, bound), rel=1e-9)
         assert mn.chain_marginal_ratio(model, mn.Assignment(bound)).value == math.inf
+
+    def test_marginal_ratio_below_the_double_range_prints_its_log(self, capsys, tmp_path):
+        """The sum is about e^-2178: the ratio underflows to 0, its log does not."""
+        model = off_reference_scaled(mn.random_chain_model(100, seed=3), 1e-5)
+        path = tmp_path / "small.model"
+        mn.save_model(model, path)
+        bound = {q: 1 for q in range(1, 101)}
+        assign = ",".join(f"{q}=1" for q in bound)
+        rc, out = run_cli(capsys, ["marginal", str(path), "--assign", assign, "--ratio"])
+        assert rc == 0 and out.startswith("log_ratio: ") and out.count("\n") == 1
+        want = log_domain_ratio(mn.load_model(path), bound)
+        assert want == pytest.approx(-2178.39, abs=0.01)
+        assert float(out.split(": ")[1]) == pytest.approx(want, rel=1e-9)
+        assert mn.chain_marginal_ratio(model, mn.Assignment(bound)).value == 0.0
+
+    def test_weight_past_the_double_range_is_one_line(self, capsys, tmp_path):
+        path = tmp_path / "huge.model"
+        mn.save_model(off_reference_scaled(mn.random_chain_model(20, seed=3), 1e160), path)
+        rc = main(["mle", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == "error: EnumerationBoundExceeded: a chain weight |q|^2 is past the double range\n"
 
     def test_mle_probability_is_not_zero(self, capsys, chain1000):
         rc, out = run_cli(capsys, ["mle", str(chain1000)])

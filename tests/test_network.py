@@ -8,6 +8,7 @@ import pytest
 
 import menet as mn
 from menet import Assignment, MenGraph, MenModel, QFunctionTable
+from menet import network
 from menet.network import _audit_well_defined
 
 
@@ -566,6 +567,96 @@ class TestGoldenModelFiles:
         assert back.reference == model.reference
         assert back.reference_modulus == model.reference_modulus
         assert back.potentials == model.potentials
+
+
+def per_entry_route(monkeypatch):
+    """Make load_model read every table entry by entry, as it does to name a bad entry."""
+    monkeypatch.setattr(network, "_batched_table_values", lambda q_section, neighbors: None)
+
+
+def load_outcome(path):
+    """The loaded model's fields, arrays as bytes (bit for bit), or the error and its cause."""
+    try:
+        model = mn.load_model(path)
+    except Exception as exc:  # noqa: BLE001 - the error is the outcome
+        return ("error", type(exc).__name__, str(exc), type(exc.__cause__).__name__)
+    tables = [(t.node, t.neighbors, t.reference_bit, t.array.shape, t.array.tobytes()) for t in model.potentials]
+    return (model.graph, model.reference, model.reference_modulus, tables)
+
+
+def shuffled_keys(table):
+    return dict(reversed(list(table.items())))
+
+
+class TestBatchedLoader:
+    """One array conversion for every table gives what reading entry by entry gives."""
+
+    def both_routes(self, path, monkeypatch):
+        batched = load_outcome(path)
+        with monkeypatch.context() as patch:
+            per_entry_route(patch)
+            return batched, load_outcome(path)
+
+    @pytest.mark.parametrize("name", sorted(golden_models()))
+    def test_golden_files(self, name, monkeypatch):
+        batched, per_entry = self.both_routes(GOLDEN / f"{name}.model", monkeypatch)
+        assert batched[0] != "error" and batched == per_entry
+
+    @pytest.mark.parametrize("n", [*range(1, 30), 300, 2000])
+    def test_random_chains(self, n, tmp_path, monkeypatch):
+        path = tmp_path / "c.model"
+        mn.save_model(mn.random_chain_model(n, seed=n), path)
+        batched, per_entry = self.both_routes(path, monkeypatch)
+        assert batched[0] != "error" and batched == per_entry
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            # the inputs of TestModelFiles.test_rejects_malformed
+            lambda d: d.pop("reference"),
+            lambda d: d.update(reference="0"),
+            lambda d: d.update(n=0),
+            lambda d: d["q"]["1"].pop("10"),
+            lambda d: d["q"]["1"].update({"10": [0.0, 0.0]}),
+            lambda d: d.update(reference_modulus=d["reference_modulus"] * 1.01),
+            lambda d: d.update(reference_modulus=10**400),
+            lambda d: d["q"]["2"].update({"100": [0.5, 10**400]}),
+            # entries the array conversion cannot take, bad keys, missing tables
+            lambda d: d["q"]["3"].update({"11": [10**400, 0.0]}),
+            lambda d: d["q"]["2"].update({"101": ["0.5", "2"]}),
+            lambda d: d["q"]["2"].update({"101": [0.5, 2.0, 7.0]}),
+            lambda d: d["q"]["2"].update({"101": [None, 2.0]}),
+            lambda d: d["q"]["2"].update({"101": [True, False]}),
+            lambda d: d["q"]["2"].update({"101": {"re": 1.0}}),
+            lambda d: d["q"]["2"].update({"101": [0.5]}),
+            lambda d: d["q"]["2"].update({"1x1": [0.5, 0.5]}),
+            lambda d: d["q"]["2"].update({"1 1": [0.5, 0.5]}),
+            lambda d: d["q"]["3"].update({"1": [0.5, 0.5]}),
+            lambda d: d["q"]["3"].update({"011": [0.5, 0.5]}),
+            lambda d: d["q"]["1"].update({"00": [2.0, 0.0]}),  # off 1 at the reference bit
+            lambda d: d["q"].pop("3"),
+            lambda d: d["q"].update({"2": [[1.0, 0.0]] * 8}),
+            lambda d: d.update(q=[]),
+            # both errors: the first node's wins, as before
+            lambda d: (d["q"]["1"].update({"00": [2.0, 0.0]}), d["q"]["3"].update({"1x": [0.5, 0.5]})),
+            lambda d: (d["q"]["2"].update({"110": ["x", 0.0]}), d["q"]["2"].update({"011": [0.5, 0.5]})),
+            # valid files the writer would not produce
+            lambda d: d["q"].update({k: shuffled_keys(v) for k, v in d["q"].items()}),
+            lambda d: d["q"]["2"].update({"101": [3, -2]}),
+            lambda d: d["q"]["2"].update({"101": [-0.0, 1e-300]}),
+            lambda d: d["q"].update({"9": {"0": [1.0, 0.0]}}),
+        ],
+    )
+    def test_any_file_reads_as_entry_by_entry(self, mutate, tmp_path, monkeypatch):
+        import json
+
+        path = tmp_path / "m.model"
+        mn.save_model(mn.random_chain_model(3, 2), path)
+        payload = json.loads(path.read_text())
+        mutate(payload)
+        path.write_text(json.dumps(payload))
+        batched, per_entry = self.both_routes(path, monkeypatch)
+        assert batched == per_entry
 
 
 class TestTableStorage:

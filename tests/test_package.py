@@ -1,0 +1,142 @@
+"""The lazily filled package namespace, and what each command imports."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import menet as mn
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+PUBLIC = [
+    "AllBasesRejected", "Assignment", "BenchReport", "BenchRow", "ClassTag", "DEFAULT_TOL",
+    "DegenerateState", "EnumerationBoundExceeded", "FileFormatError", "GraphoidReport",
+    "InconsistentGraph", "InvalidPartition", "InvalidQuery", "InvalidUnitary", "InvarianceReport",
+    "LocalBasisChange", "MenError", "MenGraph", "MenModel", "MissingBinding", "MleResult",
+    "NotAChain", "NotAPrefix", "NotSeparable", "PerfectMapReport", "ProductStateSample",
+    "PureState", "QFunctionTable", "QueryResult", "SeparabilityVerdict", "ToleranceConfig",
+    "TopologyCensus", "TripartiteClass", "WrongArity", "ZeroAmplitudeWarning",
+    "ZeroEvidenceProbability", "ZeroProbabilityOutcome", "ZeroReferenceAmplitude",
+    "a_independent", "apply_local_basis_change", "assignment_of", "basis_state", "bench_chains",
+    "build_graph", "canonical_state", "chain_marginal_ratio", "chain_prefix_marginal_ratio",
+    "check_graphoid_axioms", "class_invariance_check", "classify", "conditional_probability",
+    "conditionally_separable", "default_reference", "export_dot", "extract_factors",
+    "extract_men", "factor_round_trip_fidelity", "fidelity_up_to_phase", "haar_qubit_unitary",
+    "index_of", "is_separable", "load_model", "load_state", "marginal_probability",
+    "marginal_ratio", "measure_and_update", "measure_qubit", "mle_brute_force", "mle_chain",
+    "node_separation", "normalization_modulus", "probability_of", "q_value",
+    "random_chain_model", "random_model", "random_nonzero_state", "random_product_state",
+    "random_state", "reconstruct_state", "rotation", "save_model", "save_state",
+    "tensor_product", "topology_census", "topology_shape", "verify_perfect_map",
+]
+
+
+def run_fresh(code: str, *args: str, cwd=None) -> str:
+    """stdout of `code` run in a new interpreter that imports menet from src/."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True, text=True, cwd=cwd, check=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    return proc.stdout
+
+
+class TestNamespace:
+    def test_public_names_unchanged(self):
+        assert mn.__all__ == PUBLIC
+        assert mn.__version__ == "0.1.0"
+
+    @pytest.mark.parametrize("name", PUBLIC)
+    def test_each_name_is_its_home_modules_object(self, name):
+        value = getattr(mn, name)
+        home = importlib.import_module(f"menet.{mn._HOME[name]}")
+        assert value is vars(home)[name]
+        assert value.__module__ == home.__name__
+
+    def test_names_bound_as_their_module_loads(self):
+        """Loading a submodule binds its names as plain package attributes, and no others."""
+        code = (
+            "import sys\n"
+            "import menet\n"
+            "unbound = 'build_graph' not in vars(menet)\n"
+            "import menet.network\n"
+            "bound = vars(menet)['build_graph'] is sys.modules['menet.network'].build_graph\n"
+            "lazy = 'mle_chain' not in vars(menet) and 'menet.inference' not in sys.modules\n"
+            "loaded = menet.mle_chain is sys.modules['menet.inference'].mle_chain\n"
+            "print(unbound, bound, lazy, loaded)\n"
+        )
+        assert run_fresh(code).split() == ["True"] * 4
+
+    def test_star_import_and_dir(self):
+        namespace = {}
+        exec("from menet import *", namespace)
+        assert {k for k in namespace if k != "__builtins__"} == set(PUBLIC)
+        assert all(namespace[name] is getattr(mn, name) for name in PUBLIC)
+        assert set(PUBLIC) <= set(dir(mn))
+
+    def test_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="no attribute 'nope'"):
+            mn.nope  # noqa: B018
+        with pytest.raises(ImportError):
+            exec("from menet import nope", {})
+
+    @pytest.mark.parametrize(
+        "order",
+        [
+            "import menet.classify; import menet",
+            "import menet; menet.classify; import menet.classify",
+            "import menet.cli; importlib.import_module('menet.classify'); from menet import *",
+        ],
+    )
+    def test_classify_stays_the_function(self, order):
+        """The submodule menet.classify, imported in any order, never replaces the function."""
+        code = (
+            "import importlib, sys\n"
+            f"{order}\n"
+            "import menet\n"
+            "function = sys.modules['menet.classify'].classify\n"
+            "from menet import classify\n"
+            "print(menet.classify is function and classify is function)\n"
+        )
+        assert run_fresh(code).strip() == "True"
+
+
+# Runs one command in a fresh interpreter; prints its exit code, the menet
+# modules loaded and whether `statistics` was imported.
+PROBE = """
+import contextlib, io, json, sys
+from menet.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = main(sys.argv[1:])
+mods = sorted(name[len("menet."):] for name in sys.modules if name.startswith("menet."))
+print(json.dumps([rc, mods, "statistics" in sys.modules]))
+"""
+
+CORE = {"cli", "errors", "network", "state"}
+COMMANDS = [
+    (["graph", "ghz.state"], CORE | {"separability"}),
+    (["extract", "plusplus.state", "-o", "out.model"], CORE | {"separability"}),
+    (["reconstruct", "chain4.model", "-o", "out.state"], CORE),
+    (["verify", "ghz.state"], CORE | {"separability"}),
+    (["marginal", "chain4.model", "--assign", "1=0", "--ratio"], CORE | {"inference"}),
+    (["conditional", "chain4.model", "--query", "1=0", "--evidence", "2=1"], CORE | {"inference"}),
+    (["mle", "chain4.model"], CORE | {"inference"}),
+    (["measure", "ghz.state", "--qubit", "1", "--outcome", "0", "-o", "out.state"],
+     CORE | {"inference", "separability"}),
+    (["classify", "ghz.state", "--samples", "8"], CORE | {"classify", "separability"}),
+]
+
+
+@pytest.mark.parametrize("argv, loaded", COMMANDS, ids=[argv[0] for argv, _ in COMMANDS])
+def test_each_command_imports_only_what_it_runs(argv, loaded, fixture_dir, tmp_path):
+    for name in ("ghz.state", "plusplus.state", "chain4.model"):
+        (tmp_path / name).write_bytes((fixture_dir / name).read_bytes())
+    rc, mods, statistics = json.loads(run_fresh(PROBE, *argv, cwd=tmp_path))
+    assert rc == 0
+    assert set(mods) == loaded
+    assert not statistics  # it brings decimal and fractions; only `menet bench` needs it
