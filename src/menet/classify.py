@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import AllBasesRejected, InconsistentGraph, WrongArity
 from .network import MenGraph
-from .separability import _pairwise_entangled, is_separable
+from .separability import _pairwise_entangled, _splits_separable
 from .state import (
     DEFAULT_TOL,
     LocalBasisChange,
@@ -338,6 +338,9 @@ def _seed_scalar(seed) -> int:
     raise ValueError(f"seed must be an integer, got {seed!r}")
 
 
+_SINGLE_QUBIT_SPLITS = (((1,), (2, 3)), ((2,), (1, 3)), ((3,), (1, 2)))
+
+
 def classify(
     psi: PureState, samples: int = 256, seed: int = 0, tol: ToleranceConfig = DEFAULT_TOL
 ) -> TripartiteClass:
@@ -357,7 +360,8 @@ def _classify_with_census(
     """The class, and the census that decided it (None when stage 1 did)."""
     if psi.num_qubits != 3:
         raise WrongArity(f"classification requires a 3-qubit state, got n={psi.num_qubits}")
-    separable = [is_separable(psi, {i}, tol).separable for i in (1, 2, 3)]
+    # each {i} against the rest, with no qubit held: is_separable(psi, {i}, tol)
+    separable = _splits_separable(psi.amplitudes, _SINGLE_QUBIT_SPLITS, tol).tolist()
     count = sum(separable)
     if count == 3:
         return TripartiteClass(ClassTag.FULLY_SEPARABLE), None

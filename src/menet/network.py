@@ -43,7 +43,7 @@ from .state import (
 _NORM_AUDIT_MAX = 12  # brute-force normalization audit bound
 _RECONSTRUCT_MAX = 24
 _GRAPHOID_MAX = 4  # exhaustive graphoid-axiom enumeration bound
-_PERFECT_MAP_MAX = 6  # exhaustive perfect-map enumeration bound
+_PERFECT_MAP_MAX = 9  # largest n whose fresh-process `menet verify` takes < 1 s and < 100 MB
 _MODULUS_ATOL = 1e-9
 
 
@@ -480,9 +480,9 @@ def verify_perfect_map(
     complement C (possibly empty, which makes the check plain bipartite
     separability versus graph connectivity); A/B symmetric duplicates are
     skipped. There are (3^n - 2^(n+1) + 1) / 2 splits, so n is capped at
-    _PERFECT_MAP_MAX. Every split's separability is tested directly, all of
-    them in one batched minor pass, independently of the pairwise test that
-    builds graphs.
+    _PERFECT_MAP_MAX. Every split's separability is the OR over its own
+    2x2 minors, each distinct minor tested once in a shared table,
+    independently of the pairwise test that builds graphs.
     """
     from .separability import _splits_separable
 
@@ -571,7 +571,7 @@ def check_graphoid_axioms(psi: PureState, tol: ToleranceConfig = DEFAULT_TOL) ->
             f"graphoid enumeration is limited to n <= {_GRAPHOID_MAX}, got {n}"
         )
     # I(A, B | complement), tabulated over ordered (A, B): "symmetry" then
-    # compares two verdicts computed from different views
+    # compares two verdicts computed from different minor classes
     pairs = [(a, b) for a, b, _ in _colorings(n, 3) if a and b]
     verdicts = _splits_separable(psi.amplitudes, pairs, tol).tolist()
     table = {(frozenset(a), frozenset(b)): sep for (a, b), sep in zip(pairs, verdicts)}
@@ -770,6 +770,8 @@ def _model_from_payload(payload, path) -> MenModel:
 
 def _table_values(node: int, raw, neighbors: tuple[int, ...]) -> np.ndarray:
     """One node's flat table from its {bit-string: [re, im]} entries, in file order."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"node {node}: table must be a JSON object, got {type(raw).__name__}")
     width = len(neighbors) + 1
     values = np.empty(2**width, dtype=np.complex128)
     for key, pair in raw.items():

@@ -207,6 +207,77 @@ def _pairwise_entangled(amps: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
 _SPLIT_PASS_MINORS = 1 << 16  # minors tested per pass; bounds one pass's temporaries
 
 
+def _subset_or(table: np.ndarray, n: int, upward: bool) -> np.ndarray:
+    """OR a (2^n, 2^n) table indexed by two qubit masks over subset pairs.
+
+    Upward, entry (A, B) becomes the OR of all entries (D_A, D_B) with
+    D_A <= A and D_B <= B: the subset-sum ("zeta") transform, one
+    vectorized OR per bit of each axis. Downward, (D_A, D_B) becomes the
+    OR over all supersets. Works in place on `table`'s rows, then on a
+    transposed copy's, and returns the result.
+    """
+    dim = 1 << n
+    into, src = (1, 0) if upward else (0, 1)
+    for _axis in range(2):
+        for bit in range(n):
+            blocks = table.reshape(dim >> (bit + 1), 2, dim << bit)  # contiguous: fast ORs
+            blocks[:, into] |= blocks[:, src]
+        table = table.T.copy()
+    return table
+
+
+def _minor_classes(n: int, masks_a: np.ndarray, masks_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every ordered class (D_A, D_B) of minors below some split (A, B).
+
+    Masks address amplitude-index bits (qubit q is bit n - q). A class is a
+    pair of nonempty D_A <= A and D_B <= B, as two flat mask arrays.
+    """
+    below = np.zeros((1 << n, 1 << n), dtype=bool)
+    below[masks_a, masks_b] = True
+    below = _subset_or(below, n, upward=False)
+    below[0] = below[:, 0] = False
+    return np.nonzero(below)
+
+
+def _minor_passes(amps: np.ndarray, d_a: np.ndarray, d_b: np.ndarray):
+    """The minors of classes (d_a[k], d_b[k]), at most _SPLIT_PASS_MINORS a pass.
+
+    A minor is fixed by its class and a corner s, an index with 0 at the top
+    bit (lowest-numbered qubit) of D_A and of D_B; it is
+    a[s]*a[s^D_A^D_B] - a[s^D_A]*a[s^D_B], the top-left*bottom-right -
+    bottom-left*top-right of every split view that holds it, in the operand
+    order of `_scan_all_minors`. Yields (classes, |minors|, corners): a
+    slice of the class arrays, the (classes, 2^(n-2)) magnitudes, and the
+    index arrays of the top-left, top-right, bottom-left and bottom-right
+    entries.
+    """
+    n = amps.size.bit_length() - 1
+    free = np.arange(1 << (n - 2))
+    step = max(1, _SPLIT_PASS_MINORS >> (n - 2))
+    for start in range(0, d_a.size, step):
+        rows = slice(start, start + step)
+        a, b = d_a[rows, None], d_b[rows, None]
+        top_a, top_b = 1 << (np.frexp(a)[1] - 1), 1 << (np.frexp(b)[1] - 1)  # highest set bits
+        low, high = np.minimum(top_a, top_b), np.maximum(top_a, top_b)
+        s = free + (free & -low)  # a 0 bit inserted at `low`, then one at `high`
+        s += s & -high
+        corners = s, s ^ b, s ^ a, s ^ a ^ b
+        tl, tr, bl, br = (amps[c] for c in corners)
+        yield rows, np.abs(tl * br - bl * tr), corners
+
+
+def _split_masks(n: int, splits) -> tuple[np.ndarray, np.ndarray]:
+    """Each split's A and B as amplitude-index bit masks (qubit q is bit n - q)."""
+    groups = [group for split in splits for group in split]  # A0, B0, A1, B1, ...
+    sizes = np.fromiter(map(len, groups), dtype=np.int64, count=len(groups))
+    qubits = np.fromiter(itertools.chain.from_iterable(groups), dtype=np.int64, count=int(sizes.sum()))
+    running = np.zeros(qubits.size + 1, dtype=np.int64)
+    np.cumsum(1 << (n - qubits), out=running[1:])
+    ends = np.cumsum(sizes)
+    masks = running[ends] - running[ends - sizes]
+    return masks[0::2], masks[1::2]
+
+
 def _splits_separable(amps: np.ndarray, splits, tol: ToleranceConfig) -> np.ndarray:
     """Robust conditional test of many (A, B) splits of one state.
 
@@ -214,44 +285,42 @@ def _splits_separable(amps: np.ndarray, splits, tol: ToleranceConfig) -> np.ndar
     (A, B) of disjoint nonempty qubit collections, with every other qubit
     held. The result has one bool per split, True where A and B are
     conditionally separable, i.e. equal to
-    `conditionally_separable(psi, A, B, rest, tol).separable`. Every split
-    is tested directly on its own (2^|A|, 2^|B|, 2^rest) view: the splits
-    are grouped by (|A|, |B|), each group's views are stacked, and all
-    their 2x2 minors go through one pass with the arithmetic and the
-    tolerance law of `_scan_all_minors`, screened against the state's bound
-    range as in `_pairwise_entangled`.
+    `conditionally_separable(psi, A, B, rest, tol).separable`.
+
+    A 2x2 minor of a split's (2^|A|, 2^|B|, 2^rest) view depends only on
+    its corner and on the qubits D_A <= A and D_B <= B where its rows and
+    its columns differ, so every split holding (D_A, D_B) shares it. Each
+    class (D_A, D_B) below a requested split is tested once, both
+    orientations separately, with the arithmetic and the tolerance law of
+    `_scan_all_minors`, screened against the state's bound range as in
+    `_pairwise_entangled`. A split is entangled iff some class below it
+    has a violation: the upward `_subset_or` of the class verdicts.
     """
     n = amps.size.bit_length() - 1
-    tensor = amps.reshape((2,) * n)
-    lo, hi = _bound_range(np.abs(amps)[None], tol)
-    groups: dict[tuple[int, int], list[int]] = {}
-    perms = []
-    for index, (a, b) in enumerate(splits):
-        a, b = sorted(a), sorted(b)
-        rest = [q for q in range(1, n + 1) if q not in a and q not in b]
-        perms.append([q - 1 for q in a + b + rest])
-        groups.setdefault((len(a), len(b)), []).append(index)
-    out = np.empty(len(perms), dtype=bool)
-    for (size_a, size_b), members in groups.items():
-        rows, cols = 1 << size_a, 1 << size_b
-        ii, ii2 = np.triu_indices(rows, k=1)
-        jj, jj2 = np.triu_indices(cols, k=1)
-        i, i2 = ii[:, None], ii2[:, None]
-        per_split = (len(ii) * len(jj)) << (n - size_a - size_b)
-        step = max(1, _SPLIT_PASS_MINORS // per_split)
-        for start in range(0, len(members), step):
-            chunk = members[start : start + step]
-            arr = np.stack([tensor.transpose(perms[k]).reshape(rows, cols, -1) for k in chunk])
-            # (split, row pair, column pair, context): u = [i, j], v = [i2, j2], w = [i2, j], z = [i, j2]
-            u, v, w, z = arr[:, i, jj], arr[:, i2, jj2], arr[:, i2, jj], arr[:, i, jj2]
-            mags = np.abs(u * v - w * z)
+    masks_a, masks_b = _split_masks(n, splits)
+    if not masks_a.size:  # no split; n may then be 1, with no 2x2 minor at all
+        return np.empty(0, dtype=bool)
+    d_a, d_b = _minor_classes(n, masks_a, masks_b)
+    mods = np.abs(amps)
+    lo, hi = _bound_range(mods[None], tol)
+    violated = np.zeros((1 << n, 1 << n), dtype=bool)
+    for rows, mags, corners in _minor_passes(amps, d_a, d_b):
 
-            def exact_bounds(picked, arr=arr):
-                mods = np.abs(arr[picked])
-                return _minor_bound(mods[:, i, jj], mods[:, i, jj2], mods[:, i2, jj], mods[:, i2, jj2], tol)
+        def exact_bounds(picked, corners=corners):
+            return _minor_bound(*(mods[c[picked]] for c in corners), tol)
 
-            out[chunk] = ~_screened_violations(mags, lo, hi, exact_bounds)
-    return out
+        violated[d_a[rows], d_b[rows]] = _screened_violations(mags, lo, hi, exact_bounds)
+    return ~_subset_or(violated, n, upward=True)[masks_a, masks_b]
+
+
+def _class_peaks(amps: np.ndarray, splits) -> np.ndarray:
+    """Peak |minor| of each class below the splits, as a (2^n, 2^n) table by masks."""
+    n = amps.size.bit_length() - 1
+    d_a, d_b = _minor_classes(n, *_split_masks(n, splits))
+    peaks = np.zeros((1 << n, 1 << n))
+    for rows, mags, _ in _minor_passes(amps, d_a, d_b):
+        peaks[d_a[rows], d_b[rows]] = mags.max(axis=1)
+    return peaks
 
 
 def _scan_reference_minors(arr: np.ndarray, row0: int, col0: int, tol: ToleranceConfig):

@@ -252,6 +252,39 @@ class TestClassify:
         with pytest.raises(mn.WrongArity):
             mn.classify(bell)
 
+    @pytest.mark.parametrize("name", ["ghz", "w", "bell12_0", "product", "random", "random_zeros"])
+    def test_stage_one_equals_is_separable(self, name, monkeypatch):
+        """Stage 1 reads its three single-qubit splits from the split kernel;
+        each verdict equals is_separable's."""
+        import importlib
+
+        module = importlib.import_module("menet.classify")
+        if name.startswith("random"):
+            amps = mn.random_state(3, 5).amplitudes.copy()
+            if name == "random_zeros":
+                amps[[1, 6]] = 0.0
+            psi = mn.PureState.normalized(amps)
+        else:
+            psi = mn.canonical_state(name)
+        want = [mn.is_separable(psi, {i}).separable for i in (1, 2, 3)]
+        seen = []
+        original = module._splits_separable
+
+        def recording(*args):
+            result = original(*args)
+            seen.append(result.tolist())
+            return result
+
+        monkeypatch.setattr(module, "_splits_separable", recording)
+        got = mn.classify(psi, 16, 0)
+        assert seen[0] == want
+        if sum(want) == 3:
+            assert got == TripartiteClass(ClassTag.FULLY_SEPARABLE)
+        elif sum(want) == 1:
+            assert got == TripartiteClass(ClassTag.BISEPARABLE, want.index(True) + 1)
+        else:
+            assert got.tag in (ClassTag.GHZ_LIKE, ClassTag.W_LIKE)
+
     def test_all_bases_rejected(self, ghz):
         # an absurd zero threshold rejects every basis
         tol = mn.ToleranceConfig(zero_amp_threshold=0.9)

@@ -66,7 +66,9 @@ class TestExitCodes:
         assert "ZeroEvidenceProbability" in capsys.readouterr().err
 
     def test_verify_bound_is_1(self, capsys, tmp_path):
-        mn.save_state(mn.random_state(7, 0), tmp_path / "big.state")
+        from menet.network import _PERFECT_MAP_MAX
+
+        mn.save_state(mn.random_state(_PERFECT_MAP_MAX + 1, 0), tmp_path / "big.state")
         rc = main(["verify", str(tmp_path / "big.state")])
         assert rc == 1
         assert "EnumerationBoundExceeded" in capsys.readouterr().err
@@ -388,4 +390,16 @@ class TestFileParsing:
         rc = main([command, str(path)])
         err = capsys.readouterr().err
         assert rc == 1 and err.startswith("error: FileFormatError:") and message in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_table_that_is_not_an_object_is_a_file_error(self, capsys, tmp_path):
+        path = tmp_path / "list.model"
+        path.write_text(
+            '{"n": 1, "edges": [], "reference": "0", "reference_modulus": 1.0, '
+            '"q": {"1": [[1.0, 0.0], [1.0, 0.0]]}}'
+        )
+        rc = main(["mle", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.startswith("error: FileFormatError:")
+        assert "node 1: table must be a JSON object, got list" in err
         assert err.count("\n") == 1 and "Traceback" not in err

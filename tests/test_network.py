@@ -432,9 +432,12 @@ class TestPerfectMap:
         assert calls == []
 
     def test_enumeration_bound(self):
-        psi = mn.random_state(7, 0)
+        from menet.network import _PERFECT_MAP_MAX
+
+        n = _PERFECT_MAP_MAX + 1
+        psi = mn.random_state(n, 0)
         with pytest.raises(mn.EnumerationBoundExceeded):
-            mn.verify_perfect_map(psi, MenGraph.empty(7))
+            mn.verify_perfect_map(psi, MenGraph.empty(n))
 
     def test_size_mismatch(self, ghz):
         with pytest.raises(ValueError):
@@ -509,6 +512,7 @@ class TestModelFiles:
             lambda d: d.update(reference_modulus=d["reference_modulus"] * 1.01),
             lambda d: d.update(reference_modulus=10**400),
             lambda d: d["q"]["2"].update({"100": [0.5, 10**400]}),
+            lambda d: d["q"].update({"2": [[1.0, 0.0]] * 8}),
         ],
     )
     def test_rejects_malformed(self, tmp_path, mutate):

@@ -398,7 +398,7 @@ class TestSplitKernel:
 
         return _splits_separable(psi.amplitudes, splits, mn.DEFAULT_TOL).tolist()
 
-    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("n", range(2, 8))
     def test_pairwise_factor_states(self, n):
         splits = _ordered_splits(n)
         for seed in range(2 if n < 6 else 1):
@@ -471,6 +471,55 @@ class TestSplitKernel:
         want = self.kernel(psi, splits)
         monkeypatch.setattr(separability, "_SPLIT_PASS_MINORS", 1)
         assert self.kernel(psi, splits) == want
+
+    def test_one_class_a_pass(self, monkeypatch):
+        from menet import separability
+
+        psi = _pairwise_factor_state(6, [(1, 4), (2, 6), (4, 5)], 6)
+        splits = _ordered_splits(6)
+        want = _split_oracle(psi, splits)
+        assert self.kernel(psi, splits) == want
+        monkeypatch.setattr(separability, "_SPLIT_PASS_MINORS", 1)
+        assert self.kernel(psi, splits) == want
+
+    def test_at_the_perfect_map_bound(self):
+        """At n = _PERFECT_MAP_MAX the oracle is too slow for every split: all
+        ordered splits are checked against the state's own factor graph (A and B
+        are separable iff no factor joins them; the factors are generic and no
+        amplitude is near zero), and a random sample of them against the oracle."""
+        from menet.network import _PERFECT_MAP_MAX
+
+        n = _PERFECT_MAP_MAX
+        edges = [(1, 2), (2, 5), (3, 4), (4, 8), (6, 7), (5, 9)]
+        psi = _dense_factor_state(n, edges, 11)
+        splits = _ordered_splits(n)
+        got = self.kernel(psi, splits)
+        assert got == [not any((i in a and j in b) or (j in a and i in b) for i, j in edges) for a, b in splits]
+        assert any(got) and not all(got)
+        picked = np.random.default_rng(12).choice(len(splits), size=120, replace=False)
+        assert [got[k] for k in picked] == _split_oracle(psi, [splits[k] for k in picked])
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_peak_minor_bit_for_bit(self, n):
+        """Complex amplitudes, so operand order shows in the last bit: a split's
+        largest |minor| in the general scan equals, exactly, the largest peak of
+        the (D_A, D_B) classes below it."""
+        from menet.separability import _class_peaks, _partition_matrix, _scan_all_minors
+
+        splits = _ordered_splits(n)
+        weight = {q: 1 << (n - q) for q in range(1, n + 1)}
+
+        def below(qubits):
+            mask = sum(weight[q] for q in qubits)
+            return [d for d in range(1, mask + 1) if d & mask == d]
+
+        for seed in range(3):
+            psi = mn.random_state(n, [seed, n])
+            peaks = _class_peaks(psi.amplitudes, splits)
+            for a, b in splits:
+                arr, _ = _partition_matrix(psi, list(a), list(b))
+                want, _ = _scan_all_minors(arr, mn.DEFAULT_TOL)
+                assert max(peaks[d_a, d_b] for d_a in below(a) for d_b in below(b)) == want
 
 
 def _exact_pairwise(rows, tol=mn.DEFAULT_TOL):
