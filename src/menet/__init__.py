@@ -68,7 +68,8 @@ def __getattr__(name):
 
 
 def __dir__():
-    return sorted(set(globals()) | set(__all__))
+    # the public names are __all__; imports and loaded submodules stay out
+    return sorted(set(__all__) | {name for name in globals() if name.startswith("_")})
 
 
 class _Package(types.ModuleType):

@@ -13,7 +13,6 @@ fresh `menet` process loads only what its command runs.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 import warnings
@@ -42,8 +41,9 @@ from .state import (
     DEFAULT_TOL,
     Assignment,
     ToleranceConfig,
-    fidelity_up_to_phase,
+    _read_json,
     _state_from_payload,
+    fidelity_up_to_phase,
     load_state,
     save_state,
 )
@@ -62,28 +62,26 @@ def _fmt_prob(x: float) -> str:
 
 
 def parse_assignment(text: str) -> Assignment:
-    """Grammar: comma-separated index=bit entries; '' is the empty assignment."""
-    bound: dict[int, int] = {}
+    """Grammar: comma-separated index=bit entries; '' is the empty assignment.
+
+    Assignment rejects qubits below 1, bits other than 0 and 1, and
+    duplicates; its message becomes the usage error.
+    """
+    pairs = []
     stripped = text.strip()
-    if not stripped:
-        return Assignment()
-    for piece in stripped.split(","):
+    for piece in stripped.split(",") if stripped else ():
         piece = piece.strip()
         if "=" not in piece:
             raise argparse.ArgumentTypeError(f"expected index=bit, got {piece!r}")
         left, right = piece.split("=", 1)
         try:
-            qubit, bit = int(left), int(right)
+            pairs.append((int(left), int(right)))
         except ValueError:
             raise argparse.ArgumentTypeError(f"expected integers in {piece!r}") from None
-        if qubit < 1:
-            raise argparse.ArgumentTypeError(f"qubit index must be >= 1, got {qubit}")
-        if bit not in (0, 1):
-            raise argparse.ArgumentTypeError(f"bit must be 0 or 1, got {bit}")
-        if qubit in bound:
-            raise argparse.ArgumentTypeError(f"duplicate binding for qubit {qubit}")
-        bound[qubit] = bit
-    return Assignment(bound)
+    try:
+        return Assignment(pairs)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _parse_sizes(text: str) -> list[int]:
@@ -98,11 +96,7 @@ def _parse_sizes(text: str) -> list[int]:
 
 def _load_state_or_model(path):
     """Sniff the JSON payload: 'amplitudes' -> state, 'q' -> model."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise FileFormatError(f"cannot read {path}: {exc}") from exc
+    payload = _read_json(path)
     if isinstance(payload, dict) and "amplitudes" in payload:
         return _state_from_payload(payload), None
     if isinstance(payload, dict) and "q" in payload:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 import warnings
 from collections.abc import Iterable, Mapping
@@ -36,8 +35,12 @@ from .state import (
     Assignment,
     PureState,
     ToleranceConfig,
+    _batched_entries,
     _broadcast_over,
+    _disjoint_subsets,
+    _entry_value,
     _fmt_real,
+    _read_json,
 )
 
 _NORM_AUDIT_MAX = 12  # brute-force normalization audit bound
@@ -432,14 +435,7 @@ def reconstruct_state(model: MenModel) -> PureState:
 def node_separation(g: MenGraph, a, b, c) -> bool:
     """True iff removing C leaves no path from any A node to any B node."""
     n = g.num_nodes
-    set_a = {int(q) for q in a}
-    set_b = {int(q) for q in b}
-    set_c = {int(q) for q in c}
-    for label, s in (("A", set_a), ("B", set_b), ("C", set_c)):
-        if any(q < 1 or q > n for q in s):
-            raise InvalidPartition(f"{label} must lie within 1..{n}")
-    if set_a & set_b or set_a & set_c or set_b & set_c:
-        raise InvalidPartition("A, B, C must be pairwise disjoint")
+    set_a, set_b, set_c = map(set, _disjoint_subsets(n, a, b, c))
     adjacency = {i: set(g.neighbors(i)) for i in range(1, n + 1)}
     seen = set(set_a)
     frontier = [q for q in set_a if q not in set_c]
@@ -667,7 +663,7 @@ def random_model(
     reference = Assignment.zeros(n)
     potentials = _random_q_tables(graph, rng, modulus_range, (0,) * n, zero_amp_threshold)
     modulus = normalization_modulus(potentials, (0,) * n, n)
-    return MenModel(graph, potentials, reference, modulus)
+    return MenModel(graph, potentials, reference, modulus, _normalization=modulus)
 
 
 def _random_q_tables(
@@ -726,12 +722,7 @@ def save_model(model: MenModel, path) -> None:
 
 
 def load_model(path) -> MenModel:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise FileFormatError(f"cannot read model file {path}: {exc}") from exc
-    return _model_from_payload(payload, path)
+    return _model_from_payload(_read_json(path, "model file "), path)
 
 
 def _model_from_payload(payload, path) -> MenModel:
@@ -762,8 +753,6 @@ def _model_from_payload(payload, path) -> MenModel:
             shape = (2,) * (len(nb) + 1)
             tables.append(QFunctionTable(i, nb, int(ref_text[i - 1]), values.reshape(shape)))
         return MenModel(graph, tuple(tables), reference, modulus)
-    except FileFormatError:
-        raise
     except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise FileFormatError(f"malformed model file {path}: {exc}") from exc
 
@@ -777,7 +766,7 @@ def _table_values(node: int, raw, neighbors: tuple[int, ...]) -> np.ndarray:
     for key, pair in raw.items():
         if len(key) != width or key.strip("01"):
             raise ValueError(f"node {node}: bad table key {key!r}")
-        values[int(key, 2)] = complex(float(pair[0]), float(pair[1]))
+        values[int(key, 2)] = _entry_value(pair, f"node {node}: entry {key!r}")
     if len(raw) != values.size:  # distinct valid keys: the count decides coverage
         raise _coverage_error(node, values.size)
     return values
@@ -789,7 +778,6 @@ def _batched_table_values(q_section, neighbors: list[tuple[int, ...]]) -> list[n
     None when some table is missing, has a bad key, does not cover its keys,
     or holds an entry that is not a pair of JSON numbers; _table_values then
     reads the tables one entry at a time and raises at the first bad entry.
-    The dtype is inferred, not forced, as in state._parse_amplitudes.
     """
     if not isinstance(q_section, dict):
         return None
@@ -805,14 +793,11 @@ def _batched_table_values(q_section, neighbors: list[tuple[int, ...]]) -> list[n
             return None
         keys.extend(raw)
         pairs.extend(raw.values())
-    try:
-        converted = np.array(pairs)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    if converted.shape != (len(pairs), 2) or converted.dtype.kind not in "biuf":
+    converted = _batched_entries(pairs)
+    if converted is None:
         return None
     ends = np.cumsum(sizes)
     at = np.repeat(ends - sizes, sizes) + list(map(int, keys, itertools.repeat(2)))
     flat = np.empty(len(pairs), dtype=np.complex128)
-    flat[at] = converted.astype(np.float64).view(np.complex128)[:, 0]
+    flat[at] = converted
     return np.split(flat, ends[:-1])

@@ -37,6 +37,9 @@ from .state import (
     Assignment,
     PureState,
     ToleranceConfig,
+    _disjoint_subsets,
+    _validate_subset,
+    assignment_of,
     tensor_product,
 )
 
@@ -61,13 +64,6 @@ class SeparabilityVerdict:
     def __post_init__(self) -> None:
         if self.separable == (self.witness is not None):
             raise ValueError("witness must be present iff the verdict is 'not separable'")
-
-
-def _validate_subset(qubits, n: int, label: str) -> list[int]:
-    out = sorted(set(int(q) for q in qubits))
-    if any(q < 1 or q > n for q in out):
-        raise InvalidPartition(f"{label} must lie within 1..{n}, got {out}")
-    return out
 
 
 def _partition_matrix(psi: PureState, group_a: list[int], group_b: list[int]):
@@ -360,9 +356,43 @@ def default_reference(psi: PureState, tol: ToleranceConfig = DEFAULT_TOL) -> Ass
     best = int(np.argmax(np.abs(psi.amplitudes)))
     if abs(psi.amplitudes[best]) <= tol.zero_amp_threshold:
         raise DegenerateState("no amplitude exceeds the zero threshold")
-    from .state import assignment_of
-
     return assignment_of(best, n)
+
+
+def _verdict(
+    psi: PureState, group_a: list[int], group_b: list[int], tol: ToleranceConfig, x0: Assignment | None
+) -> SeparabilityVerdict:
+    """The verdict on A against B, with every other qubit held.
+
+    Without a reference point the all-minors scan runs; with one, the scan
+    against x0's row and column, which the verdict records. The witness
+    holds the full assignments at the diagonal corners of the first
+    violating minor.
+    """
+    arr, held = _partition_matrix(psi, group_a, group_b)
+    if x0 is None:
+        max_minor, hit = _scan_all_minors(arr, tol)
+        if hit is not None:
+            k, i, i2, j, j2 = hit
+            corners = (i, j, k), (i2, j2, k)
+    else:
+        bits = x0.bits(psi.num_qubits)
+        row0, col0 = _pack_bits(bits, group_a), _pack_bits(bits, group_b)
+        max_minor, hit = _scan_reference_minors(arr, row0, col0, tol)
+        if hit is not None:
+            k, i, j = hit
+            corners = (i, j, k), (row0, col0, k)
+    witness = None if hit is None else tuple(_assignment_at([group_a, group_b, held], c) for c in corners)
+    zero = psi.min_modulus() <= tol.zero_amp_threshold
+    return SeparabilityVerdict(hit is None, witness, max_minor, zero_amplitudes=zero, reference=x0)
+
+
+def _bipartition(m, n: int) -> tuple[list[int], list[int]]:
+    """M and its complement as sorted qubit lists; M must be a nonempty proper subset."""
+    group = _validate_subset(m, n, "M")
+    if not group or len(group) == n:
+        raise InvalidPartition("M must be a nonempty proper subset of 1..n")
+    return group, sorted(set(range(1, n + 1)) - set(group))
 
 
 def a_independent(
@@ -374,17 +404,7 @@ def a_independent(
     a(x0_M, x_Mbar) * a(x_M, x0_Mbar) for all assignments, within the minor
     tolerance law.
     """
-    n = psi.num_qubits
-    group = _validate_subset(m, n, "M")
-    if not group or len(group) == n:
-        raise InvalidPartition("M must be a nonempty proper subset of 1..n")
-    rest = sorted(set(range(1, n + 1)) - set(group))
-    bits = x0.bits(n)
-    row0 = _pack_bits(bits, group)
-    col0 = _pack_bits(bits, rest)
-    arr, _ = _partition_matrix(psi, group, rest)  # (R, C, 1)
-    _, violation = _scan_reference_minors(arr, row0, col0, tol)
-    return violation is None
+    return _verdict(psi, *_bipartition(m, psi.num_qubits), tol, x0).separable
 
 
 def _pack_bits(bits: tuple[int, ...], qubits: list[int]) -> int:
@@ -400,22 +420,7 @@ def is_separable(psi: PureState, m, tol: ToleranceConfig = DEFAULT_TOL) -> Separ
     Equivalent to a-independence at any valid reference, but robust to zero
     amplitudes because no reference point is singled out.
     """
-    n = psi.num_qubits
-    group = _validate_subset(m, n, "M")
-    if not group or len(group) == n:
-        raise InvalidPartition("M must be a nonempty proper subset of 1..n")
-    rest = sorted(set(range(1, n + 1)) - set(group))
-    arr, _ = _partition_matrix(psi, group, rest)
-    max_minor, violation = _scan_all_minors(arr, tol)
-    zero = psi.min_modulus() <= tol.zero_amp_threshold
-    if violation is None:
-        return SeparabilityVerdict(True, None, max_minor, zero_amplitudes=zero)
-    _, i, i2, j, j2 = violation
-    witness = (
-        _assignment_at([group, rest], [i, j]),
-        _assignment_at([group, rest], [i2, j2]),
-    )
-    return SeparabilityVerdict(False, witness, max_minor, zero_amplitudes=zero)
+    return _verdict(psi, *_bipartition(m, psi.num_qubits), tol, None)
 
 
 def extract_factors(
@@ -429,7 +434,7 @@ def extract_factors(
     1 / a(x0) with |c_alpha| ||alpha|| = |c_beta| ||beta||.
     """
     n = psi.num_qubits
-    group = _validate_subset(m, n, "M")
+    group, rest = _bipartition(m, n)
     verdict = is_separable(psi, group, tol)
     if not verdict.separable:
         raise NotSeparable(
@@ -439,7 +444,6 @@ def extract_factors(
     best = int(np.argmax(np.abs(psi.amplitudes)))
     if abs(psi.amplitudes[best]) <= tol.zero_amp_threshold:
         raise DegenerateState("no amplitude exceeds the zero threshold")
-    rest = sorted(set(range(1, n + 1)) - set(group))
     arr, _ = _partition_matrix(psi, group, rest)
     mat = arr[:, :, 0]
     bits = _bits_of(best, n)
@@ -474,59 +478,24 @@ def conditionally_separable(
     conditional separability when A, B, C partition the system. See the
     module docstring for the two modes.
     """
-    n = psi.num_qubits
-    group_a = _validate_subset(a, n, "A")
-    group_b = _validate_subset(b, n, "B")
-    group_c = _validate_subset(c, n, "C")
+    group_a, group_b, _ = _disjoint_subsets(psi.num_qubits, a, b, c)
     if not group_a or not group_b:
         raise InvalidPartition("A and B must be nonempty")
-    sets = [set(group_a), set(group_b), set(group_c)]
-    if sets[0] & sets[1] or sets[0] & sets[2] or sets[1] & sets[2]:
-        raise InvalidPartition("A, B, C must be pairwise disjoint")
-    arr, held = _partition_matrix(psi, group_a, group_b)
-    zero = psi.min_modulus() <= tol.zero_amp_threshold
-
     if mode == "robust":
-        max_minor, violation = _scan_all_minors(arr, tol)
-        reference = None
-        if violation is not None:
-            k, i, i2, j, j2 = violation
-            witness = (
-                _assignment_at([group_a, group_b, held], [i, j, k]),
-                _assignment_at([group_a, group_b, held], [i2, j2, k]),
-            )
-    elif mode == "strict":
-        if x0 is None:
-            x0 = default_reference(psi, tol)
-        bits = x0.bits(n)
-        row0 = _pack_bits(bits, group_a)
-        col0 = _pack_bits(bits, group_b)
-        max_minor, hit = _scan_reference_minors(arr, row0, col0, tol)
-        reference = x0
-        violation = hit
-        if hit is not None:
-            k, i, j = hit
-            witness = (
-                _assignment_at([group_a, group_b, held], [i, j, k]),
-                _assignment_at([group_a, group_b, held], [row0, col0, k]),
-            )
-    else:
+        x0 = None
+    elif mode != "strict":
         raise ValueError(f"mode must be 'robust' or 'strict', got {mode!r}")
-
-    if violation is None:
-        if zero:
-            warnings.warn(
-                "conditional-separability verdict on a state with near-zero "
-                "amplitudes; 'separable' may be spurious",
-                ZeroAmplitudeWarning,
-                stacklevel=2,
-            )
-        return SeparabilityVerdict(
-            True, None, max_minor, zero_amplitudes=zero, reference=reference
+    elif x0 is None:
+        x0 = default_reference(psi, tol)
+    verdict = _verdict(psi, group_a, group_b, tol, x0)
+    if verdict.separable and verdict.zero_amplitudes:
+        warnings.warn(
+            "conditional-separability verdict on a state with near-zero "
+            "amplitudes; 'separable' may be spurious",
+            ZeroAmplitudeWarning,
+            stacklevel=2,
         )
-    return SeparabilityVerdict(
-        False, witness, max_minor, zero_amplitudes=zero, reference=reference
-    )
+    return verdict
 
 
 def factor_round_trip_fidelity(psi: PureState, m, tol: ToleranceConfig = DEFAULT_TOL) -> float:

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import (
     FileFormatError,
+    InvalidPartition,
     InvalidUnitary,
     MissingBinding,
     ZeroProbabilityOutcome,
@@ -175,6 +176,21 @@ def assignment_of(index: int, n: int) -> Assignment:
     if not 0 <= index < 2**n:
         raise ValueError(f"index {index} out of range for {n} qubits")
     return Assignment({i: (index >> (n - i)) & 1 for i in range(1, n + 1)})
+
+
+def _validate_subset(qubits, n: int, label: str) -> list[int]:
+    out = sorted(set(int(q) for q in qubits))
+    if any(q < 1 or q > n for q in out):
+        raise InvalidPartition(f"{label} must lie within 1..{n}, got {out}")
+    return out
+
+
+def _disjoint_subsets(n: int, a, b, c) -> tuple[list[int], list[int], list[int]]:
+    """A, B and C as sorted qubit lists, each within 1..n, pairwise disjoint."""
+    groups = _validate_subset(a, n, "A"), _validate_subset(b, n, "B"), _validate_subset(c, n, "C")
+    if len(set().union(*groups)) < sum(map(len, groups)):
+        raise InvalidPartition("A, B, C must be pairwise disjoint")
+    return groups
 
 
 class PureState:
@@ -459,13 +475,17 @@ def save_state(psi: PureState, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_state(path) -> PureState:
+def _read_json(path, what: str = "") -> object:
+    """The parsed JSON text of the file at `path`; `what` names its format in errors."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+            return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise FileFormatError(f"cannot read state file {path}: {exc}") from exc
-    return _state_from_payload(payload)
+        raise FileFormatError(f"cannot read {what}{path}: {exc}") from exc
+
+
+def load_state(path) -> PureState:
+    return _state_from_payload(_read_json(path, "state file "))
 
 
 def _state_from_payload(payload) -> PureState:
@@ -477,7 +497,14 @@ def _state_from_payload(payload) -> PureState:
     raw = payload["amplitudes"]
     if not isinstance(raw, list) or len(raw) != 2**n:
         raise FileFormatError(f"expected {2**n} amplitude pairs, got {len(raw) if isinstance(raw, list) else type(raw).__name__}")
-    amps = _parse_amplitudes(raw)
+    amps = _batched_entries(raw)
+    if amps is None:  # entry by entry, to name the first bad one
+        amps = np.empty(len(raw), dtype=np.complex128)
+        for i, pair in enumerate(raw):
+            try:
+                amps[i] = _entry_value(pair, f"amplitude {i}")
+            except (ValueError, OverflowError):  # an int too large for a double is a bad entry too
+                raise FileFormatError(f"amplitude {i} must be a [re, im] pair of reals") from None
     if not np.all(np.isfinite(amps)):
         raise FileFormatError("amplitudes must be finite")
     norm = float(np.linalg.norm(amps))
@@ -488,31 +515,33 @@ def _state_from_payload(payload) -> PureState:
     return PureState(amps / norm)
 
 
-def _parse_amplitudes(raw: list) -> np.ndarray:
-    """The [re, im] pairs of `raw` as complex amplitudes.
+# Both file formats store complex numbers as [re, im] entries and read them
+# by these two rules: one array conversion of every entry, and, when some
+# entry is not a pair of JSON numbers, the entry-by-entry rule that names it.
 
-    One array conversion when every entry is a pair of JSON numbers;
-    otherwise the pair-by-pair loop, which names the first bad entry. The
-    dtype is inferred, not forced: float64 would read None as nan and
-    numeric strings as numbers.
+
+def _batched_entries(pairs: list) -> np.ndarray | None:
+    """The [re, im] entries `pairs` as complex values, from one array conversion.
+
+    None when some entry is not a pair of JSON numbers. The dtype is
+    inferred, not forced: float64 would read None as nan and numeric
+    strings as numbers.
     """
     try:
-        values = np.array(raw)
+        values = np.array(pairs)
     except (TypeError, ValueError, OverflowError):
-        values = None
-    if values is not None and values.shape == (len(raw), 2) and values.dtype.kind in "biuf":
-        return values.astype(np.float64).view(np.complex128).reshape(-1)
-    bad = "amplitude {} must be a [re, im] pair of reals"
-    amps = np.empty(len(raw), dtype=np.complex128)
-    for i, pair in enumerate(raw):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not all(isinstance(v, (int, float)) for v in pair)
-        ):
-            raise FileFormatError(bad.format(i))
-        try:
-            amps[i] = complex(float(pair[0]), float(pair[1]))
-        except OverflowError:  # an int too large for a double
-            raise FileFormatError(bad.format(i)) from None
-    return amps
+        return None
+    if values.shape != (len(pairs), 2) or values.dtype.kind not in "biuf":
+        return None
+    return values.astype(np.float64).view(np.complex128).reshape(-1)
+
+
+def _entry_value(pair, label: str) -> complex:
+    """One [re, im] entry as a complex value; `label` names it in errors.
+
+    Raises ValueError unless `pair` is a list of two JSON numbers, and
+    OverflowError for an integer past the double range.
+    """
+    if not isinstance(pair, list) or len(pair) != 2 or not all(isinstance(v, (int, float)) for v in pair):
+        raise ValueError(f"{label} must be a [re, im] pair of reals")
+    return complex(float(pair[0]), float(pair[1]))

@@ -169,6 +169,19 @@ class TestExtractMen:
         assert len(calls) == 1
         assert model.reference_modulus == original(model.potentials, (0,) * 5, 5)
 
+    def test_random_model_sums_once(self, monkeypatch):
+        original = network.normalization_modulus
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(network, "normalization_modulus", counting)
+        model = mn.random_model(MenGraph.path(10), seed=3)
+        assert len(calls) == 1
+        assert model.reference_modulus == original(model.potentials, (0,) * 10, 10)
+
     def test_caller_built_model_keeps_the_audit(self):
         import dataclasses
 
@@ -661,6 +674,45 @@ class TestBatchedLoader:
         path.write_text(json.dumps(payload))
         batched, per_entry = self.both_routes(path, monkeypatch)
         assert batched == per_entry
+
+
+BAD_ENTRIES = [["0.5", 2.0], [0.5, 2.0, 7.0], [None, 1.0], {"re": 1.0}, [0.5], [10**400, 0.0]]
+BAD_ENTRY_IDS = ["numeric-string", "three-numbers", "null", "object", "one-number", "past-double"]
+
+
+class TestEntryRule:
+    """State and model files hold [re, im] entries to one rule."""
+
+    @pytest.mark.parametrize("entry", BAD_ENTRIES, ids=BAD_ENTRY_IDS)
+    def test_state_file(self, entry, tmp_path):
+        import json
+
+        path = tmp_path / "bad.state"
+        path.write_text(json.dumps({"n": 2, "amplitudes": [[0.5, 0.0], entry, [0.5, 0.0], [0.5, 0.0]]}))
+        with pytest.raises(mn.FileFormatError, match=r"^amplitude 1 must be a \[re, im\] pair of reals$"):
+            mn.load_state(path)
+
+    @pytest.mark.parametrize("entry", [[0.5, 2.0], *BAD_ENTRIES], ids=["valid", *BAD_ENTRY_IDS])
+    def test_model_file_past_the_audit(self, entry, tmp_path):
+        """At n = 20 no modulus audit runs, so only the entry rule can catch a bad entry."""
+        import json
+
+        n = 20
+        assert n > network._NORM_AUDIT_MAX
+        path = tmp_path / "c.model"
+        mn.save_model(mn.random_chain_model(n, seed=1), path)
+        payload = json.loads(path.read_text())
+        payload["q"]["10"]["101"] = entry  # node 10, bit 1: off the reference bit, unaudited
+        path.write_text(json.dumps(payload))
+        if entry == [0.5, 2.0]:
+            assert mn.load_model(path).potentials[9].q(1, (0, 1)) == 0.5 + 2j
+            return
+        with pytest.raises(
+            mn.FileFormatError,
+            match=r"^malformed model file .*c\.model: "
+            r"(node 10: entry '101' must be a \[re, im\] pair of reals|int too large to convert to float)$",
+        ):
+            mn.load_model(path)
 
 
 class TestTableStorage:

@@ -79,6 +79,11 @@ class TestNamespace:
         assert all(namespace[name] is getattr(mn, name) for name in PUBLIC)
         assert set(PUBLIC) <= set(dir(mn))
 
+    def test_dir_lists_no_public_name_outside_all(self):
+        import menet.cli  # noqa: F401 - loaded submodules stay out of dir as well
+
+        assert {name for name in dir(mn) if not name.startswith("_")} == set(PUBLIC)
+
     def test_unknown_name_is_an_attribute_error(self):
         with pytest.raises(AttributeError, match="no attribute 'nope'"):
             mn.nope  # noqa: B018

@@ -177,6 +177,21 @@ class TestConditionallySeparable:
             strict = mn.conditionally_separable(psi, a, b, c, mode="strict").separable
             assert robust == strict
 
+    def test_robust_sees_a_slice_the_reference_row_misses(self):
+        """Held x4 = 1: the reference row x1x2 = 00 is zero there, so the strict
+        identity holds vacuously, while rows 01 and 10 form a rank-2 slice."""
+        amps = np.zeros(16)
+        amps[[0b0000, 0b0101, 0b1011]] = 1.0
+        psi = mn.PureState.normalized(amps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", mn.ZeroAmplitudeWarning)
+            strict = mn.conditionally_separable(psi, {1, 2}, {3}, {4}, mode="strict")
+        robust = mn.conditionally_separable(psi, {1, 2}, {3}, {4})
+        assert strict.separable and strict.reference == Assignment.zeros(4)
+        assert not robust.separable and robust.reference is None
+        assert robust.witness == (Assignment({1: 0, 2: 1, 3: 0, 4: 1}), Assignment({1: 1, 2: 0, 3: 1, 4: 1}))
+        assert robust.max_minor_magnitude == pytest.approx(1 / 3)
+
     def test_general_form_ignores_held_split(self, w_state):
         # qubits outside A and B are held either way, so moving them between
         # C and the remainder cannot change the verdict
@@ -316,6 +331,30 @@ def _w(n):
     amps = np.zeros(2**n)
     amps[[1 << k for k in range(n)]] = 1.0
     return mn.PureState.normalized(amps)
+
+
+class TestOneVerdictBuilder:
+    """is_separable and a_independent give conditionally_separable's verdicts with nothing held."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_entry_points_agree(self, n):
+        states = [
+            _ghz(n),
+            _w(n),
+            mn.random_product_state([[q] for q in range(1, n + 1)], n).state,
+            mn.random_nonzero_state(n, n),
+            mn.random_state(n, 10 + n),
+        ]
+        references = [Assignment.zeros(n), mn.assignment_of(2**n - 1, n)]
+        for psi in states:
+            for m in bipartitions(n):
+                rest = set(range(1, n + 1)) - m
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", mn.ZeroAmplitudeWarning)
+                    assert mn.is_separable(psi, m) == mn.conditionally_separable(psi, m, rest)
+                    for x0 in references:
+                        strict = mn.conditionally_separable(psi, m, rest, mode="strict", x0=x0)
+                        assert mn.a_independent(psi, m, x0) == strict.separable
 
 
 class TestPairwiseKernel:
