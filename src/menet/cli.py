@@ -17,13 +17,7 @@ import math
 import sys
 import warnings
 
-from .errors import (
-    FileFormatError,
-    InvalidQuery,
-    MenError,
-    ZeroAmplitudeWarning,
-    ZeroEvidenceProbability,
-)
+from .errors import FileFormatError, InvalidQuery, MenError, ZeroAmplitudeWarning
 from .network import (
     _GRAPHOID_MAX,
     MenGraph,
@@ -45,6 +39,7 @@ from .state import (
     _state_from_payload,
     fidelity_up_to_phase,
     load_state,
+    measure_qubit,
     save_state,
 )
 
@@ -94,13 +89,29 @@ def _parse_sizes(text: str) -> list[int]:
     return sizes
 
 
+def _checked(convert, holds, rule: str):
+    """An argparse type: `convert`, then a usage error unless `holds`."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not holds(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid float value"
+    return parse
+
+
+_TOLERANCE = _checked(float, lambda v: math.isfinite(v) and v > 0.0, "finite and > 0")
+
+
 def _load_state_or_model(path):
     """Sniff the JSON payload: 'amplitudes' -> state, 'q' -> model."""
     payload = _read_json(path)
     if isinstance(payload, dict) and "amplitudes" in payload:
-        return _state_from_payload(payload), None
+        return _state_from_payload(payload)
     if isinstance(payload, dict) and "q" in payload:
-        return None, _model_from_payload(payload, path)
+        return _model_from_payload(payload, path)
     raise FileFormatError(f"{path} is neither a state file nor a model file")
 
 
@@ -114,16 +125,9 @@ def _graph_lines(g: MenGraph) -> list[str]:
     return lines
 
 
-def _tolerance(args) -> ToleranceConfig:
-    rel = getattr(args, "tolerance", None)
-    if rel is None:
-        return DEFAULT_TOL
-    return ToleranceConfig(rel_eps=rel)
-
-
 def cmd_graph(args) -> list[str]:
     psi = load_state(args.state)
-    g = build_graph(psi, _tolerance(args))
+    g = build_graph(psi, ToleranceConfig(rel_eps=args.tolerance))
     if args.dot:
         return export_dot(g).splitlines()
     return _graph_lines(g)
@@ -131,7 +135,7 @@ def cmd_graph(args) -> list[str]:
 
 def cmd_extract(args) -> list[str]:
     psi = load_state(args.state)
-    model = extract_men(psi, _tolerance(args))
+    model = extract_men(psi, ToleranceConfig(rel_eps=args.tolerance))
     save_model(model, args.output)
     bits = "".join(str(b) for b in model.reference_bits())
     return _graph_lines(model.graph) + [
@@ -152,81 +156,41 @@ def cmd_reconstruct(args) -> list[str]:
 
 
 def cmd_marginal(args) -> list[str]:
-    from .inference import (
-        _EVIDENCE_FLOOR,
-        _chain_log_ratio,
-        _model_marginal_probability,
-        chain_marginal_ratio,
-        marginal_probability,
-        marginal_ratio,
-        probability_of,
-    )
+    from .inference import _marginal
 
-    psi, model = _load_state_or_model(args.file)
-    if model is not None:
-        if not args.ratio:
-            return [f"probability: {_fmt_prob(_model_marginal_probability(model, args.assign))}"]
-        if not model.graph.is_path():
-            return [f"ratio: {_fmt(marginal_ratio(model, args.assign).value)}"]
-        ratio = chain_marginal_ratio(model, args.assign).value
-        # chain weights are > 0: a ratio of 0 has underflowed and inf has
-        # overflowed, and the log of either is finite
-        if ratio == 0.0 or math.isinf(ratio):
-            return [f"log_ratio: {_fmt(_chain_log_ratio(model, args.assign))}"]
-        return [f"ratio: {_fmt(ratio)}"]
-    probability = marginal_probability(psi, args.assign)
-    if args.ratio:
-        reference = probability_of(psi, Assignment.zeros(psi.num_qubits))
-        if reference < _EVIDENCE_FLOOR:
-            raise ZeroEvidenceProbability("reference probability p(0...0) is ~0")
-        return [f"ratio: {_fmt(probability / reference)}"]
-    return [f"probability: {_fmt_prob(probability)}"]
+    value, log_value = _marginal(_load_state_or_model(args.file), args.assign, args.ratio)
+    if not args.ratio:
+        return [f"probability: {_fmt_prob(value)}"]
+    if (value == 0.0 or math.isinf(value)) and math.isfinite(log_value):
+        return [f"log_ratio: {_fmt(log_value)}"]
+    return [f"ratio: {_fmt(value)}"]
 
 
 def cmd_conditional(args) -> list[str]:
-    from .inference import _EVIDENCE_FLOOR, conditional_probability, marginal_probability
+    from .inference import _conditional
 
-    psi, model = _load_state_or_model(args.file)
-    if model is not None:
-        value = conditional_probability(model, args.query, args.evidence)
-        return [f"probability: {_fmt_prob(value)}"]
-    if set(args.query) & set(args.evidence):
-        raise InvalidQuery("query and evidence domains must be disjoint")
-    evidence_probability = marginal_probability(psi, args.evidence)
-    if evidence_probability < _EVIDENCE_FLOOR:
-        raise ZeroEvidenceProbability(f"evidence {args.evidence!r} has probability ~0")
-    joint = marginal_probability(psi, args.query.merge(args.evidence))
-    return [f"probability: {_fmt_prob(joint / evidence_probability)}"]
+    value = _conditional(_load_state_or_model(args.file), args.query, args.evidence)
+    return [f"probability: {_fmt_prob(value)}"]
 
 
 def cmd_mle(args) -> list[str]:
-    from .inference import mle_brute_force, mle_chain
+    from .inference import _mle
 
-    psi, model = _load_state_or_model(args.file)
-    if model is not None:
-        if model.graph.is_path():
-            result = mle_chain(model)
-        else:
-            result = mle_brute_force(reconstruct_state(model))
-        n = model.num_qubits
-    else:
-        result = mle_brute_force(psi)
-        n = psi.num_qubits
-    bits = "".join(str(b) for b in result.assignment.bits(n))
+    source = _load_state_or_model(args.file)
+    result = _mle(source)
+    bits = "".join(str(b) for b in result.assignment.bits(source.num_qubits))
     return [f"assignment: {bits}", f"probability: {_fmt_prob(result.probability)}"]
 
 
 def cmd_measure(args) -> list[str]:
-    from .inference import measure_and_update
-
     psi = load_state(args.state)
-    tol = _tolerance(args)
-    with warnings.catch_warnings():
+    if not 1 <= args.qubit <= psi.num_qubits:
+        raise InvalidQuery(f"qubit {args.qubit} out of range 1..{psi.num_qubits}")
+    tol = ToleranceConfig(rel_eps=args.tolerance)
+    probability, collapsed = measure_qubit(psi, args.qubit, args.outcome, tol)
+    with warnings.catch_warnings():  # the collapsed state has structural zeros
         warnings.simplefilter("ignore", ZeroAmplitudeWarning)
-        g = build_graph(psi, tol)
-    probability, collapsed, new_graph = measure_and_update(
-        psi, g, args.qubit, args.outcome, tol
-    )
+        new_graph = build_graph(collapsed, tol)
     save_state(collapsed, args.output)
     return [f"probability: {_fmt_prob(probability)}"] + _graph_lines(new_graph)
 
@@ -284,13 +248,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("graph", help="edge list (or DOT) of a state's graph")
     p.add_argument("state")
     p.add_argument("--dot", action="store_true", help="emit DOT text")
-    p.add_argument("--tolerance", type=float, help="relative minor tolerance")
+    p.add_argument(
+        "--tolerance", type=_TOLERANCE, default=DEFAULT_TOL.rel_eps, help="relative minor tolerance"
+    )
     p.set_defaults(func=cmd_graph)
 
     p = sub.add_parser("extract", help="extract a model from a state file")
     p.add_argument("state")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--tolerance", type=float)
+    p.add_argument("--tolerance", type=_TOLERANCE, default=DEFAULT_TOL.rel_eps)
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("reconstruct", help="reconstruct a state from a model file")
@@ -320,12 +286,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--qubit", type=int, required=True)
     p.add_argument("--outcome", type=int, required=True, choices=(0, 1))
     p.add_argument("-o", "--output", required=True, help="collapsed state file")
-    p.add_argument("--tolerance", type=float)
+    p.add_argument("--tolerance", type=_TOLERANCE, default=DEFAULT_TOL.rel_eps)
     p.set_defaults(func=cmd_measure)
 
     p = sub.add_parser("classify", help="classify a 3-qubit state")
     p.add_argument("state")
-    p.add_argument("--samples", type=int, default=256)
+    p.add_argument("--samples", type=_checked(int, lambda v: v >= 0, ">= 0"), default=256)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_classify)
 
@@ -336,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="chain-inference scaling report")
     p.add_argument("--sizes", type=_parse_sizes, required=True, metavar="500,1000,2000")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--reps", type=int, default=5)
+    p.add_argument("--reps", type=_checked(int, lambda v: v >= 1, ">= 1"), default=5)
     p.add_argument("--no-timing", action="store_true", help="omit wall-clock column")
     p.set_defaults(func=cmd_bench)
 

@@ -136,22 +136,29 @@ def conditional_probability(
     Chain models take sum-product sweeps (joint, evidence, and log Z for the
     evidence floor); other graphs sum by brute force.
     """
-    n = model.num_qubits
+    return _conditional(model, query, evidence)
+
+
+def _conditional(source: PureState | MenModel, query: Assignment, evidence: Assignment) -> float:
+    """conditional_probability on a model, or on a state by summing |a|^2."""
+    n = source.num_qubits
     _validate_bindings(query, n)
     _validate_bindings(evidence, n)
     if set(query) & set(evidence):
         raise InvalidQuery("query and evidence domains must be disjoint")
     joint = query.merge(evidence)
-    if model.graph.is_path():
-        levels = _chain_weights(model)
+    scale_e = scale_j = log_z = 0.0
+    if isinstance(source, PureState):
+        value_e, value_j = (marginal_probability(source, x_m) for x_m in (evidence, joint))
+    elif source.graph.is_path():
+        levels = _chain_weights(source)
         (value_e, scale_e, _), (value_j, scale_j, _) = (
             _chain_marginal(levels, x_m) for x_m in (evidence, joint)
         )
         log_z = _chain_log_z(levels)[0]
     else:
-        value_e, value_j = (marginal_ratio(model, x_m).value for x_m in (evidence, joint))
-        scale_e = scale_j = 0.0
-        ref_squared = model.reference_modulus**2
+        value_e, value_j = (marginal_ratio(source, x_m).value for x_m in (evidence, joint))
+        ref_squared = source.reference_modulus**2
         log_z = -math.log(ref_squared) if ref_squared > 0.0 else math.inf
     if _log_of(value_e, scale_e) - log_z < math.log(_EVIDENCE_FLOOR):  # the modulus may be 0
         raise ZeroEvidenceProbability(
@@ -169,13 +176,9 @@ def conditional_probability(
 # sum-product or a max-product sweep over these n levels.
 
 
-def _require_chain(model: MenModel) -> None:
+def _chain_weights(model: MenModel) -> list[list[float]]:
     if not model.graph.is_path():
         raise NotAChain("model graph is not the chain 1-2-...-n")
-
-
-def _chain_weights(model: MenModel) -> list[list[float]]:
-    _require_chain(model)
     return _chain_levels(model.potentials, model.reference_bits())
 
 
@@ -316,6 +319,7 @@ def _chain_log_z(levels) -> tuple[float, int]:
 
 def _chain_marginal(levels, x_m: Assignment) -> tuple[float, float, int]:
     """Marginal ratio of x_m as (value, log scale, op count), left to right."""
+    _validate_bindings(x_m, len(levels))
     bound = {0: 0, **x_m}  # y_0 is the dummy x_0
     (m0, m1), log_scale, ops = _sum_product(levels, bound)
     return m0 + m1, log_scale, ops + (0 if len(levels) in bound else 1)
@@ -376,30 +380,38 @@ def chain_marginal_ratio(model: MenModel, x_m: Assignment) -> QueryResult:
 
     Sequential elimination left to right with a 2-entry message; linear in n
     and equal to marginal_ratio up to rounding; inf past the double range
-    (see _chain_log_ratio).
+    (see _marginal).
     """
-    levels = _chain_weights(model)
-    _validate_bindings(x_m, len(levels))
-    value, log_scale, ops = _chain_marginal(levels, x_m)
+    value, log_scale, ops = _chain_marginal(_chain_weights(model), x_m)
     return QueryResult(float(_scale_back(value, log_scale)), ops)
 
 
-def _chain_log_ratio(model: MenModel, x_m: Assignment) -> float:
-    """Natural log of chain_marginal_ratio, finite past the double range too."""
-    levels = _chain_weights(model)
-    _validate_bindings(x_m, len(levels))
-    return _log_of(*_chain_marginal(levels, x_m)[:2])
+def _marginal(source: PureState | MenModel, x_m: Assignment, ratio: bool) -> tuple[float, float]:
+    """p(x_M), or with `ratio` p(x_M) / p(reference), and its natural log.
 
-
-def _model_marginal_probability(model: MenModel, x_m: Assignment) -> float:
-    """p(x_M) on a model: chain sweeps on chains, brute force elsewhere."""
-    if not model.graph.is_path():
-        return marginal_ratio(model, x_m).value * model.reference_modulus**2
-    levels = _chain_weights(model)
-    _validate_bindings(x_m, len(levels))
-    value, log_scale, _ = _chain_marginal(levels, x_m)
-    ratio = _scale_back(value, log_scale)
-    return _chain_probability(model, levels, ratio, _log_of(value, log_scale))[0]
+    A state's reference is 0...0, refused below _EVIDENCE_FLOOR. Chain models
+    take one weight gather and one sweep; past the double range their ratio
+    is 0 or inf while its log stays finite. Elsewhere sums are brute force.
+    """
+    if isinstance(source, PureState):
+        value = marginal_probability(source, x_m)
+        if ratio:
+            reference = probability_of(source, Assignment.zeros(source.num_qubits))
+            if reference < _EVIDENCE_FLOOR:
+                raise ZeroEvidenceProbability("reference probability p(0...0) is ~0")
+            value /= reference
+    elif not source.graph.is_path():
+        value = marginal_ratio(source, x_m).value
+        if not ratio:
+            value *= source.reference_modulus**2
+    else:
+        levels = _chain_weights(source)
+        value, log_scale, _ = _chain_marginal(levels, x_m)
+        value, log_value = _scale_back(value, log_scale), _log_of(value, log_scale)
+        if ratio:
+            return value, log_value
+        value = _chain_probability(source, levels, value, log_value)[0]
+    return value, _log_of(value, 0.0)
 
 
 def mle_brute_force(psi: PureState) -> MleResult:
@@ -428,6 +440,16 @@ def mle_chain(model: MenModel) -> MleResult:
     log_ratio = sum(map(math.log, chosen)) if min(chosen) > 0.0 else -math.inf
     probability, p_ops = _chain_probability(model, levels, ratio, log_ratio)
     return MleResult(Assignment.from_bits(bits), float(probability), ops + p_ops)
+
+
+def _mle(source: PureState | MenModel) -> MleResult:
+    """Maximum likelihood on a state or a model.
+
+    Chain models take one max-product sweep, everything else the dense argmax.
+    """
+    if isinstance(source, MenModel) and source.graph.is_path():
+        return mle_chain(source)
+    return mle_brute_force(source if isinstance(source, PureState) else reconstruct_state(source))
 
 
 def measure_and_update(

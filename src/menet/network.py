@@ -427,7 +427,7 @@ def reconstruct_state(model: MenModel) -> PureState:
     """
     n = model.num_qubits
     if n > _RECONSTRUCT_MAX:
-        raise ValueError(f"dense reconstruction is limited to n <= {_RECONSTRUCT_MAX}")
+        raise EnumerationBoundExceeded(f"dense reconstruction is limited to n <= {_RECONSTRUCT_MAX}")
     rel = _relative_amplitude_products(model.potentials, model.reference_bits(), n)
     return PureState(model.reference_modulus * rel.reshape(-1))
 
@@ -729,9 +729,9 @@ def _model_from_payload(payload, path) -> MenModel:
     """Build a model from a parsed model file; `path` names it in errors."""
     try:
         n = payload["n"]
-        if not isinstance(n, int) or n < 1:
+        if type(n) is not int or n < 1:  # bool is an int subclass
             raise ValueError(f"'n' must be a positive integer, got {n!r}")
-        graph = MenGraph.from_edges(n, (tuple(e) for e in payload["edges"]))
+        graph = MenGraph.from_edges(n, map(_edge, payload["edges"]))
         ref_text = payload["reference"]
         if (
             not isinstance(ref_text, str)
@@ -740,7 +740,10 @@ def _model_from_payload(payload, path) -> MenModel:
         ):
             raise ValueError(f"'reference' must be an n-bit string, got {ref_text!r}")
         reference = Assignment.from_bits(int(ch) for ch in ref_text)
-        modulus = float(payload["reference_modulus"])
+        modulus = payload["reference_modulus"]
+        if type(modulus) not in (int, float):
+            raise ValueError(f"'reference_modulus' must be a number, got {modulus!r}")
+        modulus = float(modulus)
         q_section = payload["q"]
         neighbors = [graph.neighbors(i) for i in range(1, n + 1)]
         batched = _batched_table_values(q_section, neighbors)
@@ -755,6 +758,12 @@ def _model_from_payload(payload, path) -> MenModel:
         return MenModel(graph, tuple(tables), reference, modulus)
     except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise FileFormatError(f"malformed model file {path}: {exc}") from exc
+
+
+def _edge(pair) -> tuple[int, int]:
+    if not isinstance(pair, list) or len(pair) != 2 or any(type(v) is not int for v in pair):
+        raise ValueError(f"each edge must be a pair of integer node numbers, got {pair!r}")
+    return pair[0], pair[1]
 
 
 def _table_values(node: int, raw, neighbors: tuple[int, ...]) -> np.ndarray:

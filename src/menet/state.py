@@ -492,7 +492,7 @@ def _state_from_payload(payload) -> PureState:
     if not isinstance(payload, dict) or "n" not in payload or "amplitudes" not in payload:
         raise FileFormatError("state file must be an object with 'n' and 'amplitudes'")
     n = payload["n"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:  # bool is an int subclass
         raise FileFormatError(f"'n' must be a positive integer, got {n!r}")
     raw = payload["amplitudes"]
     if not isinstance(raw, list) or len(raw) != 2**n:

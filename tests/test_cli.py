@@ -65,6 +65,13 @@ class TestExitCodes:
         assert rc == 1
         assert "ZeroEvidenceProbability" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["plusplus.state", "chain4.model"])
+    def test_overlapping_query_and_evidence_is_1(self, name, capsys, fixture_dir):
+        """Consistent bindings on a shared qubit are refused too, on both file kinds."""
+        rc = main(["conditional", str(fixture_dir / name), "--query", "1=0", "--evidence", "1=0,2=1"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: InvalidQuery: query and evidence domains must be disjoint\n"
+
     def test_verify_bound_is_1(self, capsys, tmp_path):
         from menet.network import _PERFECT_MAP_MAX
 
@@ -403,3 +410,75 @@ class TestFileParsing:
         assert rc == 1 and err.startswith("error: FileFormatError:")
         assert "node 1: table must be a JSON object, got list" in err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+
+# Argument values the library refuses: each is a usage error (exit 2) or a
+# domain error (exit 1), one error line on stderr, never a traceback.
+ARGUMENT_ERRORS = [
+    *(([cmd, "ghz.state", "--tolerance", value, *extra], 2)
+      for cmd, extra in [("graph", []), ("extract", ["-o", "out.model"]),
+                         ("measure", ["--qubit", "1", "--outcome", "0", "-o", "out.state"])]
+      for value in ["0", "-1", "nan", "inf"]),
+    (["classify", "ghz.state", "--samples", "-1"], 2),
+    (["bench", "--sizes", "4", "--reps", "0"], 2),
+    (["measure", "ghz.state", "--qubit", "5", "--outcome", "0", "-o", "out.state"], 1),
+    (["measure", "ghz.state", "--qubit", "0", "--outcome", "0", "-o", "out.state"], 1),
+    (["mle", "twin25.model"], 1),
+    (["reconstruct", "twin25.model", "-o", "out.state"], 1),
+]
+
+
+@pytest.mark.parametrize("argv, code", ARGUMENT_ERRORS, ids=[" ".join(a) for a, _ in ARGUMENT_ERRORS])
+def test_argument_errors_are_one_line(argv, code, capsys, tmp_path, off_chain_twin, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    mn.save_state(mn.canonical_state("ghz"), "ghz.state")
+    twin = off_chain_twin(mn.random_chain_model(25, seed=0))
+    assert twin.num_qubits == 25 and not twin.graph.is_path()
+    mn.save_model(twin, "twin25.model")
+    if code == 2:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        rc = exc.value.code
+    else:
+        rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == code and "Traceback" not in err
+    errors = [line for line in err.splitlines() if "error: " in line]
+    assert len(errors) == 1 and err.endswith(errors[0] + "\n")
+    if code == 1:
+        assert err.count("\n") == 1
+        assert err.startswith(("error: InvalidQuery: qubit", "error: EnumerationBoundExceeded: dense"))
+
+
+class TestMarginalSumsOnce:
+    """`menet marginal` on a chain gathers the weights once, in both modes."""
+
+    @pytest.fixture
+    def gathers(self, monkeypatch):
+        from menet import inference
+
+        calls = []
+        original = inference._chain_levels
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(inference, "_chain_levels", counting)
+        return calls
+
+    def test_ratio_past_the_double_range(self, capsys, gathers, tmp_path):
+        path = tmp_path / "c1000.model"
+        mn.save_model(mn.random_chain_model(1000, seed=0), path)
+        gathers.clear()
+        rc, out = run_cli(capsys, ["marginal", str(path), "--assign", "1=0,2=1", "--ratio"])
+        assert rc == 0 and len(gathers) == 1
+        assert out == "log_ratio: 2016.08345755\n"  # as printed before the single sum
+
+    def test_probability(self, capsys, gathers, tmp_path):
+        path = tmp_path / "c1000.model"
+        mn.save_model(mn.random_chain_model(1000, seed=0), path)
+        gathers.clear()
+        rc, out = run_cli(capsys, ["marginal", str(path), "--assign", "1=0,2=1"])
+        assert rc == 0 and len(gathers) == 1
+        assert out == "probability: 0.15028657039\n"

@@ -484,7 +484,7 @@ class TestLongChainsAgainstLogDomain:
 
     @pytest.mark.parametrize("n", SIZES)
     def test_marginal_probability(self, n):
-        from menet.inference import _model_marginal_probability
+        from menet.inference import _marginal
 
         model = mn.random_chain_model(n, [n, 12])
         rng = np.random.default_rng(n)
@@ -493,7 +493,7 @@ class TestLongChainsAgainstLogDomain:
             qubits = rng.choice(np.arange(1, n + 1), size=size, replace=False)
             x_m = Assignment({int(q): int(rng.integers(0, 2)) for q in qubits})
             expected = math.exp(log_sum(logw, x_m) - log_sum(logw, {}))
-            assert _model_marginal_probability(model, x_m) == pytest.approx(expected, rel=1e-9, abs=0.0)
+            assert _marginal(model, x_m, False)[0] == pytest.approx(expected, rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize("n", SIZES)
     def test_conditional(self, n):

@@ -715,6 +715,54 @@ class TestEntryRule:
             mn.load_model(path)
 
 
+class TestFieldTypes:
+    """Model and state fields hold JSON types: no string, float or bool passes as a number."""
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("reference_modulus", "4.43e-10", r"'reference_modulus' must be a number, got '4.43e-10'"),
+            ("reference_modulus", True, r"'reference_modulus' must be a number, got True"),
+            ("edges", ["1", 2], r"each edge must be a pair of integer node numbers, got \['1', 2\]"),
+            ("edges", [1.0, 2], r"each edge must be a pair of integer node numbers, got \[1.0, 2\]"),
+            ("edges", [1.5, 2], r"each edge must be a pair of integer node numbers, got \[1.5, 2\]"),
+            ("edges", [True, 2], r"each edge must be a pair of integer node numbers, got \[True, 2\]"),
+        ],
+        ids=["modulus-string", "modulus-bool", "edge-string", "edge-float", "edge-fraction", "edge-bool"],
+    )
+    def test_model_file_past_the_audit(self, field, value, message, tmp_path):
+        """At n = 20 no modulus audit runs, so only the type rule catches these."""
+        import json
+
+        n = 20
+        assert n > network._NORM_AUDIT_MAX
+        path = tmp_path / "c.model"
+        mn.save_model(mn.random_chain_model(n, seed=1), path)
+        payload = json.loads(path.read_text())
+        if field == "edges":
+            assert payload["edges"][0] == [1, 2]
+            payload["edges"][0] = value
+        else:
+            payload[field] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(mn.FileFormatError, match=r"^malformed model file .*c\.model: " + message + "$"):
+            mn.load_model(path)
+
+    def test_n_is_not_a_bool(self, tmp_path):
+        import json
+
+        model_path, state_path = tmp_path / "one.model", tmp_path / "one.state"
+        mn.save_model(mn.random_chain_model(1, seed=1), model_path)
+        mn.save_state(mn.PureState([0.6, 0.8]), state_path)
+        for path, load in ((model_path, mn.load_model), (state_path, mn.load_state)):
+            payload = json.loads(path.read_text())
+            assert payload["n"] == 1
+            load(path)
+            path.write_text(json.dumps({**payload, "n": True}))
+            with pytest.raises(mn.FileFormatError, match="'n' must be a positive integer, got True"):
+                load(path)
+
+
 class TestTableStorage:
     def test_mapping_and_array_build_equal_tables(self):
         for table in mn.random_model(MenGraph.from_edges(4, [(1, 2), (2, 3), (2, 4)]), 3).potentials:

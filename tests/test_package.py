@@ -132,7 +132,7 @@ COMMANDS = [
     (["conditional", "chain4.model", "--query", "1=0", "--evidence", "2=1"], CORE | {"inference"}),
     (["mle", "chain4.model"], CORE | {"inference"}),
     (["measure", "ghz.state", "--qubit", "1", "--outcome", "0", "-o", "out.state"],
-     CORE | {"inference", "separability"}),
+     CORE | {"separability"}),
     (["classify", "ghz.state", "--samples", "8"], CORE | {"classify", "separability"}),
 ]
 
