@@ -8,7 +8,9 @@ Two routes are kept deliberately independent so they can check each other:
   oracle.
 - chain specializations: on path-graph models, marginal ratios, conditionals
   and maximum likelihood instantiations come from one sum-product and one
-  max-product sweep along the chain, linear in the number of qubits.
+  max-product sweep along the chain, linear in the number of qubits. They
+  run in plain Python on the tables' flat entries; only the brute-force
+  routes import numpy.
 
 QueryResult.op_count counts complex multiplications, additions, and
 modulus-square evaluations (one each); comparisons and rescaling divisions
@@ -19,13 +21,12 @@ cost model is 6*(n-m) + 2*m - 1; only affinity is load-bearing).
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 import time
 import warnings
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import (
     EnumerationBoundExceeded,
@@ -94,7 +95,7 @@ def marginal_probability(psi: PureState, x_m: Assignment) -> float:
     _validate_bindings(x_m, n)
     at = tuple(x_m.get(q, slice(None)) for q in range(1, n + 1))
     picked = psi.amplitudes.reshape((2,) * n)[at].reshape(-1)
-    return float(np.sum(np.abs(picked) ** 2))
+    return float((abs(picked) ** 2).sum())
 
 
 def probability_of(psi: PureState, x: Assignment) -> float:
@@ -116,6 +117,8 @@ def marginal_ratio(model: MenModel, x_m: Assignment) -> QueryResult:
             f"brute-force enumeration over 2^{free} completions refused "
             f"(limit 2^{_BRUTE_FREE_MAX})"
         )
+    import numpy as np
+
     with np.errstate(over="ignore", invalid="ignore"):
         rel = _relative_amplitude_products(model.potentials, model.reference_bits(), n, x_m)
         value = float(np.sum(np.abs(rel.reshape(-1)) ** 2))
@@ -185,34 +188,40 @@ def _chain_weights(model: MenModel) -> list[list[float]]:
 def _chain_levels(
     potentials: tuple[QFunctionTable, ...], ref_bits: tuple[int, ...]
 ) -> list[list[float]]:
-    """levels[i - 1] = [w_i(0, 0), w_i(0, 1), w_i(1, 0), w_i(1, 1)], one gather.
+    """levels[i - 1] = [w_i(0, 0), w_i(0, 1), w_i(1, 0), w_i(1, 1)], gathered from the entries.
 
     A table's flat index is bit << k | ctx, and on a chain the context is
     (x_{i-1}, x_{i+1}) with either end absent, so w_i(p, b) sits at offset
-    b * half + right + p * left of table i. The chain results are pinned
-    to Python's abs(v) ** 2, which is libm hypot(re, im) raised by libm
-    pow(h, 2.0); np.hypot and np.float_power call those same functions and
-    so agree bit for bit, where np.abs and h * h differ in the last bit.
-    Where Python's power would raise OverflowError, this raises
-    EnumerationBoundExceeded, as brute force does for sums past the double
-    range.
+    4b + 2p + r inside the chain (r = x_{i+1} at the reference), 2b + r at
+    node 1, 2b + p at node n, and b when n == 1. Each weight is Python's
+    abs(v) ** 2, libm hypot(re, im) raised by libm pow(h, 2.0), to which the
+    chain results are pinned. A weight past the double range, or not
+    finite, raises EnumerationBoundExceeded, as brute force does for sums
+    past that range.
     """
-    n = len(ref_bits)
-    half = np.full(n, 4, dtype=np.intp)  # tables of 4, 8, ..., 8, 4 entries
-    half[0] = half[-1] = 2 if n > 1 else 1
-    right = np.zeros(n, dtype=np.intp)
-    right[:-1] = ref_bits[1:]  # x_{i+1} at the reference
-    left = np.full(n, 2, dtype=np.intp)  # place value of x_{i-1}
-    left[-1] = 1
-    left[0] = 0
-    base = np.cumsum(2 * half) - 2 * half + right
-    at = np.stack([base, base + half, base + left, base + half + left], axis=1)
-    v = np.concatenate([table.array.ravel() for table in potentials])[at]
-    with np.errstate(over="ignore"):
-        w = np.float_power(np.hypot(v.real, v.imag), 2.0)
-    if not np.isfinite(w).all():
+    tables = [table.entries for table in potentials]
+    try:
+        if len(tables) == 1:
+            v = tables[0]
+            levels = [[abs(v[0]) ** 2, abs(v[1]) ** 2] * 2]
+        else:
+            v, r = tables[0], ref_bits[1]
+            first = [abs(v[r]) ** 2, abs(v[2 + r]) ** 2] * 2
+            middle = [
+                [abs(v[r]) ** 2, abs(v[4 + r]) ** 2, abs(v[2 + r]) ** 2, abs(v[6 + r]) ** 2]
+                for v, r in zip(tables[1:-1], ref_bits[2:])
+            ]
+            v = tables[-1]
+            levels = [first, *middle, [abs(v[0]) ** 2, abs(v[2]) ** 2, abs(v[1]) ** 2, abs(v[3]) ** 2]]
+    except OverflowError:
+        raise EnumerationBoundExceeded("a chain weight |q|^2 is past the double range") from None
+    # weights are >= 0, so they are all finite when their sum is; only a sum
+    # past the double range leaves each weight to be looked at (inf or nan entries)
+    if not math.isfinite(sum(map(sum, levels))) and not all(
+        map(math.isfinite, itertools.chain.from_iterable(levels))
+    ):
         raise EnumerationBoundExceeded("a chain weight |q|^2 is past the double range")
-    return w.tolist()
+    return levels
 
 
 def _scale_back(value: float, log_scale: float) -> float:
@@ -420,8 +429,8 @@ def mle_brute_force(psi: PureState) -> MleResult:
     Basis indices are in lexicographic bit order, so the first maximum is
     the lexicographically smallest maximizer.
     """
-    probs = np.abs(psi.amplitudes) ** 2
-    best = int(np.argmax(probs))
+    probs = abs(psi.amplitudes) ** 2
+    best = int(probs.argmax())
     return MleResult(
         assignment_of(best, psi.num_qubits), float(probs[best]), int(probs.size)
     )
@@ -487,6 +496,8 @@ def random_chain_model(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    import numpy as np
+
     graph = MenGraph.path(n)
     rng = np.random.default_rng(seed)
     potentials = _random_q_tables(graph, rng, (0.2, 5.0), (0,) * n, zero_amp_threshold)

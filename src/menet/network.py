@@ -8,6 +8,10 @@ at the reference; together with the reference modulus this determines the
 state up to the reference phase, via the telescoping product over nodes in
 ascending index order (lower-indexed neighbors at their actual values,
 higher-indexed ones at the reference).
+
+numpy is imported inside the functions that do dense work: reading a model
+file and checking its tables take plain Python, so chain queries on models
+past the normalization audit never load it.
 """
 
 from __future__ import annotations
@@ -19,8 +23,6 @@ import warnings
 from collections.abc import Iterable, Mapping
 from dataclasses import InitVar, dataclass
 from types import MappingProxyType
-
-import numpy as np
 
 from .errors import (
     EnumerationBoundExceeded,
@@ -35,7 +37,6 @@ from .state import (
     Assignment,
     PureState,
     ToleranceConfig,
-    _batched_entries,
     _broadcast_over,
     _disjoint_subsets,
     _entry_value,
@@ -114,14 +115,16 @@ class MenGraph:
 class QFunctionTable:
     """Per-node potential: (x_i, neighbor context) -> nonzero complex ratio.
 
-    Stored as one read-only complex array of shape (2,)*(k+1): axis 0 is the
-    node's bit, the other axes are its k neighbors in ascending index order,
-    so the C-order flat index is bit << k | ctx. `values` may be that array
-    or a mapping keyed by (bit, ctx-tuple). Entries at the node's reference
-    bit are exactly 1 (stored, not recomputed).
+    Stored as `entries`, one flat tuple of Python complex values in C order
+    over (x_i, then the k neighbors in ascending index order): the entry of
+    bit b in context ctx sits at b << k | ctx. `values` may be a complex
+    array of shape (2,)*(k+1) or a mapping keyed by (bit, ctx-tuple).
+    `array` is that read-only array, kept from the constructor or built on
+    first use. Entries at the node's reference bit are exactly 1 (stored,
+    not recomputed).
     """
 
-    __slots__ = ("node", "neighbors", "reference_bit", "array")
+    __slots__ = ("node", "neighbors", "reference_bit", "entries", "_array")
 
     def __init__(
         self,
@@ -136,51 +139,92 @@ class QFunctionTable:
             raise ValueError("neighbors must be ascending and exclude the node")
         if reference_bit not in (0, 1):
             raise ValueError("reference_bit must be 0 or 1")
-        shape = (2,) * (len(neighbors) + 1)
+        width = len(neighbors) + 1
+        array = None
         if isinstance(values, Mapping):
-            keys = [(key[0], key[1:]) for key in itertools.product((0, 1), repeat=len(shape))]
+            keys = [(key[0], key[1:]) for key in itertools.product((0, 1), repeat=width)]
             if set(values) != set(keys):
                 raise _coverage_error(node, len(keys))
-            values = np.reshape([complex(values[key]) for key in keys], shape)
-        array = np.array(values, dtype=np.complex128)
-        if array.shape != shape:
-            raise _coverage_error(node, 2 ** len(shape))
-        off_one = array[reference_bit] != 1
-        if off_one.any():
-            ctx = tuple(np.argwhere(off_one)[0].tolist())
+            entries = tuple(complex(values[key]) for key in keys)
+        else:
+            import numpy as np
+
+            array = np.array(values, dtype=np.complex128)
+            if array.shape != (2,) * width:
+                raise _coverage_error(node, 2**width)
+            array.setflags(write=False)
+            entries = tuple(array.reshape(-1).tolist())
+        self._fill(node, neighbors, reference_bit, entries, zero_threshold, array)
+
+    @classmethod
+    def _from_entries(
+        cls, node: int, neighbors: tuple[int, ...], reference_bit: int, entries: tuple[complex, ...]
+    ) -> "QFunctionTable":
+        """A table from 2**(k+1) complex entries in C order, as the model reader builds them.
+
+        The caller vouches for the shape (ascending neighbors without the
+        node, a 0/1 reference bit); the entry checks run as in the constructor.
+        """
+        table = cls.__new__(cls)
+        table._fill(node, neighbors, reference_bit, entries, DEFAULT_TOL.zero_amp_threshold, None)
+        return table
+
+    def _fill(self, node, neighbors, reference_bit, entries, zero_threshold, array) -> None:
+        """Check the flat entries once and set the fields."""
+        k = len(neighbors)
+        half = 1 << k
+        at_reference = entries[reference_bit * half : (reference_bit + 1) * half]
+        if at_reference.count(1 + 0j) != half:  # complex to complex: the fast compare
+            ctx = next(c for c, v in enumerate(at_reference) if v != 1)
             raise ValueError(
                 f"node {node}: value at the reference bit must be exactly 1, "
-                f"got {complex(array[(reference_bit, *ctx)])!r} at context {ctx}"
+                f"got {at_reference[ctx]!r} at context {_bits(ctx, k)}"
             )
-        small = np.abs(array) <= zero_threshold
-        if small.any():
-            bit, *ctx = np.argwhere(small)[0].tolist()
+        # The entries at the reference bit have modulus 1.0, which seeds the
+        # min, so only the others need their modulus taken. min skips a nan
+        # unless it comes first, and the seed comes first.
+        off_reference = entries[(1 - reference_bit) * half : (2 - reference_bit) * half]
+        if min(itertools.chain((1.0,), map(abs, off_reference))) <= zero_threshold:
+            flat = next(f for f, v in enumerate(entries) if abs(v) <= zero_threshold)
             raise ValueError(
-                f"node {node}: potential value {complex(array[(bit, *ctx)])!r} "
-                f"at {(bit, tuple(ctx))} is ~0"
+                f"node {node}: potential value {entries[flat]!r} "
+                f"at {(flat >> k, _bits(flat, k))} is ~0"
             )
-        array.setflags(write=False)
         object.__setattr__(self, "node", int(node))
         object.__setattr__(self, "neighbors", neighbors)
         object.__setattr__(self, "reference_bit", int(reference_bit))
-        object.__setattr__(self, "array", array)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_array", array)
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("QFunctionTable is immutable")
 
     @property
+    def array(self) -> np.ndarray:
+        """The entries as a read-only complex array of shape (2,)*(k+1)."""
+        if self._array is None:
+            import numpy as np
+
+            shape = (2,) * (len(self.neighbors) + 1)
+            array = np.array(self.entries, dtype=np.complex128).reshape(shape)
+            array.setflags(write=False)
+            object.__setattr__(self, "_array", array)
+        return self._array
+
+    @property
     def values(self) -> Mapping[tuple[int, tuple[int, ...]], complex]:
         """Read-only (bit, ctx-tuple) -> value view, built on access."""
-        keys = itertools.product((0, 1), repeat=self.array.ndim)
-        return MappingProxyType(
-            {(key[0], key[1:]): val for key, val in zip(keys, self.array.reshape(-1).tolist())}
-        )
+        keys = itertools.product((0, 1), repeat=len(self.neighbors) + 1)
+        return MappingProxyType({(key[0], key[1:]): val for key, val in zip(keys, self.entries)})
 
     def q(self, bit: int, context: tuple[int, ...]) -> complex:
         key = (bit, *context)
-        if len(key) != self.array.ndim or not set(key) <= {0, 1}:
-            raise KeyError((bit, tuple(context)))  # numpy would wrap a -1 silently
-        return complex(self.array[key])
+        if len(key) != len(self.neighbors) + 1 or not set(key) <= {0, 1}:
+            raise KeyError((bit, tuple(context)))  # the flat index would wrap a -1 silently
+        flat = 0
+        for b in key:
+            flat = flat << 1 | b
+        return self.entries[flat]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QFunctionTable):
@@ -189,11 +233,16 @@ class QFunctionTable:
             self.node == other.node
             and self.neighbors == other.neighbors
             and self.reference_bit == other.reference_bit
-            and np.array_equal(self.array, other.array)
+            and self.entries == other.entries
         )
 
     def __repr__(self) -> str:
         return f"QFunctionTable(node={self.node}, neighbors={self.neighbors})"
+
+
+def _bits(value: int, width: int) -> tuple[int, ...]:
+    """The low `width` bits of `value`, most significant first."""
+    return tuple((value >> (width - 1 - t)) & 1 for t in range(width))
 
 
 def _coverage_error(node: int, size: int) -> ValueError:
@@ -212,6 +261,8 @@ def _relative_amplitude_products(
     a tensor with one axis per free qubit, ascending, or shape (1,) when
     none is free.
     """
+    import numpy as np
+
     bound = bound or {}
     free = [q for q in range(1, n + 1) if q not in bound]
     out = np.ones((2,) * len(free) or (1,), dtype=np.complex128)
@@ -286,7 +337,7 @@ def normalization_modulus(
 ) -> float:
     """1 / sqrt(sum over all assignments of |prod_i q(...)|^2)."""
     rel = _relative_amplitude_products(potentials, reference_bits, n).reshape(-1)
-    return 1.0 / math.sqrt(float(np.sum(np.abs(rel) ** 2)))
+    return 1.0 / math.sqrt(float((abs(rel) ** 2).sum()))
 
 
 def q_value(
@@ -365,6 +416,8 @@ def extract_men(psi: PureState, tol: ToleranceConfig = DEFAULT_TOL) -> MenModel:
     formula rather than read off the state, once: the model's audit is
     handed that value.
     """
+    import numpy as np
+
     n = psi.num_qubits
     if psi.min_modulus() <= tol.zero_amp_threshold:
         raise ZeroReferenceAmplitude(
@@ -400,6 +453,8 @@ def _audit_well_defined(
     the lowest-indexed of them as the most significant bit, and the first
     violating context in that order is reported.
     """
+    import numpy as np
+
     n = psi.num_qubits
     tensor = psi.amplitudes.reshape((2,) * n)
     for table in potentials:
@@ -656,6 +711,8 @@ def random_model(
     all-zeros; its modulus comes from the normalization formula (brute
     force, hence the size guard).
     """
+    import numpy as np
+
     n = graph.num_nodes
     if n > 16:
         raise ValueError("random_model normalizes by brute force; use n <= 16")
@@ -673,6 +730,8 @@ def _random_q_tables(
     reference_bits: tuple[int, ...],
     zero_amp_threshold: float,
 ) -> tuple[QFunctionTable, ...]:
+    import numpy as np
+
     lo, hi = modulus_range
     if not 0.0 < lo <= hi:
         raise ValueError(f"invalid modulus range {modulus_range}")
@@ -709,10 +768,10 @@ def save_model(model: MenModel, path) -> None:
     lines.append('  "q": {')
     node_blocks = []
     for table in model.potentials:
-        width = table.array.ndim
+        width = len(table.neighbors) + 1
         rows = [
             f'      "{flat:0{width}b}": [{_fmt_real(val.real)}, {_fmt_real(val.imag)}]'
-            for flat, val in enumerate(table.array.reshape(-1).tolist())
+            for flat, val in enumerate(table.entries)
         ]
         node_blocks.append(f'    "{table.node}": {{\n' + ",\n".join(rows) + "\n    }")
     lines.append(",\n".join(node_blocks))
@@ -745,16 +804,11 @@ def _model_from_payload(payload, path) -> MenModel:
             raise ValueError(f"'reference_modulus' must be a number, got {modulus!r}")
         modulus = float(modulus)
         q_section = payload["q"]
-        neighbors = [graph.neighbors(i) for i in range(1, n + 1)]
-        batched = _batched_table_values(q_section, neighbors)
         tables = []
-        for i, nb in enumerate(neighbors, start=1):
-            if batched is None:  # entry by entry, to name the first bad one
-                values = _table_values(i, q_section[str(i)], nb)
-            else:
-                values = batched[i - 1]
-            shape = (2,) * (len(nb) + 1)
-            tables.append(QFunctionTable(i, nb, int(ref_text[i - 1]), values.reshape(shape)))
+        for i, bit in enumerate(ref_text, start=1):
+            nb = graph.neighbors(i)
+            entries = _table_entries(i, q_section[str(i)], len(nb) + 1)
+            tables.append(QFunctionTable._from_entries(i, nb, int(bit), entries))
         return MenModel(graph, tuple(tables), reference, modulus)
     except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise FileFormatError(f"malformed model file {path}: {exc}") from exc
@@ -766,47 +820,34 @@ def _edge(pair) -> tuple[int, int]:
     return pair[0], pair[1]
 
 
-def _table_values(node: int, raw, neighbors: tuple[int, ...]) -> np.ndarray:
-    """One node's flat table from its {bit-string: [re, im]} entries, in file order."""
+@functools.lru_cache(maxsize=None)
+def _table_keys(width: int) -> tuple[str, ...]:
+    """The table keys of `width` bits, in flat-index order."""
+    return tuple(format(flat, f"0{width}b") for flat in range(1 << width))
+
+
+@functools.lru_cache(maxsize=None)
+def _table_key_set(width: int) -> frozenset[str]:
+    return frozenset(_table_keys(width))
+
+
+def _table_entries(node: int, raw, width: int) -> tuple[complex, ...]:
+    """One node's flat entries from its {bit-string: [re, im]} object.
+
+    Keys and entries are read in file order, so the first bad one is named;
+    coverage is checked after all of them.
+    """
     if not isinstance(raw, dict):
         raise ValueError(f"node {node}: table must be a JSON object, got {type(raw).__name__}")
-    width = len(neighbors) + 1
-    values = np.empty(2**width, dtype=np.complex128)
+    valid = _table_key_set(width)
+    found = {}
     for key, pair in raw.items():
-        if len(key) != width or key.strip("01"):
+        if key not in valid:
             raise ValueError(f"node {node}: bad table key {key!r}")
-        values[int(key, 2)] = _entry_value(pair, f"node {node}: entry {key!r}")
-    if len(raw) != values.size:  # distinct valid keys: the count decides coverage
-        raise _coverage_error(node, values.size)
-    return values
-
-
-def _batched_table_values(q_section, neighbors: list[tuple[int, ...]]) -> list[np.ndarray] | None:
-    """Every node's flat table from one array conversion of all [re, im] pairs.
-
-    None when some table is missing, has a bad key, does not cover its keys,
-    or holds an entry that is not a pair of JSON numbers; _table_values then
-    reads the tables one entry at a time and raises at the first bad entry.
-    """
-    if not isinstance(q_section, dict):
-        return None
-    sizes = [2 ** (len(nb) + 1) for nb in neighbors]
-    keys: list[str] = []
-    pairs: list = []
-    for i, (nb, size) in enumerate(zip(neighbors, sizes), start=1):
-        raw = q_section.get(str(i))
-        if not isinstance(raw, dict) or len(raw) != size:
-            return None
-        # every key as long as the table is wide, and only 0s and 1s in them all
-        if set(map(len, raw)) != {len(nb) + 1} or "".join(raw).strip("01"):
-            return None
-        keys.extend(raw)
-        pairs.extend(raw.values())
-    converted = _batched_entries(pairs)
-    if converted is None:
-        return None
-    ends = np.cumsum(sizes)
-    at = np.repeat(ends - sizes, sizes) + list(map(int, keys, itertools.repeat(2)))
-    flat = np.empty(len(pairs), dtype=np.complex128)
-    flat[at] = converted
-    return np.split(flat, ends[:-1])
+        try:
+            found[key] = _entry_value(pair)
+        except ValueError:
+            raise ValueError(f"node {node}: entry {key!r} must be a [re, im] pair of reals") from None
+    if len(found) != 1 << width:  # distinct valid keys: the count decides coverage
+        raise _coverage_error(node, 1 << width)
+    return tuple(map(found.__getitem__, _table_keys(width)))

@@ -259,9 +259,26 @@ def test_weights_past_the_double_range_raise_enumeration_bound():
     assert outcome(mn.mle_chain, model) == "EnumerationBoundExceeded"
 
 
+@pytest.mark.parametrize("factor", [math.inf, math.nan])
+def test_entries_that_are_not_finite_raise_enumeration_bound(factor):
+    """inf and nan entries pass the table checks, but give no chain weight."""
+    model = rescaled(mn.random_chain_model(20, seed=3), factor)
+    with pytest.raises(mn.EnumerationBoundExceeded, match="past the double range"):
+        inf._chain_weights(model)
+
+
+def test_weights_whose_sum_is_past_the_double_range_are_kept():
+    """Each weight below the double range is a weight, however large their sum."""
+    model = rescaled(mn.random_chain_model(20, seed=3), 1e153)
+    want = ref_levels(model.potentials, model.reference_bits())
+    assert math.isinf(sum(w for level in want for row in level for w in row))
+    got = np.array(inf._chain_weights(model))
+    assert got.view(np.int64).tolist() == np.array([lv[0] + lv[1] for lv in want]).view(np.int64).tolist()
+
+
 @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
 def test_level_gather_equals_python_abs_squared(scale):
-    """hypot then float_power, bit for bit equal to abs(v) ** 2 on 1e5 entries."""
+    """The gather from flat entries, bit for bit equal to the reference's abs(v) ** 2 on 1e5 entries."""
     n = 25_001
     rng = np.random.default_rng(int(-math.log10(scale)) + 200)
     sizes = [4] + [8] * (n - 2) + [4]
@@ -269,7 +286,7 @@ def test_level_gather_equals_python_abs_squared(scale):
     values = scale * rng.uniform(0.2, 5.0, total) * np.exp(1j * rng.uniform(0, 2 * math.pi, total))
     cuts = np.cumsum(sizes)[:-1]
     tables = [
-        SimpleNamespace(array=chunk.reshape((2,) * int(math.log2(chunk.size))))
+        SimpleNamespace(array=chunk.reshape((2,) * int(math.log2(chunk.size))), entries=tuple(chunk.tolist()))
         for chunk in np.split(values, cuts)
     ]
     ref_bits = tuple(rng.integers(0, 2, n).tolist())

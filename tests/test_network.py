@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -586,98 +587,116 @@ class TestGoldenModelFiles:
         assert back.potentials == model.potentials
 
 
-def per_entry_route(monkeypatch):
-    """Make load_model read every table entry by entry, as it does to name a bad entry."""
-    monkeypatch.setattr(network, "_batched_table_values", lambda q_section, neighbors: None)
+def model_fields(model):
+    """A model's fields, its tables as arrays of bytes (bit for bit)."""
+    tables = [(t.node, t.neighbors, t.reference_bit, t.array.shape, t.array.tobytes()) for t in model.potentials]
+    return (model.graph, model.reference, model.reference_modulus, tables)
 
 
 def load_outcome(path):
-    """The loaded model's fields, arrays as bytes (bit for bit), or the error and its cause."""
+    """The loaded model's fields, or the error, its message and its cause."""
     try:
-        model = mn.load_model(path)
+        return model_fields(mn.load_model(path))
     except Exception as exc:  # noqa: BLE001 - the error is the outcome
         return ("error", type(exc).__name__, str(exc), type(exc.__cause__).__name__)
-    tables = [(t.node, t.neighbors, t.reference_bit, t.array.shape, t.array.tobytes()) for t in model.potentials]
-    return (model.graph, model.reference, model.reference_modulus, tables)
 
 
 def shuffled_keys(table):
     return dict(reversed(list(table.items())))
 
 
-class TestBatchedLoader:
-    """One array conversion for every table gives what reading entry by entry gives."""
+def edited_chain3(tmp_path, mutate):
+    """random_chain_model(3, 2) written, its JSON edited by `mutate`; the model and the file."""
+    import json
 
-    def both_routes(self, path, monkeypatch):
-        batched = load_outcome(path)
-        with monkeypatch.context() as patch:
-            per_entry_route(patch)
-            return batched, load_outcome(path)
+    model = mn.random_chain_model(3, 2)
+    path = tmp_path / "m.model"
+    mn.save_model(model, path)
+    payload = json.loads(path.read_text())
+    mutate(payload)
+    path.write_text(json.dumps(payload))
+    return model, path
+
+
+TABLE_FAULTS = [
+    # the inputs of TestModelFiles.test_rejects_malformed
+    (lambda d: d.pop("reference"), "'reference'"),
+    (lambda d: d.update(reference="0"), "'reference' must be an n-bit string, got '0'"),
+    (lambda d: d.update(n=0), "'n' must be a positive integer, got 0"),
+    (lambda d: d["q"]["1"].pop("10"), "table for node 1 must cover all 4 (bit, context) keys"),
+    (lambda d: d["q"]["1"].update({"10": [0.0, 0.0]}), "node 1: potential value 0j at (1, (0,)) is ~0"),
+    (lambda d: d.update(reference_modulus=d["reference_modulus"] * 1.01), "reference_modulus 0.0984895450042004 disagrees"),
+    (lambda d: d.update(reference_modulus=10**400), "int too large to convert to float"),
+    (lambda d: d["q"]["2"].update({"100": [0.5, 10**400]}), "int too large to convert to float"),
+    # entries outside the entry rule, bad keys, missing tables
+    (lambda d: d["q"]["3"].update({"11": [10**400, 0.0]}), "int too large to convert to float"),
+    (lambda d: d["q"]["2"].update({"101": ["0.5", "2"]}), "node 2: entry '101' must be a [re, im] pair of reals"),
+    (lambda d: d["q"]["2"].update({"101": [0.5, 2.0, 7.0]}), "node 2: entry '101' must be a [re, im] pair of reals"),
+    (lambda d: d["q"]["2"].update({"101": [None, 2.0]}), "node 2: entry '101' must be a [re, im] pair of reals"),
+    (lambda d: d["q"]["2"].update({"101": [True, False]}), "node 2: entry '101' must be a [re, im] pair of reals"),
+    (lambda d: d["q"]["2"].update({"101": {"re": 1.0}}), "node 2: entry '101' must be a [re, im] pair of reals"),
+    (lambda d: d["q"]["2"].update({"101": [0.5]}), "node 2: entry '101' must be a [re, im] pair of reals"),
+    (lambda d: d["q"]["2"].update({"1x1": [0.5, 0.5]}), "node 2: bad table key '1x1'"),
+    (lambda d: d["q"]["2"].update({"1 1": [0.5, 0.5]}), "node 2: bad table key '1 1'"),
+    (lambda d: d["q"]["3"].update({"1": [0.5, 0.5]}), "node 3: bad table key '1'"),
+    (lambda d: d["q"]["3"].update({"011": [0.5, 0.5]}), "node 3: bad table key '011'"),
+    (lambda d: d["q"]["1"].update({"00": [2.0, 0.0]}),
+     "node 1: value at the reference bit must be exactly 1, got (2+0j) at context (0,)"),
+    (lambda d: d["q"]["2"].update({"101": [-0.0, 1e-300]}), "node 2: potential value (-0+1e-300j) at (1, (0, 1)) is ~0"),
+    (lambda d: d["q"].pop("3"), "'3'"),
+    (lambda d: d["q"].update({"2": [[1.0, 0.0]] * 8}), "node 2: table must be a JSON object, got list"),
+    (lambda d: d.update(q=[]), "list indices must be integers or slices, not str"),
+    # two faults: the first node's wins, and within a node the first in file order
+    (lambda d: (d["q"]["1"].update({"00": [2.0, 0.0]}), d["q"]["3"].update({"1x": [0.5, 0.5]})),
+     "node 1: value at the reference bit must be exactly 1"),
+    (lambda d: (d["q"]["2"].update({"110": ["x", 0.0]}), d["q"]["2"].update({"011": [0.5, 0.5]})),
+     "node 2: entry '110' must be a [re, im] pair of reals"),
+]
+
+
+class TestModelReader:
+    """The model reader takes every table entry by entry: bit for bit, and the first fault named."""
 
     @pytest.mark.parametrize("name", sorted(golden_models()))
-    def test_golden_files(self, name, monkeypatch):
-        batched, per_entry = self.both_routes(GOLDEN / f"{name}.model", monkeypatch)
-        assert batched[0] != "error" and batched == per_entry
+    def test_golden_files_load_bit_for_bit(self, name):
+        assert load_outcome(GOLDEN / f"{name}.model") == model_fields(golden_models()[name])
 
     @pytest.mark.parametrize("n", [*range(1, 30), 300, 2000])
-    def test_random_chains(self, n, tmp_path, monkeypatch):
+    def test_random_chains_round_trip_bit_for_bit(self, n, tmp_path):
+        model = mn.random_chain_model(n, seed=n)
         path = tmp_path / "c.model"
-        mn.save_model(mn.random_chain_model(n, seed=n), path)
-        batched, per_entry = self.both_routes(path, monkeypatch)
-        assert batched[0] != "error" and batched == per_entry
+        mn.save_model(model, path)
+        assert load_outcome(path) == model_fields(model)
+
+    @pytest.mark.parametrize("mutate, message", TABLE_FAULTS)
+    def test_names_the_first_fault(self, mutate, message, tmp_path):
+        _, path = edited_chain3(tmp_path, mutate)
+        with pytest.raises(mn.FileFormatError, match="^" + re.escape(f"malformed model file {path}: {message}")):
+            mn.load_model(path)
 
     @pytest.mark.parametrize(
         "mutate",
         [
-            # the inputs of TestModelFiles.test_rejects_malformed
-            lambda d: d.pop("reference"),
-            lambda d: d.update(reference="0"),
-            lambda d: d.update(n=0),
-            lambda d: d["q"]["1"].pop("10"),
-            lambda d: d["q"]["1"].update({"10": [0.0, 0.0]}),
-            lambda d: d.update(reference_modulus=d["reference_modulus"] * 1.01),
-            lambda d: d.update(reference_modulus=10**400),
-            lambda d: d["q"]["2"].update({"100": [0.5, 10**400]}),
-            # entries the array conversion cannot take, bad keys, missing tables
-            lambda d: d["q"]["3"].update({"11": [10**400, 0.0]}),
-            lambda d: d["q"]["2"].update({"101": ["0.5", "2"]}),
-            lambda d: d["q"]["2"].update({"101": [0.5, 2.0, 7.0]}),
-            lambda d: d["q"]["2"].update({"101": [None, 2.0]}),
-            lambda d: d["q"]["2"].update({"101": [True, False]}),
-            lambda d: d["q"]["2"].update({"101": {"re": 1.0}}),
-            lambda d: d["q"]["2"].update({"101": [0.5]}),
-            lambda d: d["q"]["2"].update({"1x1": [0.5, 0.5]}),
-            lambda d: d["q"]["2"].update({"1 1": [0.5, 0.5]}),
-            lambda d: d["q"]["3"].update({"1": [0.5, 0.5]}),
-            lambda d: d["q"]["3"].update({"011": [0.5, 0.5]}),
-            lambda d: d["q"]["1"].update({"00": [2.0, 0.0]}),  # off 1 at the reference bit
-            lambda d: d["q"].pop("3"),
-            lambda d: d["q"].update({"2": [[1.0, 0.0]] * 8}),
-            lambda d: d.update(q=[]),
-            # both errors: the first node's wins, as before
-            lambda d: (d["q"]["1"].update({"00": [2.0, 0.0]}), d["q"]["3"].update({"1x": [0.5, 0.5]})),
-            lambda d: (d["q"]["2"].update({"110": ["x", 0.0]}), d["q"]["2"].update({"011": [0.5, 0.5]})),
-            # valid files the writer would not produce
             lambda d: d["q"].update({k: shuffled_keys(v) for k, v in d["q"].items()}),
-            lambda d: d["q"]["2"].update({"101": [3, -2]}),
-            lambda d: d["q"]["2"].update({"101": [-0.0, 1e-300]}),
-            lambda d: d["q"].update({"9": {"0": [1.0, 0.0]}}),
+            lambda d: d["q"].update({"9": {"0": [1.0, 0.0]}}),  # no node 9: not read
         ],
+        ids=["shuffled-keys", "extra-table"],
     )
-    def test_any_file_reads_as_entry_by_entry(self, mutate, tmp_path, monkeypatch):
-        import json
+    def test_valid_files_the_writer_would_not_produce(self, mutate, tmp_path):
+        model, path = edited_chain3(tmp_path, mutate)
+        assert load_outcome(path) == model_fields(model)
 
-        path = tmp_path / "m.model"
-        mn.save_model(mn.random_chain_model(3, 2), path)
-        payload = json.loads(path.read_text())
-        mutate(payload)
-        path.write_text(json.dumps(payload))
-        batched, per_entry = self.both_routes(path, monkeypatch)
-        assert batched == per_entry
+    def test_integer_entries(self, tmp_path):
+        model, path = edited_chain3(tmp_path, lambda d: d["q"]["2"].update({"101": [3, -2]}))
+        back = mn.load_model(path)
+        assert back.potentials[1].q(1, (0, 1)) == 3 - 2j
+        assert back.potentials[0] == model.potentials[0] and back.potentials[2] == model.potentials[2]
 
 
-BAD_ENTRIES = [["0.5", 2.0], [0.5, 2.0, 7.0], [None, 1.0], {"re": 1.0}, [0.5], [10**400, 0.0]]
-BAD_ENTRY_IDS = ["numeric-string", "three-numbers", "null", "object", "one-number", "past-double"]
+BAD_ENTRIES = [
+    ["0.5", 2.0], [0.5, 2.0, 7.0], [None, 1.0], {"re": 1.0}, [0.5], [10**400, 0.0], [True, 0], [0.5, False],
+]
+BAD_ENTRY_IDS = ["numeric-string", "three-numbers", "null", "object", "one-number", "past-double", "bool-re", "bool-im"]
 
 
 class TestEntryRule:
@@ -770,6 +789,25 @@ class TestTableStorage:
             from_array = QFunctionTable(table.node, table.neighbors, 0, table.array)
             assert from_map == table and from_array == table
             assert from_map.array.shape == (2,) * (len(table.neighbors) + 1)
+
+    def test_mapping_array_and_file_give_the_same_table(self, tmp_path):
+        """From a mapping, an array or a model file: equal array, values, q and ==; array read-only."""
+        model = mn.random_chain_model(4, 6)
+        path = tmp_path / "c.model"
+        mn.save_model(model, path)
+        for table, from_file in zip(model.potentials, mn.load_model(path).potentials):
+            from_map = QFunctionTable(table.node, table.neighbors, 0, dict(table.values))
+            from_array = QFunctionTable(table.node, table.neighbors, 0, table.array)
+            for built in (from_map, from_array, from_file):
+                assert built == table and built.entries == table.entries
+                assert built.array.tobytes() == table.array.tobytes()
+                assert built.array.shape == (2,) * (len(table.neighbors) + 1)
+                assert dict(built.values) == dict(table.values)
+                for bit, ctx in table.values:
+                    assert built.q(bit, ctx) == table.q(bit, ctx)
+                with pytest.raises(ValueError, match="read-only"):
+                    built.array[(1,) * built.array.ndim] = 2.0
+            assert from_file.array is from_file.array  # built once
 
     def test_flat_index_is_bit_then_context(self):
         table = mn.random_chain_model(3, 1).potentials[1]  # node 2: context (x_1, x_3)

@@ -111,37 +111,65 @@ class TestNamespace:
         assert run_fresh(code).strip() == "True"
 
 
-# Runs one command in a fresh interpreter; prints its exit code, the menet
-# modules loaded and whether `statistics` was imported.
+# Runs one command in a fresh interpreter (none: only imports menet.cli);
+# prints its exit code, the menet modules loaded and whether `statistics`
+# and numpy were imported.
 PROBE = """
 import contextlib, io, json, sys
 from menet.cli import main
-with contextlib.redirect_stdout(io.StringIO()):
-    rc = main(sys.argv[1:])
+rc = 0
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            rc = main(sys.argv[1:])
+        except SystemExit as exc:  # --help
+            rc = exc.code
 mods = sorted(name[len("menet."):] for name in sys.modules if name.startswith("menet."))
-print(json.dumps([rc, mods, "statistics" in sys.modules]))
+print(json.dumps([rc, mods, "statistics" in sys.modules, "numpy" in sys.modules]))
 """
 
 CORE = {"cli", "errors", "network", "state"}
+# (argv, menet modules loaded, numpy loaded). chain4.model is past no size
+# guard, so its modulus is audited by the dense sum; chain20.model is past
+# the audit, and its queries run in plain Python.
 COMMANDS = [
-    (["graph", "ghz.state"], CORE | {"separability"}),
-    (["extract", "plusplus.state", "-o", "out.model"], CORE | {"separability"}),
-    (["reconstruct", "chain4.model", "-o", "out.state"], CORE),
-    (["verify", "ghz.state"], CORE | {"separability"}),
-    (["marginal", "chain4.model", "--assign", "1=0", "--ratio"], CORE | {"inference"}),
-    (["conditional", "chain4.model", "--query", "1=0", "--evidence", "2=1"], CORE | {"inference"}),
-    (["mle", "chain4.model"], CORE | {"inference"}),
+    ([], CORE, False),
+    (["--help"], CORE, False),
+    (["graph", "ghz.state"], CORE | {"separability"}, True),
+    (["extract", "plusplus.state", "-o", "out.model"], CORE | {"separability"}, True),
+    (["reconstruct", "chain4.model", "-o", "out.state"], CORE, True),
+    (["verify", "ghz.state"], CORE | {"separability"}, True),
+    (["marginal", "chain4.model", "--assign", "1=0", "--ratio"], CORE | {"inference"}, True),
+    (["conditional", "chain4.model", "--query", "1=0", "--evidence", "2=1"], CORE | {"inference"}, True),
+    (["mle", "chain4.model"], CORE | {"inference"}, True),
+    (["marginal", "chain20.model", "--assign", "1=0,7=1", "--ratio"], CORE | {"inference"}, False),
+    (["marginal", "chain20.model", "--assign", "1=0,7=1"], CORE | {"inference"}, False),
+    (["conditional", "chain20.model", "--query", "1=0", "--evidence", "20=1"], CORE | {"inference"}, False),
+    (["mle", "chain20.model"], CORE | {"inference"}, False),
     (["measure", "ghz.state", "--qubit", "1", "--outcome", "0", "-o", "out.state"],
-     CORE | {"separability"}),
-    (["classify", "ghz.state", "--samples", "8"], CORE | {"classify", "separability"}),
+     CORE | {"separability"}, True),
+    (["classify", "ghz.state", "--samples", "8"], CORE | {"classify", "separability"}, True),
 ]
 
 
-@pytest.mark.parametrize("argv, loaded", COMMANDS, ids=[argv[0] for argv, _ in COMMANDS])
-def test_each_command_imports_only_what_it_runs(argv, loaded, fixture_dir, tmp_path):
+def command_id(argv):
+    if not argv:
+        return "import"
+    if "chain20.model" not in argv:
+        return argv[0]
+    return f"{argv[0]}-chain20" + ("-ratio" if "--ratio" in argv else "")
+
+
+@pytest.mark.parametrize("argv, loaded, numpy", COMMANDS, ids=[command_id(argv) for argv, _, _ in COMMANDS])
+def test_each_command_imports_only_what_it_runs(argv, loaded, numpy, fixture_dir, tmp_path):
+    from menet.network import _NORM_AUDIT_MAX
+
     for name in ("ghz.state", "plusplus.state", "chain4.model"):
         (tmp_path / name).write_bytes((fixture_dir / name).read_bytes())
-    rc, mods, statistics = json.loads(run_fresh(PROBE, *argv, cwd=tmp_path))
+    assert 20 > _NORM_AUDIT_MAX
+    mn.save_model(mn.random_chain_model(20, seed=3), tmp_path / "chain20.model")
+    rc, mods, statistics, numpy_loaded = json.loads(run_fresh(PROBE, *argv, cwd=tmp_path))
     assert rc == 0
     assert set(mods) == loaded
     assert not statistics  # it brings decimal and fractions; only `menet bench` needs it
+    assert numpy_loaded == numpy

@@ -343,10 +343,10 @@ class TestStateFiles:
             assert path.read_text() == want
 
     def test_reader_matches_the_pair_loop(self, tmp_path):
-        """Integers, booleans and signed zeros read as complex(float(re), float(im))."""
+        """Integers and signed zeros read as complex(float(re), float(im)); bools are no numbers."""
         for raw in (
-            [[0.6, 0], [-0.0, -0.0], [0, 0.8], [False, 1e-300]],
-            [[0, 0], [True, -0.0], [-0.0, 0], [0, -1e-300]],
+            [[0.6, 0], [-0.0, -0.0], [0, 0.8], [0, 1e-300]],
+            [[0, 0], [1, -0.0], [-0.0, 0], [0, -1e-300]],
         ):
             path = tmp_path / "mixed.state"
             path.write_text(json.dumps({"n": 2, "amplitudes": raw}))
