@@ -37,6 +37,7 @@ from .state import (
     Assignment,
     PureState,
     ToleranceConfig,
+    _bits,
     _disjoint_subsets,
     _validate_subset,
     assignment_of,
@@ -75,14 +76,10 @@ def _partition_matrix(psi: PureState, group_a: list[int], group_b: list[int]):
     return arr.reshape(2 ** len(group_a), 2 ** len(group_b), 2 ** len(rest)), rest
 
 
-def _bits_of(index: int, width: int) -> tuple[int, ...]:
-    return tuple((index >> (width - 1 - pos)) & 1 for pos in range(width))
-
-
 def _assignment_at(groups: list[list[int]], indices: list[int]) -> Assignment:
     bound: dict[int, int] = {}
     for qubits, index in zip(groups, indices):
-        for q, b in zip(qubits, _bits_of(index, len(qubits))):
+        for q, b in zip(qubits, _bits(index, len(qubits))):
             bound[q] = b
     return Assignment(bound)
 
@@ -446,7 +443,7 @@ def extract_factors(
         raise DegenerateState("no amplitude exceeds the zero threshold")
     arr, _ = _partition_matrix(psi, group, rest)
     mat = arr[:, :, 0]
-    bits = _bits_of(best, n)
+    bits = _bits(best, n)
     row0 = _pack_bits(bits, group)
     col0 = _pack_bits(bits, rest)
     alpha = mat[:, col0]

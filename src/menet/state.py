@@ -173,11 +173,16 @@ def index_of(x: Assignment, n: int) -> int:
     return index
 
 
+def _bits(value: int, width: int) -> tuple[int, ...]:
+    """The low `width` bits of `value`, most significant first."""
+    return tuple((value >> (width - 1 - t)) & 1 for t in range(width))
+
+
 def assignment_of(index: int, n: int) -> Assignment:
     """Inverse of :func:`index_of`."""
     if not 0 <= index < 2**n:
         raise ValueError(f"index {index} out of range for {n} qubits")
-    return Assignment({i: (index >> (n - i)) & 1 for i in range(1, n + 1)})
+    return Assignment.from_bits(_bits(index, n))
 
 
 def _validate_subset(qubits, n: int, label: str) -> list[int]:

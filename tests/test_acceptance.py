@@ -146,8 +146,11 @@ def test_criterion_3_conditional_independence():
 
 def test_criterion_4_perfect_map_and_graphoids():
     """verify_perfect_map passes for 50 states from random graphs with random
-    nonzero potentials (n = 4, 5); the five graphoid axioms pass exhaustively
-    for 20 random all-nonzero states at n = 4."""
+    nonzero potentials (n = 4, 5), and so do the graphoid axioms that the
+    complement-held predicate can state (symmetry, weak union, intersection);
+    those also pass exhaustively for 20 random all-nonzero states at n = 4."""
+    from menet.network import _GRAPHOID_MAX
+
     rng = np.random.default_rng(404)
     for trial in range(50):
         n = 4 + trial % 2
@@ -161,11 +164,14 @@ def test_criterion_4_perfect_map_and_graphoids():
             built = mn.build_graph(psi)
         report = mn.verify_perfect_map(psi, built)
         assert report.passed, (trial, report.disagreements[:3])
+        if n <= _GRAPHOID_MAX:
+            axioms = mn.check_graphoid_axioms(psi)
+            assert axioms.passed, (trial, [ax for ax in axioms.axioms if ax.violations])
 
     for trial in range(20):
         report = mn.check_graphoid_axioms(mn.random_nonzero_state(4, trial + 4000))
         assert report.passed, (trial, [ax for ax in report.axioms if ax.violations])
-    _pass(4, "perfect map (50 states) and graphoid axioms (20 states)")
+    _pass(4, "perfect map (50 states) and graphoid axioms (70 states)")
 
 
 def test_criterion_5_round_trip_and_normalization():

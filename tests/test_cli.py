@@ -190,6 +190,25 @@ class TestCommandSemantics:
         collapsed = mn.load_state(target)
         assert collapsed.amplitude(mn.Assignment.zeros(3)) == pytest.approx(1.0)
 
+    def test_verify_passes_a_path_state(self, capsys, tmp_path):
+        """A pairwise-factor state on the path 1-2-3-4 passes all 140 instances;
+        transitivity, which fails on any path A-v-B for this predicate, is not
+        among them."""
+        rng = np.random.default_rng(5)
+        f12, f23, f34 = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) + 2 for _ in range(3))
+        amps = np.einsum("ab,bc,cd->abcd", f12, f23, f34).reshape(-1)
+        mn.save_state(mn.PureState(amps / np.linalg.norm(amps)), tmp_path / "path.state")
+        rc, out = run_cli(capsys, ["verify", str(tmp_path / "path.state")])
+        assert rc == 0
+        assert out.splitlines() == [
+            "nodes: 4",
+            "edge 1 2",
+            "edge 2 3",
+            "edge 3 4",
+            "perfect_map: pass (checked=25, disagreements=0)",
+            "graphoids: pass (instances=140, violations=0)",
+        ]
+
     @pytest.mark.parametrize("name", ["ghz", "plusplus3"])
     def test_classify_runs_one_census(self, capsys, monkeypatch, fixture_dir, tmp_path, name):
         import importlib

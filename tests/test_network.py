@@ -463,22 +463,60 @@ class TestGraphoidAxioms:
     def test_random_nonzero_states_pass(self, seed):
         report = mn.check_graphoid_axioms(mn.random_nonzero_state(4, seed))
         assert report.passed
-        assert {ax.name for ax in report.axioms} == {
-            "symmetry",
-            "decomposition",
-            "intersection",
-            "strong_union",
-            "transitivity",
-        }
+        assert {ax.name for ax in report.axioms} == {"symmetry", "weak_union", "intersection"}
         assert all(ax.instances > 0 for ax in report.axioms)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_instances_are_the_distinct_set_tuples(self, n):
+        """Ordered pairs (A, B), ordered triples (A, B, D), unordered {B, D}."""
+        report = mn.check_graphoid_axioms(mn.random_nonzero_state(n, 0))
+        triples = 4**n - 3 * 3**n + 3 * 2**n - 1
+        assert {ax.name: ax.instances for ax in report.axioms} == {
+            "symmetry": 3**n - 2 ** (n + 1) + 1,
+            "weak_union": triples,
+            "intersection": triples // 2,
+        }
+        assert report.instances == {2: 2, 3: 21, 4: 140}[n]
+
+    @pytest.mark.parametrize(
+        "holds, axiom, violations",
+        [
+            # I(1, 2) without I(2, 1)
+            (lambda a, b: (a, b) == ((1,), (2,)), "symmetry", ["A=(1,), B=(2,)"]),
+            # I(1, 23) both ways, without I(1, 2) or I(1, 3)
+            (
+                lambda a, b: {a, b} == {(1,), (2, 3)},
+                "weak_union",
+                ["A=(1,), B=(2,), D=(3,)", "A=(1,), B=(3,), D=(2,)"],
+            ),
+            # every I but I(1, 23) and I(23, 1)
+            (lambda a, b: {a, b} != {(1,), (2, 3)}, "intersection", ["A=(1,), B=(2,), D=(3,)"]),
+        ],
+        ids=["symmetry", "weak_union", "intersection"],
+    )
+    def test_each_planted_break_is_reported_by_its_axiom_only(
+        self, monkeypatch, holds, axiom, violations
+    ):
+        import importlib
+
+        def planted(amps, splits, tol):
+            return np.array([holds(a, b) for a, b in splits])
+
+        monkeypatch.setattr(importlib.import_module("menet.separability"), "_splits_separable", planted)
+        report = mn.check_graphoid_axioms(mn.random_nonzero_state(3, 0))
+        assert {ax.name: list(ax.violations) for ax in report.axioms if ax.violations} == {
+            axiom: violations
+        }
 
     def test_product_state_passes(self):
         psi = mn.random_product_state(({1}, {2}, {3}), 1).state
         assert mn.check_graphoid_axioms(psi).passed
 
     def test_bound_guard(self):
+        from menet.network import _GRAPHOID_MAX
+
         with pytest.raises(mn.EnumerationBoundExceeded):
-            mn.check_graphoid_axioms(mn.random_state(5, 0))
+            mn.check_graphoid_axioms(mn.random_state(_GRAPHOID_MAX + 1, 0))
 
 
 class TestExportDot:
