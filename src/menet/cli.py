@@ -240,79 +240,103 @@ def cmd_bench(args) -> list[str]:
     return report.to_text().splitlines()
 
 
-def build_parser() -> argparse.ArgumentParser:
+# in the order `menet --help` lists them
+_COMMANDS = (
+    "graph", "extract", "reconstruct", "marginal", "conditional",
+    "mle", "measure", "classify", "verify", "bench",
+)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The `menet` parser: every subcommand, or only `command` when given.
+
+    A one-command parser names all ten in its usage line (the metavar
+    argparse would derive from the full set), so its usage errors read as
+    the full parser's. Top-level help, and errors with no valid command,
+    need the full parser.
+    """
     parser = argparse.ArgumentParser(
         prog="menet",
         description="Conditional-separability graphs for n-qubit pure states.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    if command is None:
+        sub = parser.add_subparsers(dest="command", required=True)
+    else:
+        metavar = "{" + ",".join(_COMMANDS) + "}"
+        sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
-    p = sub.add_parser("graph", help="edge list (or DOT) of a state's graph")
-    p.add_argument("state")
-    p.add_argument("--dot", action="store_true", help="emit DOT text")
-    p.add_argument(
-        "--tolerance", type=_TOLERANCE, default=DEFAULT_TOL.rel_eps, help="relative minor tolerance"
-    )
-    p.set_defaults(func=cmd_graph)
+    def add(name: str, text: str):
+        """The subparser of `name`, or None when the parser is for another command."""
+        return sub.add_parser(name, help=text) if command in (None, name) else None
 
-    p = sub.add_parser("extract", help="extract a model from a state file")
-    p.add_argument("state")
-    p.add_argument("-o", "--output", required=True)
-    p.add_argument("--tolerance", type=_TOLERANCE, default=DEFAULT_TOL.rel_eps)
-    p.set_defaults(func=cmd_extract)
+    if p := add("graph", "edge list (or DOT) of a state's graph"):
+        p.add_argument("state")
+        p.add_argument("--dot", action="store_true", help="emit DOT text")
+        p.add_argument(
+            "--tolerance", type=_TOLERANCE, default=DEFAULT_TOL.rel_eps, help="relative minor tolerance"
+        )
+        p.set_defaults(func=cmd_graph)
 
-    p = sub.add_parser("reconstruct", help="reconstruct a state from a model file")
-    p.add_argument("model")
-    p.add_argument("-o", "--output", required=True)
-    p.add_argument("--check", metavar="STATE", help="print fidelity to this state file")
-    p.set_defaults(func=cmd_reconstruct)
+    if p := add("extract", "extract a model from a state file"):
+        p.add_argument("state")
+        p.add_argument("-o", "--output", required=True)
+        p.add_argument("--tolerance", type=_TOLERANCE, default=DEFAULT_TOL.rel_eps)
+        p.set_defaults(func=cmd_extract)
 
-    p = sub.add_parser("marginal", help="marginal probability (or ratio) of bindings")
-    p.add_argument("file", help="state or model file")
-    p.add_argument("--assign", type=parse_assignment, required=True, metavar='"1=0,3=1"')
-    p.add_argument("--ratio", action="store_true", help="report p(x_M)/p(reference)")
-    p.set_defaults(func=cmd_marginal)
+    if p := add("reconstruct", "reconstruct a state from a model file"):
+        p.add_argument("model")
+        p.add_argument("-o", "--output", required=True)
+        p.add_argument("--check", metavar="STATE", help="print fidelity to this state file")
+        p.set_defaults(func=cmd_reconstruct)
 
-    p = sub.add_parser("conditional", help="conditional probability given evidence")
-    p.add_argument("file", help="state or model file")
-    p.add_argument("--query", type=parse_assignment, required=True)
-    p.add_argument("--evidence", type=parse_assignment, required=True)
-    p.set_defaults(func=cmd_conditional)
+    if p := add("marginal", "marginal probability (or ratio) of bindings"):
+        p.add_argument("file", help="state or model file")
+        p.add_argument("--assign", type=parse_assignment, required=True, metavar='"1=0,3=1"')
+        p.add_argument("--ratio", action="store_true", help="report p(x_M)/p(reference)")
+        p.set_defaults(func=cmd_marginal)
 
-    p = sub.add_parser("mle", help="maximum-likelihood basis assignment")
-    p.add_argument("file", help="state or model file")
-    p.set_defaults(func=cmd_mle)
+    if p := add("conditional", "conditional probability given evidence"):
+        p.add_argument("file", help="state or model file")
+        p.add_argument("--query", type=parse_assignment, required=True)
+        p.add_argument("--evidence", type=parse_assignment, required=True)
+        p.set_defaults(func=cmd_conditional)
 
-    p = sub.add_parser("measure", help="measure one qubit and rebuild the graph")
-    p.add_argument("state")
-    p.add_argument("--qubit", type=int, required=True)
-    p.add_argument("--outcome", type=int, required=True, choices=(0, 1))
-    p.add_argument("-o", "--output", required=True, help="collapsed state file")
-    p.add_argument("--tolerance", type=_TOLERANCE, default=DEFAULT_TOL.rel_eps)
-    p.set_defaults(func=cmd_measure)
+    if p := add("mle", "maximum-likelihood basis assignment"):
+        p.add_argument("file", help="state or model file")
+        p.set_defaults(func=cmd_mle)
 
-    p = sub.add_parser("classify", help="classify a 3-qubit state")
-    p.add_argument("state")
-    p.add_argument("--samples", type=_checked(int, lambda v: v >= 0, ">= 0"), default=256)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_classify)
+    if p := add("measure", "measure one qubit and rebuild the graph"):
+        p.add_argument("state")
+        p.add_argument("--qubit", type=int, required=True)
+        p.add_argument("--outcome", type=int, required=True, choices=(0, 1))
+        p.add_argument("-o", "--output", required=True, help="collapsed state file")
+        p.add_argument("--tolerance", type=_TOLERANCE, default=DEFAULT_TOL.rel_eps)
+        p.set_defaults(func=cmd_measure)
 
-    p = sub.add_parser("verify", help="perfect-map and graphoid-axiom report")
-    p.add_argument("state")
-    p.set_defaults(func=cmd_verify)
+    if p := add("classify", "classify a 3-qubit state"):
+        p.add_argument("state")
+        p.add_argument("--samples", type=_checked(int, lambda v: v >= 0, ">= 0"), default=256)
+        p.add_argument("--seed", type=int, default=0)
+        p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("bench", help="chain-inference scaling report")
-    p.add_argument("--sizes", type=_parse_sizes, required=True, metavar="500,1000,2000")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--reps", type=_checked(int, lambda v: v >= 1, ">= 1"), default=5)
-    p.add_argument("--no-timing", action="store_true", help="omit wall-clock column")
-    p.set_defaults(func=cmd_bench)
+    if p := add("verify", "perfect-map and graphoid-axiom report"):
+        p.add_argument("state")
+        p.set_defaults(func=cmd_verify)
+
+    if p := add("bench", "chain-inference scaling report"):
+        p.add_argument("--sizes", type=_parse_sizes, required=True, metavar="500,1000,2000")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--reps", type=_checked(int, lambda v: v >= 1, ">= 1"), default=5)
+        p.add_argument("--no-timing", action="store_true", help="omit wall-clock column")
+        p.set_defaults(func=cmd_bench)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a leading command name is the one that runs: argparse hands it all later arguments
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         with warnings.catch_warnings(record=True) as caught:

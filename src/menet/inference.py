@@ -470,11 +470,12 @@ def measure_and_update(
 ) -> tuple[float, PureState, MenGraph]:
     """Measure one qubit and rebuild the graph of the collapsed state.
 
-    Contract (holds in the nonzero-amplitude regime): the new edge set is a
-    subset of the old one minus all edges incident to the measured qubit;
-    measurement never introduces edges. The collapsed state has structural
-    zeros at the un-measured outcome, so the rebuild suppresses the
-    zero-amplitude warning.
+    `g` is accepted but not read: the new graph is built from the collapsed
+    state alone. Contract (holds when `g` is psi's graph, in the
+    nonzero-amplitude regime): the new edge set is a subset of g's minus
+    all edges incident to the measured qubit; measurement never introduces
+    edges. The collapsed state has structural zeros at the un-measured
+    outcome, so the rebuild suppresses the zero-amplitude warning.
     """
     probability, collapsed = measure_qubit(psi, qubit, outcome, tol)
     with warnings.catch_warnings():

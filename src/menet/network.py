@@ -378,13 +378,16 @@ def build_graph(
     map of the state's conditional separabilities (checked independently by
     verify_perfect_map). With near-zero amplitudes the result may miss
     dependencies: a ZeroAmplitudeWarning is attached, or the state rejected
-    when require_nonzero is set.
+    when require_nonzero is set. A qubit that holds one bit on every nonzero
+    amplitude, as after measure_qubit, has no edge; the pairs of the others
+    are tested on the state without it.
     """
     # imported here, not at the top: commands that only read models never load it
-    from .separability import _pairwise_entangled
+    from .separability import _pairwise_entangled, _pinned_reduction
 
     n = psi.num_qubits
-    if psi.min_modulus() <= tol.zero_amp_threshold:
+    smallest = psi.min_modulus()
+    if smallest <= tol.zero_amp_threshold:
         if require_nonzero:
             raise ZeroReferenceAmplitude(
                 "state has amplitudes at/below the zero threshold; "
@@ -396,8 +399,11 @@ def build_graph(
             ZeroAmplitudeWarning,
             stacklevel=2,
         )
-    entangled = _pairwise_entangled(psi.amplitudes[None, :], tol)[0]
-    pairs = itertools.combinations(range(1, n + 1), 2)
+    kept, amps = range(1, n + 1), psi.amplitudes
+    if smallest == 0.0:  # exact zeros, as after measure_qubit: pinned qubits have no edge
+        kept, amps = _pinned_reduction(amps)
+    entangled = _pairwise_entangled(amps[None, :], tol)[0]
+    pairs = itertools.combinations(kept, 2)
     return MenGraph(n, frozenset(pair for pair, hit in zip(pairs, entangled) if hit))
 
 

@@ -19,6 +19,7 @@ carry a ZeroAmplitudeWarning.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -159,6 +160,57 @@ def _screened_violations(mags: np.ndarray, lo, hi, exact_bounds) -> np.ndarray:
     return found
 
 
+_PAIR_SAMPLES = 4  # contexts per pair tried before any pair is scanned in full
+
+
+@functools.lru_cache(maxsize=None)
+def _sample_corners(n: int) -> np.ndarray:
+    """Indices (4, S, P) of the corners 00, 11, 10, 01 of S contexts of every pair.
+
+    Every pair (i, j) gets the same _PAIR_SAMPLES contexts of the other
+    n - 2 qubits: multiples of an odd stride near 0.618 * 2^(n-2), so they
+    differ in high and low bits alike. A corner inserts the bits of i and
+    j (qubit q is bit n - q) into a context, as `_minor_passes` does.
+    """
+    size = 1 << (n - 2)
+    s = np.arange(_PAIR_SAMPLES)[:, None] * ((size * 40503 >> 16) | 1) & (size - 1)  # 40503/2^16 ~ 0.618
+    bit_i, bit_j = 1 << (n - np.array(list(itertools.combinations(range(1, n + 1), 2)))).T
+    s = s + (s & -bit_j)  # a 0 bit inserted at j's place, then one at i's
+    s += s & -bit_i
+    corners = np.stack([s, s | bit_i | bit_j, s | bit_i, s | bit_j])
+    corners.flags.writeable = False  # shared by every call through the cache
+    return corners
+
+
+def _pair_quads(states: np.ndarray, pairs) -> list[np.ndarray]:
+    """One view (A, 2, M, 2, C*B) of the states (2**n, B) per pair (i, j), i < j.
+
+    Axes 1 and 3 hold the bits of i and j; A, M and C the qubits before,
+    between and after them, and B the batch. The contiguous inner run is
+    C*B: C = 2^(n-j) in `states` and 2^(i-1) in its reversed-qubit copy,
+    which is made, once, for the pairs whose run is longer there. There A
+    and C trade places, and the view swaps its bit axes back to i, j.
+    """
+    dim, batch = states.shape
+    n = dim.bit_length() - 1
+    flipped = None
+    quads = []
+    for i, j in pairs:
+        if i - 1 <= n - j:
+            quads.append(states.reshape(1 << (i - 1), 2, -1, 2, batch << (n - j)))
+            continue
+        if flipped is None:
+            flipped = states.reshape((2,) * n + (batch,)).transpose(*range(n - 1, -1, -1), n).reshape(dim, batch)
+        quads.append(flipped.reshape(1 << (n - j), 2, -1, 2, batch << (i - 1)).swapaxes(1, 3))
+    return quads
+
+
+def _quad_minors(quad: np.ndarray) -> np.ndarray:
+    """The minors a00*a11 - a10*a01 of a pair view (A, 2, M, 2, R), as (A, M, R)."""
+    products = quad[..., 0, :] * quad[:, ::-1, :, 1]  # a00*a11 and a10*a01 on axis 1
+    return products[:, 0] - products[:, 1]
+
+
 def _pairwise_entangled(amps: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
     """Robust conditional test of every qubit pair, for a stack of states.
 
@@ -167,34 +219,64 @@ def _pairwise_entangled(amps: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
     others, with pairs (i, j) in itertools.combinations order. For single
     qubits the all-minors scan reduces to one 2x2 minor per context,
     a00*a11 - a10*a01, held to the same tolerance law, so each entry equals
-    `not conditionally_separable(psi, {i}, {j}, rest, tol).separable`. Each
-    state's minors are screened against its bound range; only pairs the
-    range leaves undecided get their exact bounds.
+    `not conditionally_separable(psi, {i}, {j}, rest, tol).separable`.
+
+    The minors are screened against each state's bound range (lo, hi),
+    which brackets every `_minor_bound` of the state. When there are more
+    than _PAIR_SAMPLES contexts, a few sampled ones come first: a sampled
+    minor above hi is a violation, so its pair is decided there. Only the
+    pairs left open by the samples are scanned in full, their peak minors
+    written to one array and screened at once; only pairs the range then
+    leaves undecided get their exact bounds, in one call per pair. The
+    work runs on the states as columns (2**n, B), so that every step has
+    a contiguous run of at least B entries.
     """
     batch, dim = amps.shape
     n = dim.bit_length() - 1
-    tensor = amps.reshape((batch,) + (2,) * n)
-    mods = np.abs(tensor)
-    lo, hi = _bound_range(mods, tol)
     pairs = list(itertools.combinations(range(1, n + 1), 2))
-    out = np.empty((batch, len(pairs)), dtype=bool)
+    out = np.zeros((len(pairs), batch), dtype=bool)
+    if not out.size:
+        return out.T
+    states = np.ascontiguousarray(amps.T)
+    lo, hi = _bound_range(np.abs(states).T, tol)
+    cols = np.arange(len(pairs))
+    if 1 << (n - 2) > _PAIR_SAMPLES:
+        c00, c11, c10, c01 = states[_sample_corners(n)]  # each (S, P, B)
+        out = np.abs(c00 * c11 - c10 * c01).max(axis=0) > hi
+        cols = np.flatnonzero(~out.all(axis=1))
+    quads = _pair_quads(states, [pairs[col] for col in cols])
+    peaks = np.empty((cols.size, batch))
+    for k, quad in enumerate(quads):
+        peaks[k] = np.abs(_quad_minors(quad)).reshape(-1, batch).max(axis=0)
+    found = peaks > hi
+    undecided = ~(found | (peaks <= lo))
+    for k in np.flatnonzero(undecided.any(axis=1)):
+        rows = np.flatnonzero(undecided[k])
+        shape = quads[k].shape[:4]
+        quad = quads[k].reshape(shape + (-1, batch))[..., rows].reshape(shape + (-1,))
+        mods = np.abs(quad)
+        bounds = _minor_bound(mods[:, 0, :, 0], mods[:, 1, :, 1], mods[:, 1, :, 0], mods[:, 0, :, 1], tol)
+        found[k, rows] = (np.abs(_quad_minors(quad)) > bounds).reshape(-1, rows.size).any(axis=0)
+    out[cols] |= found
+    return out.T
 
-    def at(i: int, j: int, bit_i: int, bit_j: int) -> tuple:
-        """Basic index (a view, no copy) fixing qubits i and j; axis 0 is the batch."""
-        index = [slice(None)] * (n + 1)
-        index[i], index[j] = bit_i, bit_j
-        return tuple(index)
 
-    for col, (i, j) in enumerate(pairs):
-        corners = at(i, j, 0, 0), at(i, j, 1, 1), at(i, j, 1, 0), at(i, j, 0, 1)
-        c00, c11, c10, c01 = corners
-        mags = np.abs(tensor[c00] * tensor[c11] - tensor[c10] * tensor[c01])
+def _pinned_reduction(amps: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """Drop the qubits whose bit is the same on every nonzero amplitude.
 
-        def exact_bounds(rows, corners=corners):
-            return _minor_bound(*(mods[c][rows] for c in corners), tol)
-
-        out[:, col] = _screened_violations(mags, lo, hi, exact_bounds)
-    return out
+    `amps` is one state's amplitude vector (2**n,), not all zero. Returns
+    the kept qubits, ascending, and the amplitudes with each dropped qubit
+    fixed at its bit, (2**len(kept),): after `measure_qubit`, the measured
+    qubit goes. A pair with a dropped qubit has only exact-zero minors,
+    and so has every context that puts a dropped qubit off its bit.
+    """
+    n = amps.size.bit_length() - 1
+    support = np.flatnonzero(amps)
+    ones, anywhere = (int(f.reduce(support)) for f in (np.bitwise_and, np.bitwise_or))
+    varies = ones ^ anywhere
+    kept = [q for q in range(1, n + 1) if varies >> (n - q) & 1]
+    index = tuple(slice(None) if q in kept else ones >> (n - q) & 1 for q in range(1, n + 1))
+    return kept, amps.reshape((2,) * n)[index].reshape(-1)
 
 
 _SPLIT_PASS_MINORS = 1 << 16  # minors tested per pass; bounds one pass's temporaries

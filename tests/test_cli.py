@@ -501,3 +501,58 @@ class TestMarginalSumsOnce:
         rc, out = run_cli(capsys, ["marginal", str(path), "--assign", "1=0,2=1"])
         assert rc == 0 and len(gathers) == 1
         assert out == "probability: 0.15028657039\n"
+
+
+# Help texts and usage errors, pinned byte for byte in golden/usage.json. The
+# argv never reach a file: argparse prints and exits first.
+USAGE_CASES = {
+    "help": ["--help"],
+    "help_short_before_command": ["-h", "graph"],
+    **{f"help_{cmd}": [cmd, "--help"] for cmd in (
+        "graph", "extract", "reconstruct", "marginal", "conditional",
+        "mle", "measure", "classify", "verify", "bench",
+    )},
+    "no_command": [],
+    "unknown_command": ["bogus"],
+    "unknown_option_before_command": ["--bogus", "graph", "s.state"],
+    "unknown_option_after_command": ["graph", "s.state", "--bogus"],
+    "missing_positional": ["graph"],
+    "missing_required_option": ["extract", "s.state"],
+    "bad_choice": ["measure", "s.state", "--qubit", "1", "--outcome", "2", "-o", "o.state"],
+    "bad_int": ["measure", "s.state", "--qubit", "x", "--outcome", "0", "-o", "o.state"],
+    "bad_assignment": ["marginal", "m.model", "--assign", "1=0,1=1"],
+    "bad_tolerance": ["graph", "s.state", "--tolerance", "0"],
+    "bad_samples": ["classify", "s.state", "--samples", "-1"],
+    "bad_sizes": ["bench", "--sizes", "4,x"],
+    "bad_reps": ["bench", "--sizes", "4", "--reps", "0"],
+}
+
+
+def usage_outputs(capsys, argv) -> dict:
+    """Exit code, stdout and stderr of a `menet` run that argparse ends."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    return {"code": exc.value.code, "out": captured.out, "err": captured.err}
+
+
+@pytest.mark.parametrize("name", USAGE_CASES)
+def test_usage_byte_identical(name, capsys, monkeypatch):
+    """`menet --help`, every `menet <cmd> --help` and usage errors, at 80 columns."""
+    import json
+
+    monkeypatch.setenv("COLUMNS", "80")
+    want = json.loads((GOLDEN / "usage.json").read_text())[name]
+    assert usage_outputs(capsys, USAGE_CASES[name]) == want
+
+
+def test_one_command_parser(monkeypatch):
+    """A run builds only its own subcommand, under the full parser's usage line."""
+    from menet.cli import _COMMANDS, build_parser
+
+    monkeypatch.setenv("COLUMNS", "80")
+    full = build_parser()
+    for name in _COMMANDS:
+        one = build_parser(name)
+        assert list(one._subparsers._group_actions[0].choices) == [name]
+        assert one.format_usage() == full.format_usage()

@@ -342,6 +342,25 @@ class TestMeasureAndUpdate:
         assert new_graph.edges <= {e for e in g.edges if 3 not in e}
         assert len(new_graph.edges) < len(g.edges)
 
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_contract_on_pairwise_factor_states(self, n):
+        """New edges are a subset of g minus the measured qubit's edges, for every
+        qubit and outcome; g itself is not read, so any graph gives the same."""
+        from test_separability import _pairwise_factor_state
+
+        rng = np.random.default_rng([n, 5])
+        for seed in range(3):
+            pairs = list(itertools.combinations(range(1, n + 1), 2))
+            psi = _pairwise_factor_state(n, [p for p in pairs if rng.random() < 0.4], [seed, n, 5])
+            g = mn.build_graph(psi)
+            for qubit in range(1, n + 1):
+                for outcome in (0, 1):
+                    p, collapsed, new_graph = mn.measure_and_update(psi, g, qubit, outcome)
+                    assert new_graph.edges <= {e for e in g.edges if qubit not in e}
+                    again = mn.measure_and_update(psi, MenGraph.empty(n), qubit, outcome)
+                    assert again[0] == p and again[2] == new_graph
+                    assert np.array_equal(again[1].amplitudes, collapsed.amplitudes)
+
     def test_zero_probability_propagates(self):
         psi = mn.basis_state(2, 0)
         with warnings.catch_warnings():

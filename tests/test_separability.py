@@ -712,3 +712,150 @@ class TestBoundScreen:
         assert g.edges == frozenset(_ladder(6))
         assert mn.verify_perfect_map(verify_state, g).passed
         assert calls == []
+
+
+def _complete(n):
+    return list(itertools.combinations(range(1, n + 1), 2))
+
+
+def _pinned_states(n, seed):
+    """States of n qubits with 1, 2 and n - 1 pinned qubits, and a basis state."""
+    rng = np.random.default_rng([seed, n, 2])
+    psi = _pairwise_factor_state(n, [p for p in _complete(n) if rng.random() < 0.5], [seed, n])
+    qubits = [int(q) for q in rng.permutation(np.arange(1, n + 1))]
+    states = []
+    collapsed = psi
+    for count, q in enumerate(qubits[:-1], start=1):
+        collapsed = mn.measure_qubit(collapsed, q, int(rng.integers(2)))[1]
+        if count in (1, 2, n - 1):
+            states.append(collapsed)
+    pinned = mn.basis_state(2, int(rng.integers(4)))
+    states.append(mn.tensor_product(pinned, _dense_factor_state(n - 2, _complete(n - 2), seed), [1, n]))
+    states.append(mn.basis_state(n, int(rng.integers(2**n))))
+    return states
+
+
+class TestSampleFirstKernel:
+    """Sampled contexts first, full scans only for open pairs, pinned qubits
+    dropped by build_graph: the same verdicts as the tolerance law."""
+
+    @pytest.mark.parametrize("n", range(5, 13))
+    def test_pairwise_factor_states(self, n):
+        from menet.separability import _pairwise_entangled
+
+        rng = np.random.default_rng([n, 3])
+        sparse = [p for p in _complete(n) if rng.random() < 0.3]
+        for edges in (sparse, _complete(n)):
+            psi = _pairwise_factor_state(n, edges, [n, len(edges)])
+            got = _pairwise_entangled(psi.amplitudes[None, :], mn.DEFAULT_TOL)
+            assert got.tolist() == _exact_pairwise(psi.amplitudes[None, :]).tolist()
+            assert got[0].tolist() == _oracle_edges(psi)
+            with warnings.catch_warnings():  # products of many normal factors come near zero
+                warnings.simplefilter("ignore", mn.ZeroAmplitudeWarning)
+                assert mn.build_graph(psi).edges == frozenset(edges)
+
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_pinned_qubits(self, n):
+        from menet.separability import _pairwise_entangled
+
+        for psi in _pinned_states(n, 4):
+            want = _oracle_edges(psi)
+            row = psi.amplitudes[None, :]
+            assert _pairwise_entangled(row, mn.DEFAULT_TOL)[0].tolist() == want
+            assert _exact_pairwise(row)[0].tolist() == want
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", mn.ZeroAmplitudeWarning)
+                graph = mn.build_graph(psi)
+            assert graph.edges == {p for p, hit in zip(_complete(n), want) if hit}
+
+    @pytest.mark.parametrize("n", [5, 7])
+    def test_batches_mixing_rows(self, n, monkeypatch):
+        """Rows decided by the sample sit beside rows that need full scans and
+        rows with a lone minor between lo and hi, at its bound and one ulp
+        above: the exact fallback runs for pair (1, 2) only, and every row
+        matches its own call and the exact law."""
+        from menet.separability import _pairwise_entangled
+
+        states = _pinned_states(n, 6) + [
+            _dense_factor_state(n, _complete(n), 1),
+            _dense_factor_state(n, _ladder(n), 2),
+            _ghz(n),
+            _w(n),
+        ]
+        y = TestBoundScreen.at_the_bound()
+        lone = np.zeros((2, 2**n), dtype=np.complex128)
+        lone[:, 0] = 1.0
+        lone[:, 3 << (n - 2)] = y, np.nextafter(y, 1.0)  # qubits 1 and 2 set: minor y of pair (1, 2)
+        rows = np.concatenate([np.stack([psi.amplitudes for psi in states]), lone])
+        want = _exact_pairwise(rows)
+        assert want[-2:].tolist() == [[False] * len(_complete(n)), [True] + [False] * (len(_complete(n)) - 1)]
+        bounds = self.count(monkeypatch, "_minor_bound")
+        got = _pairwise_entangled(rows, mn.DEFAULT_TOL)
+        assert got.tolist() == want.tolist()
+        assert len(bounds) == 1
+        for row, hits in zip(rows, got):
+            assert _pairwise_entangled(row[None, :], mn.DEFAULT_TOL)[0].tolist() == hits.tolist()
+
+    def test_sample_corners(self):
+        from menet.separability import _PAIR_SAMPLES, _sample_corners
+
+        for n in range(5, 12):
+            c00, c11, c10, c01 = _sample_corners(n)
+            for col, (i, j) in enumerate(_complete(n)):
+                bit_i, bit_j = 1 << (n - i), 1 << (n - j)
+                assert not np.any(c00[:, col] & (bit_i | bit_j))
+                assert np.array_equal(c11[:, col], c00[:, col] | bit_i | bit_j)
+                assert np.array_equal(c10[:, col], c00[:, col] | bit_i)
+                assert np.array_equal(c01[:, col], c00[:, col] | bit_j)
+                assert len(set(c00[:, col].tolist())) == _PAIR_SAMPLES
+
+    @staticmethod
+    def count(monkeypatch, name):
+        from menet import separability
+
+        calls = []
+        original = getattr(separability, name)
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(separability, name, counting)
+        return calls
+
+    def test_complete_graph_needs_no_full_scan(self, monkeypatch):
+        psi = _dense_factor_state(10, _complete(10), 9)
+        scans = self.count(monkeypatch, "_quad_minors")
+        bounds = self.count(monkeypatch, "_minor_bound")
+        assert mn.build_graph(psi).edges == frozenset(_complete(10))
+        assert scans == [] and bounds == []
+
+    def test_sparse_graph_scans_only_its_non_edges(self, monkeypatch):
+        psi = _dense_factor_state(10, _ladder(10), 9)
+        scans = self.count(monkeypatch, "_quad_minors")
+        bounds = self.count(monkeypatch, "_minor_bound")
+        assert mn.build_graph(psi).edges == frozenset(_ladder(10))
+        assert len(scans) == 45 - len(_ladder(10)) and bounds == []
+
+    def test_collapsed_state_is_scanned_without_its_pinned_qubit(self, monkeypatch):
+        psi = _dense_factor_state(9, _ladder(9), 10)
+        _, collapsed = mn.measure_qubit(psi, 4, 1)
+        kernels = self.count(monkeypatch, "_pairwise_entangled")
+        bounds = self.count(monkeypatch, "_minor_bound")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", mn.ZeroAmplitudeWarning)
+            graph = mn.build_graph(collapsed)
+        assert graph.edges <= {e for e in _ladder(9) if 4 not in e}
+        assert [args[0].shape for args in kernels] == [(1, 2**8)]
+        assert bounds == []
+        assert graph.edges == {p for p, hit in zip(_complete(9), _oracle_edges(collapsed)) if hit}
+
+    def test_pinned_reduction(self):
+        from menet.separability import _pinned_reduction
+
+        psi = _dense_factor_state(3, _complete(3), 11)
+        state = mn.tensor_product(mn.tensor_product(mn.basis_state(1, 1), psi), mn.basis_state(1, 0))
+        kept, amps = _pinned_reduction(state.amplitudes)
+        assert kept == [2, 3, 4]
+        assert np.array_equal(amps, psi.amplitudes)
+        assert _pinned_reduction(mn.basis_state(3, 5).amplitudes)[0] == []
