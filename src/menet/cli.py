@@ -259,11 +259,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         prog="menet",
         description="Conditional-separability graphs for n-qubit pure states.",
     )
-    if command is None:
-        sub = parser.add_subparsers(dest="command", required=True)
-    else:
-        metavar = "{" + ",".join(_COMMANDS) + "}"
-        sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
     def add(name: str, text: str):
         """The subparser of `name`, or None when the parser is for another command."""

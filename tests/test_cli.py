@@ -552,6 +552,7 @@ def test_one_command_parser(monkeypatch):
 
     monkeypatch.setenv("COLUMNS", "80")
     full = build_parser()
+    assert list(full._subparsers._group_actions[0].choices) == list(_COMMANDS)
     for name in _COMMANDS:
         one = build_parser(name)
         assert list(one._subparsers._group_actions[0].choices) == [name]
