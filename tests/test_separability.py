@@ -719,7 +719,8 @@ def _complete(n):
 
 
 def _pinned_states(n, seed):
-    """States of n qubits with 1, 2 and n - 1 pinned qubits, and a basis state."""
+    """States of n qubits: 1, 2 and n - 1 qubits pinned by measurement,
+    qubits 1 and n pinned by a basis-state factor, and a basis state."""
     rng = np.random.default_rng([seed, n, 2])
     psi = _pairwise_factor_state(n, [p for p in _complete(n) if rng.random() < 0.5], [seed, n])
     qubits = [int(q) for q in rng.permutation(np.arange(1, n + 1))]
