@@ -240,11 +240,98 @@ def cmd_bench(args) -> list[str]:
     return report.to_text().splitlines()
 
 
-# in the order `menet --help` lists them
-_COMMANDS = (
-    "graph", "extract", "reconstruct", "marginal", "conditional",
-    "mle", "measure", "classify", "verify", "bench",
-)
+# name -> (help line, function adding the subcommand's arguments), in the
+# order `menet --help` lists them
+_COMMANDS: dict = {}
+
+
+def _command(name: str, text: str):
+    def register(add_arguments):
+        _COMMANDS[name] = (text, add_arguments)
+        return add_arguments
+
+    return register
+
+
+@_command("graph", "edge list (or DOT) of a state's graph")
+def _graph_arguments(p):
+    p.add_argument("state")
+    p.add_argument("--dot", action="store_true", help="emit DOT text")
+    p.add_argument(
+        "--tolerance", type=_TOLERANCE, default=DEFAULT_TOL.rel_eps, help="relative minor tolerance"
+    )
+    p.set_defaults(func=cmd_graph)
+
+
+@_command("extract", "extract a model from a state file")
+def _extract_arguments(p):
+    p.add_argument("state")
+    p.add_argument("-o", "--output", required=True)
+    p.add_argument("--tolerance", type=_TOLERANCE, default=DEFAULT_TOL.rel_eps)
+    p.set_defaults(func=cmd_extract)
+
+
+@_command("reconstruct", "reconstruct a state from a model file")
+def _reconstruct_arguments(p):
+    p.add_argument("model")
+    p.add_argument("-o", "--output", required=True)
+    p.add_argument("--check", metavar="STATE", help="print fidelity to this state file")
+    p.set_defaults(func=cmd_reconstruct)
+
+
+@_command("marginal", "marginal probability (or ratio) of bindings")
+def _marginal_arguments(p):
+    p.add_argument("file", help="state or model file")
+    p.add_argument("--assign", type=parse_assignment, required=True, metavar='"1=0,3=1"')
+    p.add_argument("--ratio", action="store_true", help="report p(x_M)/p(reference)")
+    p.set_defaults(func=cmd_marginal)
+
+
+@_command("conditional", "conditional probability given evidence")
+def _conditional_arguments(p):
+    p.add_argument("file", help="state or model file")
+    p.add_argument("--query", type=parse_assignment, required=True)
+    p.add_argument("--evidence", type=parse_assignment, required=True)
+    p.set_defaults(func=cmd_conditional)
+
+
+@_command("mle", "maximum-likelihood basis assignment")
+def _mle_arguments(p):
+    p.add_argument("file", help="state or model file")
+    p.set_defaults(func=cmd_mle)
+
+
+@_command("measure", "measure one qubit and rebuild the graph")
+def _measure_arguments(p):
+    p.add_argument("state")
+    p.add_argument("--qubit", type=int, required=True)
+    p.add_argument("--outcome", type=int, required=True, choices=(0, 1))
+    p.add_argument("-o", "--output", required=True, help="collapsed state file")
+    p.add_argument("--tolerance", type=_TOLERANCE, default=DEFAULT_TOL.rel_eps)
+    p.set_defaults(func=cmd_measure)
+
+
+@_command("classify", "classify a 3-qubit state")
+def _classify_arguments(p):
+    p.add_argument("state")
+    p.add_argument("--samples", type=_checked(int, lambda v: v >= 0, ">= 0"), default=256)
+    p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(func=cmd_classify)
+
+
+@_command("verify", "perfect-map and graphoid-axiom report")
+def _verify_arguments(p):
+    p.add_argument("state")
+    p.set_defaults(func=cmd_verify)
+
+
+@_command("bench", "chain-inference scaling report")
+def _bench_arguments(p):
+    p.add_argument("--sizes", type=_parse_sizes, required=True, metavar="500,1000,2000")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--reps", type=_checked(int, lambda v: v >= 1, ">= 1"), default=5)
+    p.add_argument("--no-timing", action="store_true", help="omit wall-clock column")
+    p.set_defaults(func=cmd_bench)
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -261,72 +348,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     )
     metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-
-    def add(name: str, text: str):
-        """The subparser of `name`, or None when the parser is for another command."""
-        return sub.add_parser(name, help=text) if command in (None, name) else None
-
-    if p := add("graph", "edge list (or DOT) of a state's graph"):
-        p.add_argument("state")
-        p.add_argument("--dot", action="store_true", help="emit DOT text")
-        p.add_argument(
-            "--tolerance", type=_TOLERANCE, default=DEFAULT_TOL.rel_eps, help="relative minor tolerance"
-        )
-        p.set_defaults(func=cmd_graph)
-
-    if p := add("extract", "extract a model from a state file"):
-        p.add_argument("state")
-        p.add_argument("-o", "--output", required=True)
-        p.add_argument("--tolerance", type=_TOLERANCE, default=DEFAULT_TOL.rel_eps)
-        p.set_defaults(func=cmd_extract)
-
-    if p := add("reconstruct", "reconstruct a state from a model file"):
-        p.add_argument("model")
-        p.add_argument("-o", "--output", required=True)
-        p.add_argument("--check", metavar="STATE", help="print fidelity to this state file")
-        p.set_defaults(func=cmd_reconstruct)
-
-    if p := add("marginal", "marginal probability (or ratio) of bindings"):
-        p.add_argument("file", help="state or model file")
-        p.add_argument("--assign", type=parse_assignment, required=True, metavar='"1=0,3=1"')
-        p.add_argument("--ratio", action="store_true", help="report p(x_M)/p(reference)")
-        p.set_defaults(func=cmd_marginal)
-
-    if p := add("conditional", "conditional probability given evidence"):
-        p.add_argument("file", help="state or model file")
-        p.add_argument("--query", type=parse_assignment, required=True)
-        p.add_argument("--evidence", type=parse_assignment, required=True)
-        p.set_defaults(func=cmd_conditional)
-
-    if p := add("mle", "maximum-likelihood basis assignment"):
-        p.add_argument("file", help="state or model file")
-        p.set_defaults(func=cmd_mle)
-
-    if p := add("measure", "measure one qubit and rebuild the graph"):
-        p.add_argument("state")
-        p.add_argument("--qubit", type=int, required=True)
-        p.add_argument("--outcome", type=int, required=True, choices=(0, 1))
-        p.add_argument("-o", "--output", required=True, help="collapsed state file")
-        p.add_argument("--tolerance", type=_TOLERANCE, default=DEFAULT_TOL.rel_eps)
-        p.set_defaults(func=cmd_measure)
-
-    if p := add("classify", "classify a 3-qubit state"):
-        p.add_argument("state")
-        p.add_argument("--samples", type=_checked(int, lambda v: v >= 0, ">= 0"), default=256)
-        p.add_argument("--seed", type=int, default=0)
-        p.set_defaults(func=cmd_classify)
-
-    if p := add("verify", "perfect-map and graphoid-axiom report"):
-        p.add_argument("state")
-        p.set_defaults(func=cmd_verify)
-
-    if p := add("bench", "chain-inference scaling report"):
-        p.add_argument("--sizes", type=_parse_sizes, required=True, metavar="500,1000,2000")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--reps", type=_checked(int, lambda v: v >= 1, ">= 1"), default=5)
-        p.add_argument("--no-timing", action="store_true", help="omit wall-clock column")
-        p.set_defaults(func=cmd_bench)
-
+    for name in _COMMANDS if command is None else (command,):
+        text, add_arguments = _COMMANDS[name]
+        add_arguments(sub.add_parser(name, help=text))
     return parser
 
 

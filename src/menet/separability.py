@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -141,22 +140,20 @@ def _bound_range(mods: np.ndarray, tol: ToleranceConfig):
     return tol.abs_eps + tol.rel_eps * small * small, tol.abs_eps + tol.rel_eps * big * big
 
 
-def _screened_violations(mags: np.ndarray, lo, hi, exact_bounds) -> np.ndarray:
-    """Per row of `mags` (R, ...), whether some minor exceeds its `_minor_bound`.
+def _screened_violations(peaks: np.ndarray, lo, hi, exact) -> np.ndarray:
+    """Whether each peak |minor| in `peaks` marks a `_minor_bound` violation.
 
-    `lo` and `hi` come from `_bound_range`, so they bracket every bound of
-    their row: a row whose peak minor is above hi has a violation, and one
-    whose peak is at or below lo has none. Only the other rows (a peak in
-    between, or a NaN) are compared exactly, against `exact_bounds(rows)`,
-    the bounds of those rows laid out like `mags[rows]`.
+    `lo` and `hi` come from `_bound_range` and broadcast against `peaks`,
+    so they bracket every bound that a peak's minors are held to: a peak
+    above hi is a violation, and one at or below lo is none. Only the
+    others (a peak in between, or a NaN) are decided exactly, by
+    `exact(undecided)`, which gets their mask and returns their verdicts
+    in the order of `peaks[undecided]`.
     """
-    flat = mags.reshape(len(mags), math.prod(mags.shape[1:]))  # not -1: the batch may be empty
-    peak = flat.max(axis=1)
-    found = peak > hi
-    undecided = ~(found | (peak <= lo))
+    found = peaks > hi
+    undecided = ~(found | (peaks <= lo))
     if undecided.any():
-        rows = np.flatnonzero(undecided)
-        found[rows] = (flat[rows] > exact_bounds(rows).reshape(rows.size, -1)).any(axis=1)
+        found[undecided] = exact(undecided)
     return found
 
 
@@ -180,29 +177,6 @@ def _sample_corners(n: int) -> np.ndarray:
     corners = np.stack([s, s | bit_i | bit_j, s | bit_i, s | bit_j])
     corners.flags.writeable = False  # shared by every call through the cache
     return corners
-
-
-def _pair_quads(states: np.ndarray, pairs) -> list[np.ndarray]:
-    """One view (A, 2, M, 2, C*B) of the states (2**n, B) per pair (i, j), i < j.
-
-    Axes 1 and 3 hold the bits of i and j; A, M and C the qubits before,
-    between and after them, and B the batch. The contiguous inner run is
-    C*B: C = 2^(n-j) in `states` and 2^(i-1) in its reversed-qubit copy,
-    which is made, once, for the pairs whose run is longer there. There A
-    and C trade places, and the view swaps its bit axes back to i, j.
-    """
-    dim, batch = states.shape
-    n = dim.bit_length() - 1
-    flipped = None
-    quads = []
-    for i, j in pairs:
-        if i - 1 <= n - j:
-            quads.append(states.reshape(1 << (i - 1), 2, -1, 2, batch << (n - j)))
-            continue
-        if flipped is None:
-            flipped = states.reshape((2,) * n + (batch,)).transpose(*range(n - 1, -1, -1), n).reshape(dim, batch)
-        quads.append(flipped.reshape(1 << (n - j), 2, -1, 2, batch << (i - 1)).swapaxes(1, 3))
-    return quads
 
 
 def _quad_minors(quad: np.ndarray) -> np.ndarray:
@@ -244,20 +218,25 @@ def _pairwise_entangled(amps: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
         c00, c11, c10, c01 = states[_sample_corners(n)]  # each (S, P, B)
         out = np.abs(c00 * c11 - c10 * c01).max(axis=0) > hi
         cols = np.flatnonzero(~out.all(axis=1))
-    quads = _pair_quads(states, [pairs[col] for col in cols])
+    # per open pair (i, j), a view (A, 2, M, 2, C*B): bits of i and j on axes
+    # 1 and 3; A, M and C the qubits before, between and after them
+    quads = [states.reshape(1 << (i - 1), 2, -1, 2, batch << (n - j)) for i, j in (pairs[c] for c in cols)]
     peaks = np.empty((cols.size, batch))
     for k, quad in enumerate(quads):
         peaks[k] = np.abs(_quad_minors(quad)).reshape(-1, batch).max(axis=0)
-    found = peaks > hi
-    undecided = ~(found | (peaks <= lo))
-    for k in np.flatnonzero(undecided.any(axis=1)):
-        rows = np.flatnonzero(undecided[k])
-        shape = quads[k].shape[:4]
-        quad = quads[k].reshape(shape + (-1, batch))[..., rows].reshape(shape + (-1,))
-        mods = np.abs(quad)
-        bounds = _minor_bound(mods[:, 0, :, 0], mods[:, 1, :, 1], mods[:, 1, :, 0], mods[:, 0, :, 1], tol)
-        found[k, rows] = (np.abs(_quad_minors(quad)) > bounds).reshape(-1, rows.size).any(axis=0)
-    out[cols] |= found
+
+    def exact(undecided):
+        verdicts = []
+        for k in np.flatnonzero(undecided.any(axis=1)):
+            rows = np.flatnonzero(undecided[k])
+            shape = quads[k].shape[:4]
+            quad = quads[k].reshape(shape + (-1, batch))[..., rows].reshape(shape + (-1,))
+            mods = np.abs(quad)
+            bounds = _minor_bound(mods[:, 0, :, 0], mods[:, 1, :, 1], mods[:, 1, :, 0], mods[:, 0, :, 1], tol)
+            verdicts.append((np.abs(_quad_minors(quad)) > bounds).reshape(-1, rows.size).any(axis=0))
+        return np.concatenate(verdicts)
+
+    out[cols] |= _screened_violations(peaks, lo, hi, exact)
     return out.T
 
 
@@ -381,10 +360,11 @@ def _splits_separable(amps: np.ndarray, splits, tol: ToleranceConfig) -> np.ndar
     violated = np.zeros((1 << n, 1 << n), dtype=bool)
     for rows, mags, corners in _minor_passes(amps, d_a, d_b):
 
-        def exact_bounds(picked, corners=corners):
-            return _minor_bound(*(mods[c[picked]] for c in corners), tol)
+        def exact(undecided, mags=mags, corners=corners):
+            picked = np.flatnonzero(undecided)
+            return (mags[picked] > _minor_bound(*(mods[c[picked]] for c in corners), tol)).any(axis=1)
 
-        violated[d_a[rows], d_b[rows]] = _screened_violations(mags, lo, hi, exact_bounds)
+        violated[d_a[rows], d_b[rows]] = _screened_violations(mags.max(axis=1), lo, hi, exact)
     return ~_subset_or(violated, n, upward=True)[masks_a, masks_b]
 
 
