@@ -10,7 +10,10 @@ Two routes are kept deliberately independent so they can check each other:
   and maximum likelihood instantiations come from one sum-product and one
   max-product sweep along the chain, linear in the number of qubits. They
   run in plain Python on the tables' flat entries; only the brute-force
-  routes import numpy.
+  routes import numpy. The per-model part, the |q|^2 weights and log Z, is
+  worked out on the first query that needs it and kept on the model
+  instance (_chain_weights, _model_log_z); each query then runs only its
+  own sweep. Values and op counts do not depend on whether it was kept.
 
 QueryResult.op_count counts complex multiplications, additions, and
 modulus-square evaluations (one each); comparisons and rescaling divisions
@@ -136,8 +139,9 @@ def conditional_probability(
 ) -> float:
     """p(query | evidence) as a ratio of marginal ratios; clamped to [0, 1].
 
-    Chain models take sum-product sweeps (joint, evidence, and log Z for the
-    evidence floor); other graphs sum by brute force.
+    Chain models take sum-product sweeps (joint and evidence) and log Z for
+    the evidence floor, which like the weights is swept once per model
+    object and then read back; other graphs sum by brute force.
     """
     return _conditional(model, query, evidence)
 
@@ -158,7 +162,7 @@ def _conditional(source: PureState | MenModel, query: Assignment, evidence: Assi
         (value_e, scale_e, _), (value_j, scale_j, _) = (
             _chain_marginal(levels, x_m) for x_m in (evidence, joint)
         )
-        log_z = _chain_log_z(levels)[0]
+        log_z = _model_log_z(source)[0]
     else:
         value_e, value_j = (marginal_ratio(source, x_m).value for x_m in (evidence, joint))
         ref_squared = source.reference_modulus**2
@@ -180,9 +184,20 @@ def _conditional(source: PureState | MenModel, query: Assignment, evidence: Assi
 
 
 def _chain_weights(model: MenModel) -> list[list[float]]:
-    if not model.graph.is_path():
-        raise NotAChain("model graph is not the chain 1-2-...-n")
-    return _chain_levels(model.potentials, model.reference_bits())
+    """The model's chain levels, gathered on the first call and kept on the model.
+
+    They depend on the model alone, so later queries on the same instance
+    read them back; they are stored as MenGraph.is_path stores its answer,
+    outside the fields, so equality, repr and dataclasses.replace do not
+    see them. A gather that raises keeps nothing.
+    """
+    levels = model.__dict__.get("_chain_weights")
+    if levels is None:
+        if not model.graph.is_path():
+            raise NotAChain("model graph is not the chain 1-2-...-n")
+        levels = _chain_levels(model.potentials, model.reference_bits())
+        object.__setattr__(model, "_chain_weights", levels)
+    return levels
 
 
 def _chain_levels(
@@ -326,6 +341,15 @@ def _chain_log_z(levels) -> tuple[float, int]:
     return log_scale + math.log(m0 + m1), ops + 1
 
 
+def _model_log_z(model: MenModel) -> tuple[float, int]:
+    """(log Z, op count) of a chain model, swept on the first call and kept on the model."""
+    log_z = model.__dict__.get("_chain_log_z")
+    if log_z is None:
+        log_z = _chain_log_z(_chain_weights(model))
+        object.__setattr__(model, "_chain_log_z", log_z)
+    return log_z
+
+
 def _chain_marginal(levels, x_m: Assignment) -> tuple[float, float, int]:
     """Marginal ratio of x_m as (value, log scale, op count), left to right."""
     _validate_bindings(x_m, len(levels))
@@ -338,18 +362,19 @@ def _log_of(value: float, log_scale: float) -> float:
     return log_scale + math.log(value) if value > 0.0 else -math.inf
 
 
-def _chain_probability(model: MenModel, levels, ratio: float, log_ratio: float) -> tuple[float, int]:
+def _chain_probability(model: MenModel, ratio: float, log_ratio: float) -> tuple[float, int]:
     """p = ratio * reference_modulus**2 and its op count.
 
     When that product (or the squared modulus in it) is not a normal
     positive double, the modulus has under- or overflowed and
-    p = exp(log ratio - log Z) instead, with log Z from one more sweep.
+    p = exp(log ratio - log Z) instead. The count includes the log-Z sweep
+    whether or not the model already held log Z.
     """
     ref = model.reference_modulus
     probability = ref * ref * ratio
     if math.isfinite(probability) and min(ref * ref, probability) >= sys.float_info.min:
         return probability, 2
-    log_z, ops = _chain_log_z(levels)
+    log_z, ops = _model_log_z(model)
     return math.exp(log_ratio - log_z), 2 + ops
 
 
@@ -414,12 +439,11 @@ def _marginal(source: PureState | MenModel, x_m: Assignment, ratio: bool) -> tup
         if not ratio:
             value *= source.reference_modulus**2
     else:
-        levels = _chain_weights(source)
-        value, log_scale, _ = _chain_marginal(levels, x_m)
+        value, log_scale, _ = _chain_marginal(_chain_weights(source), x_m)
         value, log_value = _scale_back(value, log_scale), _log_of(value, log_scale)
         if ratio:
             return value, log_value
-        value = _chain_probability(source, levels, value, log_value)[0]
+        value = _chain_probability(source, value, log_value)[0]
     return value, _log_of(value, 0.0)
 
 
@@ -442,12 +466,11 @@ def mle_chain(model: MenModel) -> MleResult:
     Ties resolve to the lexicographically smallest global maximizer. Linear
     in n.
     """
-    levels = _chain_weights(model)
-    bits, chosen, ops = _max_product(levels)
+    bits, chosen, ops = _max_product(_chain_weights(model))
     ratio = math.prod(chosen)
     ops += len(chosen)
     log_ratio = sum(map(math.log, chosen)) if min(chosen) > 0.0 else -math.inf
-    probability, p_ops = _chain_probability(model, levels, ratio, log_ratio)
+    probability, p_ops = _chain_probability(model, ratio, log_ratio)
     return MleResult(Assignment.from_bits(bits), float(probability), ops + p_ops)
 
 
@@ -556,6 +579,10 @@ def bench_chains(
     sizes, seed: int = 0, repetitions: int = 5, timing: bool = True
 ) -> BenchReport:
     """Time and count chain queries per size; brute-force columns for n <= 14.
+
+    Each wall median follows a warm-up call on the same model, so the chain
+    rows time warm sweeps: the weights and log Z are already kept on the
+    model, and a row times the query's own sweep.
 
     The marginal query binds qubits 1..min(4, n) to the fixed pattern
     0,1,0,1. oracle_agreement is the relative deviation from the brute-force

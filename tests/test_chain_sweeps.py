@@ -6,6 +6,7 @@ dicts over the allowed bits, generator sums. Every value, log scale and op
 count of the library must equal it bit for bit.
 """
 
+import dataclasses
 import math
 import sys
 from types import SimpleNamespace
@@ -137,6 +138,22 @@ def ref_conditional(levels, query, evidence):
 
 # --- helpers --------------------------------------------------------------------
 
+GATHER = inf._chain_levels  # the gather itself, past the counting fixture
+
+
+@pytest.fixture
+def gathers(monkeypatch):
+    """Counts the level gathers that menet makes."""
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return GATHER(*args)
+
+    monkeypatch.setattr(inf, "_chain_levels", counting)
+    return calls
+
+
 
 def outcome(fn, *args):
     """repr of a result (exact for floats, signed zeros included) or the error type."""
@@ -180,14 +197,28 @@ def random_binding(rng, n, count):
 
 
 def assert_queries_match(model, rng, prefixes, bindings, conditionals):
+    """Every chain query kind against the reference; returns the outcomes' reprs.
+
+    After each query kind the model still holds the levels of its first
+    gather, bit for bit equal to a fresh gather.
+    """
     n = model.num_qubits
     levels = ref_levels(model.potentials, model.reference_bits())
     new_levels = inf._chain_weights(model)
     assert repr(new_levels) == repr([level[0] + level[1] for level in levels])
+    fresh = repr(GATHER(model.potentials, model.reference_bits()))
+    seen = []
+
+    def assert_levels_kept():
+        assert inf._chain_weights(model) is new_levels
+        assert repr(new_levels) == fresh
+
     for m in prefixes:
         x = Assignment({i: int(rng.integers(0, 2)) for i in range(1, m + 1)})
         got = inf.chain_prefix_marginal_ratio(model, x)
         assert repr((got.value, got.op_count)) == repr(ref_prefix(levels, x))
+        seen.append(repr(got))
+    assert_levels_kept()
     queries = [Assignment(), Assignment.zeros(n), random_binding(rng, n, n)]
     queries += [random_binding(rng, n, int(rng.integers(1, min(n, 6) + 1))) for _ in range(bindings)]
     for x in queries:
@@ -198,7 +229,12 @@ def assert_queries_match(model, rng, prefixes, bindings, conditionals):
         assert outcome(lambda *a: inf._marginal(*a, False)[0], model, x) == outcome(
             ref_model_marginal, model, levels, x
         )
+        ratio = inf._marginal(model, x, True)
+        assert repr(ratio) == repr((inf._scale_back(value, log_scale), inf._log_of(value, log_scale)))
+        seen += [repr(got), outcome(lambda *a: inf._marginal(*a, False)[0], model, x), repr(ratio)]
+    assert_levels_kept()
     assert repr(inf._chain_log_z(new_levels)) == repr(ref_log_z(levels))
+    assert repr(inf._model_log_z(model)) == repr(ref_log_z(levels))
     for _ in range(conditionals if n > 1 else 0):
         order = rng.permutation(np.arange(1, n + 1))
         split = int(rng.integers(1, min(n - 1, 3) + 1))
@@ -208,63 +244,87 @@ def assert_queries_match(model, rng, prefixes, bindings, conditionals):
         assert outcome(mn.conditional_probability, model, query, evidence) == outcome(
             ref_conditional, levels, query, evidence
         )
+        seen.append(outcome(mn.conditional_probability, model, query, evidence))
+    assert_levels_kept()
     got = mn.mle_chain(model)
     want_bits, want_probability, want_ops = ref_mle(model, levels)
     assert list(got.assignment.values()) == want_bits
     assert repr((got.probability, got.op_count)) == repr((want_probability, want_ops))
+    seen.append(repr(got))
+    assert_levels_kept()
+    return seen
+
+
+def assert_queries_match_twice(model, seed, *args, **kwargs):
+    """assert_queries_match twice on one model, with the same queries and the same reprs."""
+    first = assert_queries_match(model, np.random.default_rng(seed), *args, **kwargs)
+    assert assert_queries_match(model, np.random.default_rng(seed), *args, **kwargs) == first
 
 
 # --- tests ------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("n", range(1, 30))
-def test_small_chains_match_the_dict_sweeps(n):
+def test_small_chains_match_the_dict_sweeps(n, gathers):
     for seed in range(2):
         rng = np.random.default_rng([seed, n, 7])
         model = mn.random_chain_model(n, seed=[seed, n])
+        gathers.clear()
         assert_queries_match(model, rng, range(n + 1), bindings=6, conditionals=4)
+        assert len(gathers) == 1  # one gather for every query kind on the model
 
 
 @pytest.mark.parametrize("n", [60, 150, 300, 356, 500, 745, 1000, 2000])
-def test_long_chains_match_the_dict_sweeps(n):
-    rng = np.random.default_rng([n, 7])
+def test_long_chains_match_the_dict_sweeps(n, gathers):
     model = mn.random_chain_model(n, seed=[0, n])
     prefixes = sorted({0, 1, 2, n // 2, n - 1, n})
-    assert_queries_match(model, rng, prefixes, bindings=3, conditionals=2)
+    gathers.clear()
+    assert_queries_match_twice(model, [n, 7], prefixes, bindings=3, conditionals=2)
+    assert len(gathers) == 1
 
 
 @pytest.mark.parametrize("factor", [1e-60, 1e60])
-def test_rescaled_chains_match_the_dict_sweeps(factor):
-    """Peaks leave [1e-100, 1e100] within a few levels, in both directions."""
+def test_rescaled_chains_match_the_dict_sweeps(factor, gathers):
+    """Peaks leave [1e-100, 1e100] within a few levels, in both directions.
+
+    The unscaled model holds its own levels first: its rescaled copy, on the
+    same graph object, must gather its own.
+    """
     for n in (13, 40):
-        rng = np.random.default_rng([n, 9])
-        model = rescaled(mn.random_chain_model(n, seed=[1, n]), factor)
-        assert_queries_match(model, rng, range(n + 1), bindings=6, conditionals=4)
+        base = mn.random_chain_model(n, seed=[1, n])
+        inf._chain_weights(base)
+        model = rescaled(base, factor)
+        gathers.clear()
+        assert_queries_match_twice(model, [n, 9], range(n + 1), bindings=6, conditionals=4)
+        assert len(gathers) == 1
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 12, 40])
-def test_exact_ties_match_the_dict_sweeps(n):
+def test_exact_ties_match_the_dict_sweeps(n, gathers):
     model = tied_chain(n, seed=n)
     assert mn.mle_chain(model).assignment == Assignment.zeros(n)
-    assert_queries_match(model, np.random.default_rng(n), range(n + 1), bindings=4, conditionals=3)
+    assert_queries_match_twice(model, n, range(n + 1), bindings=4, conditionals=3)
+    assert len(gathers) == 1
 
 
 def test_weights_past_the_double_range_raise_enumeration_bound():
-    """Where Python's abs(v) ** 2 overflows, the sweeps raise the brute-force error."""
+    """Where Python's abs(v) ** 2 overflows, the sweeps raise the brute-force error, on every call."""
     model = rescaled(mn.random_chain_model(20, seed=3), 1e160)
     with pytest.raises(OverflowError):
         ref_levels(model.potentials, model.reference_bits())
-    with pytest.raises(mn.EnumerationBoundExceeded, match="past the double range"):
-        inf._chain_weights(model)
-    assert outcome(mn.mle_chain, model) == "EnumerationBoundExceeded"
+    for _ in range(2):
+        with pytest.raises(mn.EnumerationBoundExceeded, match="past the double range"):
+            inf._chain_weights(model)
+        assert outcome(mn.mle_chain, model) == "EnumerationBoundExceeded"
 
 
 @pytest.mark.parametrize("factor", [math.inf, math.nan])
 def test_entries_that_are_not_finite_raise_enumeration_bound(factor):
-    """inf and nan entries pass the table checks, but give no chain weight."""
+    """inf and nan entries pass the table checks, but give no chain weight, on any call."""
     model = rescaled(mn.random_chain_model(20, seed=3), factor)
-    with pytest.raises(mn.EnumerationBoundExceeded, match="past the double range"):
-        inf._chain_weights(model)
+    for _ in range(2):
+        with pytest.raises(mn.EnumerationBoundExceeded, match="past the double range"):
+            inf._chain_weights(model)
 
 
 def test_weights_whose_sum_is_past_the_double_range_are_kept():
@@ -303,6 +363,22 @@ class TestPerQueryShortcuts:
         assert 2 not in x and "1" not in x and None not in x
         with pytest.raises(TypeError):
             [1] in x  # noqa: B015 - unhashable, as for any mapping
+
+    def test_kept_chain_data_is_outside_the_model_fields(self, tmp_path, gathers):
+        """Queried or not, a model compares, prints and saves the same; copies gather their own."""
+        model = mn.random_chain_model(400, seed=4)
+        before = repr(model)
+        mn.save_model(model, tmp_path / "before.model")
+        gathers.clear()
+        first = mn.mle_chain(model)  # past n = 355 this reads log Z too
+        assert mn.mle_chain(model) == first and len(gathers) == 1
+        mn.save_model(model, tmp_path / "after.model")
+        assert (tmp_path / "after.model").read_bytes() == (tmp_path / "before.model").read_bytes()
+        copy = dataclasses.replace(model)
+        assert copy == model and repr(copy) == repr(model) == before
+        assert mn.mle_chain(copy) == first and len(gathers) == 2
+        assert inf._chain_weights(copy) is not inf._chain_weights(model)
+        assert inf._model_log_z(copy) == inf._model_log_z(model)
 
     def test_cached_path_check_keeps_equality_and_hash(self):
         used, fresh = MenGraph.path(5), MenGraph.path(5)
