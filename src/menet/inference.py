@@ -424,8 +424,9 @@ def _marginal(source: PureState | MenModel, x_m: Assignment, ratio: bool) -> tup
     """p(x_M), or with `ratio` p(x_M) / p(reference), and its natural log.
 
     A state's reference is 0...0, refused below _EVIDENCE_FLOOR. Chain models
-    take one weight gather and one sweep; past the double range their ratio
-    is 0 or inf while its log stays finite. Elsewhere sums are brute force.
+    take one sweep over the model's kept weights; past the double range
+    their ratio is 0 or inf while its log stays finite. Elsewhere sums are
+    brute force.
     """
     if isinstance(source, PureState):
         value = marginal_probability(source, x_m)
