@@ -154,7 +154,6 @@ def gathers(monkeypatch):
     return calls
 
 
-
 def outcome(fn, *args):
     """repr of a result (exact for floats, signed zeros included) or the error type."""
     try:
