@@ -508,9 +508,7 @@ def measure_and_update(
     return probability, collapsed, new_graph
 
 
-def random_chain_model(
-    n: int, seed, zero_amp_threshold: float = DEFAULT_TOL.zero_amp_threshold
-) -> MenModel:
+def random_chain_model(n: int, seed) -> MenModel:
     """Chain model with random potentials, moduli in [0.2, 5], uniform phases.
 
     The reference modulus comes from the normalization formula evaluated by
@@ -518,6 +516,8 @@ def random_chain_model(
     long chains are fine. Its square leaves the normal double range from
     roughly n = 355 and the modulus itself underflows to 0 from n ~ 745;
     chain probabilities then come from log Z instead (_chain_probability).
+    The levels and log Z swept here are kept on the model, as the first
+    query would keep them (_chain_weights, _model_log_z).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -525,10 +525,14 @@ def random_chain_model(
 
     graph = MenGraph.path(n)
     rng = np.random.default_rng(seed)
-    potentials = _random_q_tables(graph, rng, (0.2, 5.0), (0,) * n, zero_amp_threshold)
-    log_total, _ = _chain_log_z(_chain_levels(potentials, (0,) * n))
-    modulus = math.exp(-0.5 * log_total)  # log Z >= 0: the reference weighs 1
-    return MenModel(graph, potentials, Assignment.zeros(n), modulus)
+    potentials = _random_q_tables(graph, rng, (0,) * n)
+    levels = _chain_levels(potentials, (0,) * n)
+    log_z = _chain_log_z(levels)
+    modulus = math.exp(-0.5 * log_z[0])  # log Z >= 0: the reference weighs 1
+    model = MenModel(graph, potentials, Assignment.zeros(n), modulus)
+    object.__setattr__(model, "_chain_weights", levels)
+    object.__setattr__(model, "_chain_log_z", log_z)
+    return model
 
 
 # --- benchmark harness -------------------------------------------------------

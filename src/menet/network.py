@@ -20,9 +20,8 @@ import functools
 import itertools
 import math
 import warnings
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import InitVar, dataclass
-from types import MappingProxyType
 
 from .errors import (
     EnumerationBoundExceeded,
@@ -41,7 +40,6 @@ from .state import (
     _broadcast_over,
     _disjoint_subsets,
     _entry_value,
-    _fmt_real,
     _read_json,
 )
 
@@ -116,13 +114,13 @@ class MenGraph:
 class QFunctionTable:
     """Per-node potential: (x_i, neighbor context) -> nonzero complex ratio.
 
-    Stored as `entries`, one flat tuple of Python complex values in C order
-    over (x_i, then the k neighbors in ascending index order): the entry of
-    bit b in context ctx sits at b << k | ctx. `values` may be a complex
-    array of shape (2,)*(k+1) or a mapping keyed by (bit, ctx-tuple).
-    `array` is that read-only array, kept from the constructor or built on
-    first use. Entries at the node's reference bit are exactly 1 (stored,
-    not recomputed).
+    Built from, and stored as, `entries`: one flat sequence of 2**(k+1)
+    numbers in C order over (x_i, then the k neighbors in ascending index
+    order), so the entry of bit b in context ctx sits at b << k | ctx. They
+    are kept as a tuple of Python complex values. `array` is the same
+    entries as a read-only complex array of shape (2,)*(k+1), built on first
+    use. Entries at the node's reference bit are exactly 1 (stored, not
+    recomputed).
     """
 
     __slots__ = ("node", "neighbors", "reference_bit", "entries", "_array")
@@ -132,49 +130,23 @@ class QFunctionTable:
         node: int,
         neighbors: tuple[int, ...],
         reference_bit: int,
-        values: Mapping[tuple[int, tuple[int, ...]], complex] | np.ndarray,
+        entries: Sequence[complex],
         zero_threshold: float = DEFAULT_TOL.zero_amp_threshold,
     ):
-        neighbors = tuple(int(j) for j in neighbors)
+        neighbors = tuple(map(int, neighbors))
         if sorted(neighbors) != list(neighbors) or node in neighbors:
             raise ValueError("neighbors must be ascending and exclude the node")
         if reference_bit not in (0, 1):
             raise ValueError("reference_bit must be 0 or 1")
-        width = len(neighbors) + 1
-        array = None
-        if isinstance(values, Mapping):
-            keys = [(key[0], key[1:]) for key in itertools.product((0, 1), repeat=width)]
-            if set(values) != set(keys):
-                raise _coverage_error(node, len(keys))
-            entries = tuple(complex(values[key]) for key in keys)
-        else:
-            import numpy as np
-
-            array = np.array(values, dtype=np.complex128)
-            if array.shape != (2,) * width:
-                raise _coverage_error(node, 2**width)
-            array.setflags(write=False)
-            entries = tuple(array.reshape(-1).tolist())
-        self._fill(node, neighbors, reference_bit, entries, zero_threshold, array)
-
-    @classmethod
-    def _from_entries(
-        cls, node: int, neighbors: tuple[int, ...], reference_bit: int, entries: tuple[complex, ...]
-    ) -> "QFunctionTable":
-        """A table from 2**(k+1) complex entries in C order, as the model reader builds them.
-
-        The caller vouches for the shape (ascending neighbors without the
-        node, a 0/1 reference bit); the entry checks run as in the constructor.
-        """
-        table = cls.__new__(cls)
-        table._fill(node, neighbors, reference_bit, entries, DEFAULT_TOL.zero_amp_threshold, None)
-        return table
-
-    def _fill(self, node, neighbors, reference_bit, entries, zero_threshold, array) -> None:
-        """Check the flat entries once and set the fields."""
         k = len(neighbors)
         half = 1 << k
-        at_reference = entries[reference_bit * half : (reference_bit + 1) * half]
+        try:  # a mapping would give its keys, an unflattened array its rows
+            flat = None if isinstance(entries, (Mapping, str)) else tuple(map(complex, entries))
+        except (TypeError, ValueError):
+            flat = None
+        if flat is None or len(flat) != 2 * half:
+            raise ValueError(f"table for node {node} must be a flat sequence of {2 * half} numbers")
+        at_reference = flat[reference_bit * half : (reference_bit + 1) * half]
         if at_reference.count(1 + 0j) != half:  # complex to complex: the fast compare
             ctx = next(c for c, v in enumerate(at_reference) if v != 1)
             raise ValueError(
@@ -184,25 +156,24 @@ class QFunctionTable:
         # The entries at the reference bit have modulus 1.0, which seeds the
         # min, so only the others need their modulus taken. min skips a nan
         # unless it comes first, and the seed comes first.
-        off_reference = entries[(1 - reference_bit) * half : (2 - reference_bit) * half]
+        off_reference = flat[(1 - reference_bit) * half : (2 - reference_bit) * half]
         if min(itertools.chain((1.0,), map(abs, off_reference))) <= zero_threshold:
-            flat = next(f for f, v in enumerate(entries) if abs(v) <= zero_threshold)
+            at = next(f for f, v in enumerate(flat) if abs(v) <= zero_threshold)
             raise ValueError(
-                f"node {node}: potential value {entries[flat]!r} "
-                f"at {(flat >> k, _bits(flat, k))} is ~0"
+                f"node {node}: potential value {flat[at]!r} at {(at >> k, _bits(at, k))} is ~0"
             )
         object.__setattr__(self, "node", int(node))
         object.__setattr__(self, "neighbors", neighbors)
         object.__setattr__(self, "reference_bit", int(reference_bit))
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "_array", array)
+        object.__setattr__(self, "entries", flat)
+        object.__setattr__(self, "_array", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("QFunctionTable is immutable")
 
     @property
     def array(self) -> np.ndarray:
-        """The entries as a read-only complex array of shape (2,)*(k+1)."""
+        """The entries as a read-only complex array of shape (2,)*(k+1), built once."""
         if self._array is None:
             import numpy as np
 
@@ -211,12 +182,6 @@ class QFunctionTable:
             array.setflags(write=False)
             object.__setattr__(self, "_array", array)
         return self._array
-
-    @property
-    def values(self) -> Mapping[tuple[int, tuple[int, ...]], complex]:
-        """Read-only (bit, ctx-tuple) -> value view, built on access."""
-        keys = itertools.product((0, 1), repeat=len(self.neighbors) + 1)
-        return MappingProxyType({(key[0], key[1:]): val for key, val in zip(keys, self.entries)})
 
     def q(self, bit: int, context: tuple[int, ...]) -> complex:
         key = (bit, *context)
@@ -239,10 +204,6 @@ class QFunctionTable:
 
     def __repr__(self) -> str:
         return f"QFunctionTable(node={self.node}, neighbors={self.neighbors})"
-
-
-def _coverage_error(node: int, size: int) -> ValueError:
-    return ValueError(f"table for node {node} must cover all {size} (bit, context) keys")
 
 
 def _relative_amplitude_products(
@@ -436,7 +397,7 @@ def extract_men(psi: PureState, tol: ToleranceConfig = DEFAULT_TOL) -> MenModel:
         den = tensor[tuple(at)]
         at[i - 1] = 1
         ratios = np.stack([np.ones_like(den), tensor[tuple(at)] / den])
-        tables.append(QFunctionTable(i, nb, 0, ratios, tol.zero_amp_threshold))
+        tables.append(QFunctionTable(i, nb, 0, ratios.reshape(-1).tolist(), tol.zero_amp_threshold))
     potentials = tuple(tables)
     _audit_well_defined(psi, graph, potentials, tol)
     modulus = normalization_modulus(potentials, (0,) * n, n)
@@ -662,16 +623,11 @@ def export_dot(g: MenGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def random_model(
-    graph: MenGraph,
-    seed,
-    modulus_range: tuple[float, float] = (0.2, 5.0),
-    zero_amp_threshold: float = DEFAULT_TOL.zero_amp_threshold,
-) -> MenModel:
+def random_model(graph: MenGraph, seed) -> MenModel:
     """Model on `graph` with random nonzero potentials.
 
-    Potential moduli are uniform in `modulus_range` with uniform phases,
-    so every table entry stays bounded away from zero. The reference is
+    Off-reference entries have moduli uniform in [0.2, 5] and uniform
+    phases, so every one stays bounded away from zero. The reference is
     all-zeros; its modulus comes from the normalization formula (brute
     force, hence the size guard).
     """
@@ -682,34 +638,25 @@ def random_model(
         raise ValueError("random_model normalizes by brute force; use n <= 16")
     rng = np.random.default_rng(seed)
     reference = Assignment.zeros(n)
-    potentials = _random_q_tables(graph, rng, modulus_range, (0,) * n, zero_amp_threshold)
+    potentials = _random_q_tables(graph, rng, (0,) * n)
     modulus = normalization_modulus(potentials, (0,) * n, n)
     return MenModel(graph, potentials, reference, modulus, _normalization=modulus)
 
 
 def _random_q_tables(
-    graph: MenGraph,
-    rng: np.random.Generator,
-    modulus_range: tuple[float, float],
-    reference_bits: tuple[int, ...],
-    zero_amp_threshold: float,
+    graph: MenGraph, rng: np.random.Generator, reference_bits: tuple[int, ...]
 ) -> tuple[QFunctionTable, ...]:
-    import numpy as np
-
-    lo, hi = modulus_range
-    if not 0.0 < lo <= hi:
-        raise ValueError(f"invalid modulus range {modulus_range}")
-    if lo <= zero_amp_threshold:
-        raise ValueError("modulus range must stay above the zero threshold")
+    """One table per node: a (modulus in [0.2, 5], phase) draw per context, in context order."""
     tables = []
     for i in range(1, graph.num_nodes + 1):
         nb = graph.neighbors(i)
+        drawn = []
+        for _ in range(1 << len(nb)):
+            modulus, phase = rng.uniform(0.2, 5.0), rng.uniform(0.0, 2.0 * math.pi)
+            drawn.append(modulus * complex(math.cos(phase), math.sin(phase)))
+        ones = [1 + 0j] * len(drawn)
         ref_bit = reference_bits[i - 1]
-        values = np.ones((2,) * (len(nb) + 1), dtype=np.complex128)
-        for ctx in np.ndindex(values.shape[1:]):  # one (modulus, phase) draw per context, in order
-            modulus, phase = rng.uniform(lo, hi), rng.uniform(0.0, 2.0 * math.pi)
-            values[(1 - ref_bit, *ctx)] = modulus * complex(math.cos(phase), math.sin(phase))
-        tables.append(QFunctionTable(i, nb, ref_bit, values, zero_amp_threshold))
+        tables.append(QFunctionTable(i, nb, ref_bit, ones + drawn if ref_bit == 0 else drawn + ones))
     return tuple(tables)
 
 
@@ -728,17 +675,17 @@ def save_model(model: MenModel, path) -> None:
     edge_text = ", ".join(f"[{i}, {j}]" for i, j in model.graph.sorted_edges())
     lines.append(f'  "edges": [{edge_text}],')
     lines.append(f'  "reference": "{"".join(str(b) for b in bits)}",')
-    lines.append(f'  "reference_modulus": {_fmt_real(model.reference_modulus)},')
+    lines.append('  "reference_modulus": %.17e,' % model.reference_modulus)
     lines.append('  "q": {')
-    node_blocks = []
+    # every number is one "%.17e" in one format call, as save_state writes them
+    node_blocks, parts = [], []
     for table in model.potentials:
-        width = len(table.neighbors) + 1
-        rows = [
-            f'      "{flat:0{width}b}": [{_fmt_real(val.real)}, {_fmt_real(val.imag)}]'
-            for flat, val in enumerate(table.entries)
-        ]
-        node_blocks.append(f'    "{table.node}": {{\n' + ",\n".join(rows) + "\n    }")
-    lines.append(",\n".join(node_blocks))
+        rows = ",\n".join(
+            f'      "{key}": [%.17e, %.17e]' for key in _table_keys(len(table.neighbors) + 1)
+        )
+        node_blocks.append(f'    "{table.node}": {{\n{rows}\n    }}')
+        parts.extend(itertools.chain.from_iterable((v.real, v.imag) for v in table.entries))
+    lines.append(",\n".join(node_blocks) % tuple(parts))
     lines.extend(["  }", "}"])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -772,7 +719,7 @@ def _model_from_payload(payload, path) -> MenModel:
         for i, bit in enumerate(ref_text, start=1):
             nb = graph.neighbors(i)
             entries = _table_entries(i, q_section[str(i)], len(nb) + 1)
-            tables.append(QFunctionTable._from_entries(i, nb, int(bit), entries))
+            tables.append(QFunctionTable(i, nb, int(bit), entries))
         return MenModel(graph, tuple(tables), reference, modulus)
     except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise FileFormatError(f"malformed model file {path}: {exc}") from exc
@@ -813,5 +760,5 @@ def _table_entries(node: int, raw, width: int) -> tuple[complex, ...]:
         except ValueError:
             raise ValueError(f"node {node}: entry {key!r} must be a [re, im] pair of reals") from None
     if len(found) != 1 << width:  # distinct valid keys: the count decides coverage
-        raise _coverage_error(node, 1 << width)
+        raise ValueError(f"table for node {node} must cover all {1 << width} (bit, context) keys")
     return tuple(map(found.__getitem__, _table_keys(width)))

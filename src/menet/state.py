@@ -510,14 +510,10 @@ def random_product_state(blocks: Iterable[Iterable[int]], seed) -> ProductStateS
 # otherwise.
 
 
-def _fmt_real(x: float) -> str:
-    return format(float(x), ".17e")
-
-
 def save_state(psi: PureState, path) -> None:
     import numpy as np
 
-    # "%.17e" on a float renders exactly as _fmt_real; one format call covers every amplitude
+    # one "%.17e" format call covers every amplitude
     parts = np.stack([psi.amplitudes.real, psi.amplitudes.imag], axis=1).ravel().tolist()
     rows = ",\n".join(["    [%.17e, %.17e]"] * len(psi.amplitudes)) % tuple(parts)
     lines = ["{", f'  "n": {psi.num_qubits},', '  "amplitudes": [', rows, "  ]", "}"]

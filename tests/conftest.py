@@ -35,10 +35,10 @@ def off_chain_twin(model):
     ref = model.reference_bits()
     tables = list(model.potentials)
     tables[0] = mn.QFunctionTable(
-        1, graph.neighbors(1), ref[0], np.repeat(tables[0].array[:, :, None], 2, axis=2)
+        1, graph.neighbors(1), ref[0], np.repeat(tables[0].array[:, :, None], 2, axis=2).reshape(-1).tolist()
     )
     tables[2] = mn.QFunctionTable(
-        3, graph.neighbors(3), ref[2], np.repeat(tables[2].array[:, None], 2, axis=1)
+        3, graph.neighbors(3), ref[2], np.repeat(tables[2].array[:, None], 2, axis=1).reshape(-1).tolist()
     )
     return mn.MenModel(graph, tuple(tables), model.reference, model.reference_modulus)
 

@@ -169,7 +169,9 @@ def rescaled(model, factor):
         array = np.array(table.array)
         array[1 - table.reference_bit] *= factor
         tables.append(
-            QFunctionTable(table.node, table.neighbors, table.reference_bit, array, zero_threshold=0.0)
+            QFunctionTable(
+                table.node, table.neighbors, table.reference_bit, array.reshape(-1).tolist(), zero_threshold=0.0
+            )
         )
     n = model.num_qubits
     modulus = mn.normalization_modulus(tuple(tables), model.reference_bits(), n) if n <= 12 else 0.0
@@ -185,7 +187,7 @@ def tied_chain(n, seed):
         k = len(graph.neighbors(i))
         array = np.ones((2,) * (k + 1), dtype=complex)
         array[1] = rng.choice([1, -1, 1j, -1j], size=(2,) * k)
-        tables.append(QFunctionTable(i, graph.neighbors(i), 0, array))
+        tables.append(QFunctionTable(i, graph.neighbors(i), 0, array.reshape(-1).tolist()))
     modulus = mn.normalization_modulus(tuple(tables), (0,) * n, n) if n <= 12 else 0.0
     return MenModel(graph, tuple(tables), Assignment.zeros(n), modulus)
 
@@ -267,17 +269,17 @@ def assert_queries_match_twice(model, seed, *args, **kwargs):
 def test_small_chains_match_the_dict_sweeps(n, gathers):
     for seed in range(2):
         rng = np.random.default_rng([seed, n, 7])
-        model = mn.random_chain_model(n, seed=[seed, n])
         gathers.clear()
+        model = mn.random_chain_model(n, seed=[seed, n])
         assert_queries_match(model, rng, range(n + 1), bindings=6, conditionals=4)
-        assert len(gathers) == 1  # one gather for every query kind on the model
+        assert len(gathers) == 1  # one gather for building the model and every query kind on it
 
 
 @pytest.mark.parametrize("n", [60, 150, 300, 356, 500, 745, 1000, 2000])
 def test_long_chains_match_the_dict_sweeps(n, gathers):
+    gathers.clear()
     model = mn.random_chain_model(n, seed=[0, n])
     prefixes = sorted({0, 1, 2, n // 2, n - 1, n})
-    gathers.clear()
     assert_queries_match_twice(model, [n, 7], prefixes, bindings=3, conditionals=2)
     assert len(gathers) == 1
 
@@ -365,10 +367,10 @@ class TestPerQueryShortcuts:
 
     def test_kept_chain_data_is_outside_the_model_fields(self, tmp_path, gathers):
         """Queried or not, a model compares, prints and saves the same; copies gather their own."""
-        model = mn.random_chain_model(400, seed=4)
+        gathers.clear()
+        model = mn.random_chain_model(400, seed=4)  # keeps the levels and log Z it sweeps
         before = repr(model)
         mn.save_model(model, tmp_path / "before.model")
-        gathers.clear()
         first = mn.mle_chain(model)  # past n = 355 this reads log Z too
         assert mn.mle_chain(model) == first and len(gathers) == 1
         mn.save_model(model, tmp_path / "after.model")

@@ -280,7 +280,8 @@ def off_reference_scaled(model, factor):
     for table in model.potentials:
         array = np.array(table.array)
         array[1 - table.reference_bit] *= factor
-        tables.append(mn.QFunctionTable(table.node, table.neighbors, table.reference_bit, array, 0.0))
+        entries = array.reshape(-1).tolist()
+        tables.append(mn.QFunctionTable(table.node, table.neighbors, table.reference_bit, entries, 0.0))
     return mn.MenModel(model.graph, tuple(tables), model.reference, 0.0)
 
 

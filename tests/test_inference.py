@@ -16,11 +16,8 @@ def uniform_chain_model(n, entry=1.0):
     tables = []
     for i in range(1, n + 1):
         nb = MenGraph.path(n).neighbors(i)
-        values = {}
-        for ctx in itertools.product((0, 1), repeat=len(nb)):
-            values[(0, ctx)] = complex(1.0)
-            values[(1, ctx)] = complex(entry)
-        tables.append(QFunctionTable(i, nb, 0, values))
+        half = 1 << len(nb)
+        tables.append(QFunctionTable(i, nb, 0, [complex(1.0)] * half + [complex(entry)] * half))
     modulus = mn.normalization_modulus(tuple(tables), (0,) * n, n)
     return MenModel(MenGraph.path(n), tuple(tables), Assignment.zeros(n), modulus)
 
@@ -406,9 +403,11 @@ class TestRandomChainModel:
     def test_moduli_range(self):
         model = mn.random_chain_model(8, 5)
         for table in model.potentials:
-            for (bit, _ctx), val in table.values.items():
-                if bit == 1:
-                    assert 0.2 <= abs(val) <= 5.0
+            half = len(table.entries) // 2
+            for ctx in itertools.product((0, 1), repeat=len(table.neighbors)):
+                assert table.q(0, ctx) == 1.0
+                assert 0.2 <= abs(table.q(1, ctx)) <= 5.0
+            assert table.entries[:half] == (1 + 0j,) * half
 
 
 class TestBench:

@@ -20,12 +20,7 @@ def quiet_graph(psi, tol=mn.DEFAULT_TOL):
 
 
 def all_ones_table(node, neighbors=()):
-    values = {
-        (bit, ctx): complex(1.0)
-        for bit in (0, 1)
-        for ctx in itertools.product((0, 1), repeat=len(neighbors))
-    }
-    return QFunctionTable(node, tuple(neighbors), 0, values)
+    return QFunctionTable(node, tuple(neighbors), 0, [1.0] * (2 << len(neighbors)))
 
 
 class TestMenGraph:
@@ -49,17 +44,17 @@ class TestMenGraph:
 
 
 class TestQFunctionTable:
-    def test_requires_complete_keys(self):
-        with pytest.raises(ValueError, match="cover"):
-            QFunctionTable(1, (), 0, {(0, ()): 1.0})
+    def test_requires_every_entry(self):
+        with pytest.raises(ValueError, match="flat sequence of 2 numbers"):
+            QFunctionTable(1, (), 0, [1.0])
 
     def test_reference_entries_must_be_one(self):
         with pytest.raises(ValueError, match="reference"):
-            QFunctionTable(1, (), 0, {(0, ()): 2.0, (1, ()): 1.0})
+            QFunctionTable(1, (), 0, [2.0, 1.0])
 
     def test_rejects_zero_values(self):
         with pytest.raises(ValueError, match="~0"):
-            QFunctionTable(1, (), 0, {(0, ()): 1.0, (1, ()): 1e-9})
+            QFunctionTable(1, (), 0, [1.0, 1e-9])
 
     def test_lookup(self):
         table = all_ones_table(2, (1, 3))
@@ -204,7 +199,7 @@ class TestExtractMen:
         for i in (1, 2, 3):
             num = psi.amplitude(Assignment({i: 1}).merge(Assignment({j: 0 for j in (1, 2, 3) if j != i})))
             den = psi.amplitude(Assignment.zeros(3))
-            tables.append(QFunctionTable(i, (), 0, {(0, ()): 1.0, (1, ()): num / den}))
+            tables.append(QFunctionTable(i, (), 0, [1.0, num / den]))
         with pytest.raises(mn.InconsistentGraph):
             _audit_well_defined(psi, graph, tuple(tables), mn.DEFAULT_TOL)
 
@@ -246,12 +241,11 @@ class TestExhaustiveAudit:
         model_tables = []
         for i in range(1, n + 1):
             nb = graph.neighbors(i)
-            values = {}
+            ratios = []
             for ctx in itertools.product((0, 1), repeat=len(nb)):
                 base = sum(b << (n - j) for b, j in zip(ctx, nb))
-                values[(0, ctx)] = 1.0
-                values[(1, ctx)] = psi.amplitudes[base | (1 << (n - i))] / psi.amplitudes[base]
-            model_tables.append(QFunctionTable(i, nb, 0, values))
+                ratios.append(psi.amplitudes[base | (1 << (n - i))] / psi.amplitudes[base])
+            model_tables.append(QFunctionTable(i, nb, 0, [1.0] * len(ratios) + ratios))
         expected = None
         for table in model_tables:
             i = table.node
@@ -821,37 +815,46 @@ class TestFieldTypes:
 
 
 class TestTableStorage:
-    def test_mapping_and_array_build_equal_tables(self):
-        for table in mn.random_model(MenGraph.from_edges(4, [(1, 2), (2, 3), (2, 4)]), 3).potentials:
-            from_map = QFunctionTable(table.node, table.neighbors, 0, dict(table.values))
-            from_array = QFunctionTable(table.node, table.neighbors, 0, table.array)
-            assert from_map == table and from_array == table
-            assert from_map.array.shape == (2,) * (len(table.neighbors) + 1)
+    @staticmethod
+    def generated_models():
+        yield mn.random_chain_model(4, 6)
+        yield mn.random_model(MenGraph.from_edges(4, [(1, 2), (2, 3), (2, 4)]), 3)
+        yield mn.extract_men(mn.random_nonzero_state(4, 5))
 
-    def test_mapping_array_and_file_give_the_same_table(self, tmp_path):
-        """From a mapping, an array or a model file: equal array, values, q and ==; array read-only."""
-        model = mn.random_chain_model(4, 6)
-        path = tmp_path / "c.model"
-        mn.save_model(model, path)
-        for table, from_file in zip(model.potentials, mn.load_model(path).potentials):
-            from_map = QFunctionTable(table.node, table.neighbors, 0, dict(table.values))
-            from_array = QFunctionTable(table.node, table.neighbors, 0, table.array)
-            for built in (from_map, from_array, from_file):
-                assert built == table and built.entries == table.entries
-                assert built.array.tobytes() == table.array.tobytes()
-                assert built.array.shape == (2,) * (len(table.neighbors) + 1)
-                assert dict(built.values) == dict(table.values)
-                for bit, ctx in table.values:
-                    assert built.q(bit, ctx) == table.q(bit, ctx)
+    def test_constructor_file_and_generators_give_the_same_table(self, tmp_path):
+        """Rebuilt from its entries or read back from a file: equal entries, array bytes, q and ==."""
+        for k, model in enumerate(self.generated_models()):
+            path = tmp_path / f"{k}.model"
+            mn.save_model(model, path)
+            for table, from_file in zip(model.potentials, mn.load_model(path).potentials):
+                built = QFunctionTable(table.node, table.neighbors, table.reference_bit, table.entries)
+                for other in (built, from_file):
+                    assert other == table and other.entries == table.entries
+                    assert other.array.tobytes() == table.array.tobytes()
+                    assert other.array.shape == (2,) * (len(table.neighbors) + 1)
+                    for bit, *ctx in itertools.product((0, 1), repeat=len(table.neighbors) + 1):
+                        assert other.q(bit, tuple(ctx)) == table.q(bit, tuple(ctx))
+
+    def test_entries_are_python_complex(self):
+        for model in self.generated_models():
+            for table in model.potentials:
+                assert type(table.entries) is tuple
+                assert {type(v) for v in table.entries} == {complex}
+
+    def test_array_is_read_only_and_built_once(self):
+        for model in self.generated_models():
+            for table in model.potentials:
+                assert table.array is table.array
+                assert table.array.reshape(-1).tolist() == list(table.entries)
                 with pytest.raises(ValueError, match="read-only"):
-                    built.array[(1,) * built.array.ndim] = 2.0
-            assert from_file.array is from_file.array  # built once
+                    table.array[(1,) * table.array.ndim] = 2.0
 
     def test_flat_index_is_bit_then_context(self):
         table = mn.random_chain_model(3, 1).potentials[1]  # node 2: context (x_1, x_3)
-        for (bit, ctx), val in table.values.items():
-            assert table.array.reshape(-1)[bit << 2 | ctx[0] << 1 | ctx[1]] == val
-            assert table.q(bit, ctx) == val
+        for bit, x1, x3 in itertools.product((0, 1), repeat=3):
+            val = table.entries[bit << 2 | x1 << 1 | x3]
+            assert table.array[bit, x1, x3] == val
+            assert table.q(bit, (x1, x3)) == val
 
     @pytest.mark.parametrize("bit, ctx", [(-1, (0, 0)), (2, (0, 0)), (1, (0,)), (1, (0, 0, 0)), (0, (0, -1))])
     def test_lookup_outside_the_table_is_a_key_error(self, bit, ctx):
@@ -863,25 +866,38 @@ class TestTableStorage:
         with pytest.raises(ValueError, match="read-only"):
             table.array[1, 0, 0] = 2.0
         with pytest.raises(TypeError):
-            table.values[(1, (0, 0))] = 2.0
+            table.entries[4] = 2.0
+        with pytest.raises(AttributeError):
+            table.entries = (1.0,) * 8
 
-    def test_array_is_copied(self):
-        source = np.ones((2, 2), dtype=np.complex128)
+    def test_entries_are_copied(self):
+        source = [1.0, 1.0, 2.0, 3.0]
         table = QFunctionTable(1, (2,), 0, source)
-        source[1, 1] = 5.0
-        assert table.q(1, (1,)) == 1.0
+        source[3] = 5.0
+        assert table.entries == (1, 1, 2, 3) and table.q(1, (1,)) == 3.0
 
-    def test_array_shape_checked(self):
-        with pytest.raises(ValueError, match="cover"):
-            QFunctionTable(1, (2,), 0, np.ones(4))
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [1.0, 1.0, 2.0],  # too short
+            [1.0, 1.0, 2.0, 2.0, 2.0],  # too long
+            np.ones((2, 2)),  # the (2,)*(k+1) array, unflattened
+            {(0, (0,)): 1.0, (0, (1,)): 1.0, (1, (0,)): 2.0, (1, (1,)): 2.0},  # keyed by (bit, ctx)
+            {0: 1.0, 1: 1.0, 2: 2.0, 3: 2.0},  # keyed by flat index
+            "1122",  # complex() would read each character
+        ],
+        ids=["short", "long", "array", "mapping", "index-mapping", "text"],
+    )
+    def test_only_a_flat_sequence_is_taken(self, entries):
+        with pytest.raises(ValueError) as info:
+            QFunctionTable(7, (2,), 0, entries)
+        assert str(info.value) == "table for node 7 must be a flat sequence of 4 numbers"
 
-    def test_array_input_validated_like_a_mapping(self):
-        bad = np.ones((2, 2), dtype=np.complex128)
-        bad[1, 0] = 1e-9
-        with pytest.raises(ValueError, match="~0"):
-            QFunctionTable(1, (2,), 0, bad)
-        with pytest.raises(ValueError, match="reference"):
-            QFunctionTable(1, (2,), 1, np.full((2, 2), 2.0))
+    def test_entries_validated(self):
+        with pytest.raises(ValueError, match=r"node 1: potential value \(1e-09\+0j\) at \(1, \(0,\)\) is ~0"):
+            QFunctionTable(1, (2,), 0, [1.0, 1.0, 1e-9, 2.0])
+        with pytest.raises(ValueError, match="node 1: value at the reference bit must be exactly 1"):
+            QFunctionTable(1, (2,), 1, [2.0] * 4)
 
 
 class TestRandomModel:

@@ -321,9 +321,11 @@ class TestStateFiles:
             mn.load_state(path)
 
     def test_writer_matches_per_amplitude_format(self, tmp_path):
-        """Byte-identical to rendering each part with _fmt_real, signed zeros,
-        subnormals and exact binary fractions included."""
-        from menet.state import _fmt_real
+        """Byte-identical to rendering each part with format(x, ".17e"), signed
+        zeros, subnormals and exact binary fractions included."""
+
+        def _fmt_real(x):
+            return format(float(x), ".17e")
 
         special = np.zeros(8, dtype=np.complex128)
         special[0] = complex(0.5, -0.0)
