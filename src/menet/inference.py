@@ -525,7 +525,7 @@ def random_chain_model(n: int, seed) -> MenModel:
 
     graph = MenGraph.path(n)
     rng = np.random.default_rng(seed)
-    potentials = _random_q_tables(graph, rng, (0,) * n)
+    potentials = _random_q_tables(graph, rng)
     levels = _chain_levels(potentials, (0,) * n)
     log_z = _chain_log_z(levels)
     modulus = math.exp(-0.5 * log_z[0])  # log Z >= 0: the reference weighs 1

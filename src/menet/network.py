@@ -638,15 +638,14 @@ def random_model(graph: MenGraph, seed) -> MenModel:
         raise ValueError("random_model normalizes by brute force; use n <= 16")
     rng = np.random.default_rng(seed)
     reference = Assignment.zeros(n)
-    potentials = _random_q_tables(graph, rng, (0,) * n)
+    potentials = _random_q_tables(graph, rng)
     modulus = normalization_modulus(potentials, (0,) * n, n)
     return MenModel(graph, potentials, reference, modulus, _normalization=modulus)
 
 
-def _random_q_tables(
-    graph: MenGraph, rng: np.random.Generator, reference_bits: tuple[int, ...]
-) -> tuple[QFunctionTable, ...]:
-    """One table per node: a (modulus in [0.2, 5], phase) draw per context, in context order."""
+def _random_q_tables(graph: MenGraph, rng: np.random.Generator) -> tuple[QFunctionTable, ...]:
+    """Tables for the all-zeros reference: 1 at bit 0, and at bit 1 one (modulus
+    in [0.2, 5], phase) draw per context, in context order."""
     tables = []
     for i in range(1, graph.num_nodes + 1):
         nb = graph.neighbors(i)
@@ -654,9 +653,7 @@ def _random_q_tables(
         for _ in range(1 << len(nb)):
             modulus, phase = rng.uniform(0.2, 5.0), rng.uniform(0.0, 2.0 * math.pi)
             drawn.append(modulus * complex(math.cos(phase), math.sin(phase)))
-        ones = [1 + 0j] * len(drawn)
-        ref_bit = reference_bits[i - 1]
-        tables.append(QFunctionTable(i, nb, ref_bit, ones + drawn if ref_bit == 0 else drawn + ones))
+        tables.append(QFunctionTable(i, nb, 0, [1 + 0j] * len(drawn) + drawn))
     return tuple(tables)
 
 
