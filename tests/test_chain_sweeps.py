@@ -381,6 +381,21 @@ class TestPerQueryShortcuts:
         assert inf._chain_weights(copy) is not inf._chain_weights(model)
         assert inf._model_log_z(copy) == inf._model_log_z(model)
 
+    def test_built_chain_keeps_its_log_z(self, monkeypatch):
+        """random_chain_model sweeps log Z once, for the modulus; queries read that sweep back."""
+        sweeps = []
+        sweep = inf._chain_log_z
+
+        def counting(levels):
+            sweeps.append(1)
+            return sweep(levels)
+
+        monkeypatch.setattr(inf, "_chain_log_z", counting)
+        model = mn.random_chain_model(400, seed=4)
+        mn.mle_chain(model)  # past n = 355 this reads log Z
+        assert len(sweeps) == 1
+        assert inf._model_log_z(model) == sweep(GATHER(model.potentials, model.reference_bits()))
+
     def test_cached_path_check_keeps_equality_and_hash(self):
         used, fresh = MenGraph.path(5), MenGraph.path(5)
         assert used.is_path() and used.is_path()

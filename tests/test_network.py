@@ -827,6 +827,7 @@ class TestTableStorage:
             path = tmp_path / f"{k}.model"
             mn.save_model(model, path)
             for table, from_file in zip(model.potentials, mn.load_model(path).potentials):
+                assert type(table.entries) is tuple and {type(v) for v in table.entries} == {complex}
                 built = QFunctionTable(table.node, table.neighbors, table.reference_bit, table.entries)
                 for other in (built, from_file):
                     assert other == table and other.entries == table.entries
@@ -834,12 +835,6 @@ class TestTableStorage:
                     assert other.array.shape == (2,) * (len(table.neighbors) + 1)
                     for bit, *ctx in itertools.product((0, 1), repeat=len(table.neighbors) + 1):
                         assert other.q(bit, tuple(ctx)) == table.q(bit, tuple(ctx))
-
-    def test_entries_are_python_complex(self):
-        for model in self.generated_models():
-            for table in model.potentials:
-                assert type(table.entries) is tuple
-                assert {type(v) for v in table.entries} == {complex}
 
     def test_array_is_read_only_and_built_once(self):
         for model in self.generated_models():
