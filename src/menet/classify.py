@@ -181,23 +181,82 @@ def _structured_stack() -> np.ndarray:
     return stack
 
 
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _pcg64_uniforms(entropy: list[int], count: int) -> list[float]:
+    """numpy.random.default_rng(entropy).random(count), on Python ints.
+
+    numpy's SeedSequence hashes the 32-bit words of each entropy integer,
+    least significant first, into a pool of four and draws PCG64's 128-bit
+    state and increment from it (generate_state(4, uint64)). PCG64 steps
+    its LCG and emits the XSL-RR output of each new state (O'Neill,
+    HMC-CS-2014-0905); a uniform is the top 53 bits times 2**-53. The
+    uint32 and uint128 arithmetic wraps, as the masks make it here.
+    """
+    words = []
+    for value in entropy:
+        words.append(value & _MASK32)
+        while value > _MASK32:
+            value >>= 32
+            words.append(value & _MASK32)
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * 0x931E8875 & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        result = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return result ^ result >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for i_src in range(4):
+        for i_dst in range(4):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for word in words[4:]:
+        for i_dst in range(4):
+            pool[i_dst] = mix(pool[i_dst], hashmix(word))
+    halves, hash_const = [], 0x8B51F9DD
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * 0x58F38DED & _MASK32
+        value = value * hash_const & _MASK32
+        halves.append(value ^ value >> 16)
+    s_hi, s_lo, i_hi, i_lo = (halves[i] | halves[i + 1] << 32 for i in (0, 2, 4, 6))
+    increment = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+    # seeding: one step from state 0, add the initial state, one more step
+    state = ((increment + (s_hi << 64 | s_lo)) * _PCG64_MULTIPLIER + increment) & _MASK128
+    out = []
+    for _ in range(count):
+        state = (state * _PCG64_MULTIPLIER + increment) & _MASK128
+        xored, rot = (state >> 64 ^ state) & _MASK64, state >> 122
+        out.append((((xored >> rot | xored << (64 - rot)) & _MASK64) >> 11) * 2.0**-53)
+    return out
+
+
 @functools.lru_cache(maxsize=8)
 def _haar_stack(seed: int, samples: int) -> np.ndarray:
     """Read-only (samples, 3, 2, 2) array whose k-th entry is, bit for bit,
     the matrices of LocalBasisChange.random(3, seed=[seed, k]).
 
-    Each sample keeps its own generator and haar_qubit_unitary's draws
-    (alpha, beta, then the uniform behind theta, per qubit), taken as
-    random(9): uniform(0, 2*pi) is exactly 2*pi times the same uniform.
+    Sample k takes haar_qubit_unitary's draws (alpha, beta, then the
+    uniform behind theta, per qubit) as nine uniforms of its own generator,
+    default_rng([seed, k]), which _pcg64_uniforms reproduces without
+    loading numpy.random; tests/test_classify.py checks it against numpy's
+    generator. uniform(0, 2*pi) is exactly 2*pi times the same uniform.
     theta goes through the scalar math functions, because numpy's
     vectorized arcsin, cos and sin may round differently.
     """
-    draws = np.empty((samples, 9))
-    for k in range(samples):
-        draws[k] = np.random.default_rng([seed, k]).random(9)
-    alpha, beta, uniform = np.moveaxis(draws.reshape(samples, 3, 3), 2, 0)
-    alpha, beta = 2.0 * math.pi * alpha, 2.0 * math.pi * beta
-    theta = [math.asin(math.sqrt(t)) for t in uniform.reshape(-1).tolist()]
+    uniforms = [u for k in range(samples) for u in _pcg64_uniforms([seed, k], 9)]
+    draws = np.array(uniforms, dtype=np.float64).reshape(samples, 3, 3)
+    alpha, beta = 2.0 * math.pi * draws[..., 0], 2.0 * math.pi * draws[..., 1]
+    theta = [math.asin(math.sqrt(t)) for t in uniforms[2::3]]
     c = np.reshape([math.cos(t) for t in theta], (samples, 3))
     s = np.reshape([math.sin(t) for t in theta], (samples, 3))
     stack = np.empty((samples, 3, 2, 2), dtype=np.complex128)
@@ -333,9 +392,9 @@ def _rotate_stack(psi: PureState, unitaries: np.ndarray) -> np.ndarray:
 
 
 def _seed_scalar(seed) -> int:
-    if isinstance(seed, (int, np.integer)):
+    if isinstance(seed, (int, np.integer)) and seed >= 0:
         return int(seed)
-    raise ValueError(f"seed must be an integer, got {seed!r}")
+    raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 _SINGLE_QUBIT_SPLITS = (((1,), (2, 3)), ((2,), (1, 3)), ((3,), (1, 2)))

@@ -105,6 +105,7 @@ def _checked(convert, holds, rule: str):
 
 
 _TOLERANCE = _checked(float, lambda v: math.isfinite(v) and v > 0.0, "finite and > 0")
+_NON_NEGATIVE = _checked(int, lambda v: v >= 0, ">= 0")
 
 
 def _load_state_or_model(path):
@@ -314,8 +315,8 @@ def _measure_arguments(p):
 @_command("classify", "classify a 3-qubit state")
 def _classify_arguments(p):
     p.add_argument("state")
-    p.add_argument("--samples", type=_checked(int, lambda v: v >= 0, ">= 0"), default=256)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=_NON_NEGATIVE, default=256)
+    p.add_argument("--seed", type=_NON_NEGATIVE, default=0)
     p.set_defaults(func=cmd_classify)
 
 
@@ -328,7 +329,7 @@ def _verify_arguments(p):
 @_command("bench", "chain-inference scaling report")
 def _bench_arguments(p):
     p.add_argument("--sizes", type=_parse_sizes, required=True, metavar="500,1000,2000")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_NON_NEGATIVE, default=0)
     p.add_argument("--reps", type=_checked(int, lambda v: v >= 1, ">= 1"), default=5)
     p.add_argument("--no-timing", action="store_true", help="omit wall-clock column")
     p.set_defaults(func=cmd_bench)

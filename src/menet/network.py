@@ -674,18 +674,18 @@ def save_model(model: MenModel, path) -> None:
     lines.append(f'  "reference": "{"".join(str(b) for b in bits)}",')
     lines.append('  "reference_modulus": %.17e,' % model.reference_modulus)
     lines.append('  "q": {')
-    # every number is one "%.17e" in one format call, as save_state writes them
-    node_blocks, parts = [], []
-    for table in model.potentials:
-        rows = ",\n".join(
-            f'      "{key}": [%.17e, %.17e]' for key in _table_keys(len(table.neighbors) + 1)
-        )
-        node_blocks.append(f'    "{table.node}": {{\n{rows}\n    }}')
-        parts.extend(itertools.chain.from_iterable((v.real, v.imag) for v in table.entries))
-    lines.append(",\n".join(node_blocks) % tuple(parts))
-    lines.extend(["  }", "}"])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+        # one table at a time, each in one "%.17e" format call, as save_state writes
+        for index, table in enumerate(model.potentials):
+            rows = ",\n".join(
+                f'      "{key}": [%.17e, %.17e]' for key in _table_keys(len(table.neighbors) + 1)
+            )
+            parts = itertools.chain.from_iterable((v.real, v.imag) for v in table.entries)
+            if index:
+                fh.write(",\n")
+            fh.write(f'    "{table.node}": {{\n{rows}\n    }}' % tuple(parts))
+        fh.write("\n  }\n}\n")
 
 
 def load_model(path) -> MenModel:

@@ -510,15 +510,23 @@ def random_product_state(blocks: Iterable[Iterable[int]], seed) -> ProductStateS
 # otherwise.
 
 
+_ROWS_PER_WRITE = 2048
+
+
 def save_state(psi: PureState, path) -> None:
     import numpy as np
 
-    # one "%.17e" format call covers every amplitude
-    parts = np.stack([psi.amplitudes.real, psi.amplitudes.imag], axis=1).ravel().tolist()
-    rows = ",\n".join(["    [%.17e, %.17e]"] * len(psi.amplitudes)) % tuple(parts)
-    lines = ["{", f'  "n": {psi.num_qubits},', '  "amplitudes": [', rows, "  ]", "}"]
+    # one "%.17e" format call covers each block of rows; the complex128
+    # amplitudes viewed as float64 are (re, im) pairs in row order
+    amps = psi.amplitudes
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f'{{\n  "n": {psi.num_qubits},\n  "amplitudes": [\n')
+        for start in range(0, len(amps), _ROWS_PER_WRITE):
+            parts = amps[start : start + _ROWS_PER_WRITE].view(np.float64).tolist()
+            if start:
+                fh.write(",\n")
+            fh.write(",\n".join(["    [%.17e, %.17e]"] * (len(parts) // 2)) % tuple(parts))
+        fh.write("\n  ]\n}\n")
 
 
 def _read_json(path, what: str = "") -> object:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -168,6 +169,9 @@ def _bits(stack):
     return np.asarray(stack, dtype=np.complex128).view(np.float64)
 
 
+GENERATOR_SEEDS = [0, 1, 7, 2**32 - 1, 2**32, 2**64 + 3, 20070212]
+
+
 class TestBasisStacks:
     """The census's array-built bases against the LocalBasisChange constructors."""
 
@@ -177,6 +181,39 @@ class TestBasisStacks:
 
         want = [mn.LocalBasisChange.random(3, seed=[seed, k]).matrices for k in range(40)]
         assert np.array_equal(_bits(_haar_stack(seed, 40)), _bits(want))
+
+    @pytest.mark.parametrize("seed", GENERATOR_SEEDS)
+    def test_uniforms_match_numpy(self, seed):
+        """The stdlib PCG64 draws equal numpy's default_rng([seed, k]).random(9), bit for bit."""
+        from menet.classify import _pcg64_uniforms
+
+        for k in range(301):
+            want = np.random.default_rng([seed, k]).random(9)
+            assert np.array_equal(np.array(_pcg64_uniforms([seed, k], 9)).view(np.uint64), want.view(np.uint64)), k
+
+    @pytest.mark.parametrize("entropy", [[2**96 + 5, 3], [2**100 - 1, 2**64 + 9], [], [0] * 9])
+    def test_uniforms_match_numpy_past_the_pool(self, entropy):
+        """More or fewer 32-bit entropy words than the pool's four, and a long draw."""
+        from menet.classify import _pcg64_uniforms
+
+        want = np.random.default_rng(entropy).random(1000).tolist()
+        assert _pcg64_uniforms(entropy, 1000) == want
+
+    @pytest.mark.parametrize("seed", GENERATOR_SEEDS)
+    def test_haar_stack_matches_the_generator_draws(self, seed):
+        from menet.classify import _haar_stack
+
+        want = [mn.LocalBasisChange.random(3, seed=[seed, k]).matrices for k in range(301)]
+        assert np.array_equal(_bits(_haar_stack(seed, 301)), _bits(want))
+
+    @pytest.mark.parametrize("seed", [-1, np.int64(-7), -(2**70)])
+    def test_negative_seed_refused(self, ghz, seed):
+        """menet's own one-line error, before any draw (numpy's says "expected non-negative integer")."""
+        message = rf"^seed must be a non-negative integer, got {re.escape(repr(seed))}$"
+        with pytest.raises(ValueError, match=message):
+            mn.topology_census(ghz, 4, seed)
+        with pytest.raises(ValueError, match=message):
+            mn.classify(ghz, seed=seed)
 
     def test_numpy_integer_seed(self, ghz):
         from menet.classify import _haar_stack

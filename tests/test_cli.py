@@ -440,7 +440,9 @@ ARGUMENT_ERRORS = [
                          ("measure", ["--qubit", "1", "--outcome", "0", "-o", "out.state"])]
       for value in ["0", "-1", "nan", "inf"]),
     (["classify", "ghz.state", "--samples", "-1"], 2),
+    (["classify", "ghz.state", "--seed", "-1"], 2),
     (["bench", "--sizes", "4", "--reps", "0"], 2),
+    (["bench", "--sizes", "5", "--seed", "-1"], 2),
     (["measure", "ghz.state", "--qubit", "5", "--outcome", "0", "-o", "out.state"], 1),
     (["measure", "ghz.state", "--qubit", "0", "--outcome", "0", "-o", "out.state"], 1),
     (["mle", "twin25.model"], 1),
@@ -468,6 +470,16 @@ def test_argument_errors_are_one_line(argv, code, capsys, tmp_path, off_chain_tw
     if code == 1:
         assert err.count("\n") == 1
         assert err.startswith(("error: InvalidQuery: qubit", "error: EnumerationBoundExceeded: dense"))
+
+
+@pytest.mark.parametrize("argv", [["classify", "ghz.state"], ["bench", "--sizes", "5"]], ids=["classify", "bench"])
+def test_negative_seed_is_a_usage_error(argv, capsys):
+    """numpy's generators refuse negative seeds with a traceback; argparse refuses them first."""
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "-1"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.splitlines()[-1] == f"menet {argv[0]}: error: argument --seed: must be >= 0, got '-1'"
 
 
 class TestMarginalSumsOnce:

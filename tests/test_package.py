@@ -112,8 +112,8 @@ class TestNamespace:
 
 
 # Runs one command in a fresh interpreter (none: only imports menet.cli);
-# prints its exit code, the menet modules loaded and whether `statistics`
-# and numpy were imported.
+# prints its exit code, the menet modules loaded and whether `statistics`,
+# numpy and numpy.random were imported.
 PROBE = """
 import contextlib, io, json, sys
 from menet.cli import main
@@ -125,7 +125,9 @@ if sys.argv[1:]:
         except SystemExit as exc:  # --help
             rc = exc.code
 mods = sorted(name[len("menet."):] for name in sys.modules if name.startswith("menet."))
-print(json.dumps([rc, mods, "statistics" in sys.modules, "numpy" in sys.modules]))
+print(json.dumps([
+    rc, mods, "statistics" in sys.modules, "numpy" in sys.modules, "numpy.random" in sys.modules,
+]))
 """
 
 CORE = {"cli", "errors", "network", "state"}
@@ -168,8 +170,10 @@ def test_each_command_imports_only_what_it_runs(argv, loaded, numpy, fixture_dir
         (tmp_path / name).write_bytes((fixture_dir / name).read_bytes())
     assert 20 > _NORM_AUDIT_MAX
     mn.save_model(mn.random_chain_model(20, seed=3), tmp_path / "chain20.model")
-    rc, mods, statistics, numpy_loaded = json.loads(run_fresh(PROBE, *argv, cwd=tmp_path))
+    rc, mods, statistics, numpy_loaded, numpy_random = json.loads(run_fresh(PROBE, *argv, cwd=tmp_path))
     assert rc == 0
     assert set(mods) == loaded
     assert not statistics  # it brings decimal and fractions; only `menet bench` needs it
     assert numpy_loaded == numpy
+    # about 6 MB per process; classify's census draws its Haar bases without it
+    assert not numpy_random

@@ -344,6 +344,39 @@ class TestStateFiles:
             want = f'{{\n  "n": {psi.num_qubits},\n  "amplitudes": [\n{rows}\n  ]\n}}\n'
             assert path.read_text() == want
 
+    @pytest.mark.parametrize("n, rows_per_write", [(1, None), (10, None), (11, None), (12, None), (3, 3), (4, 8)])
+    def test_block_writer_matches_the_one_call_writer(self, n, rows_per_write, tmp_path, monkeypatch):
+        """2**n rows below, at and above the block size (2048 = 2**11), and
+        ragged or whole last blocks of a smaller one."""
+        from menet import state
+
+        def one_call_text(psi):
+            parts = np.stack([psi.amplitudes.real, psi.amplitudes.imag], axis=1).ravel().tolist()
+            rows = ",\n".join(["    [%.17e, %.17e]"] * len(psi.amplitudes)) % tuple(parts)
+            lines = ["{", f'  "n": {psi.num_qubits},', '  "amplitudes": [', rows, "  ]", "}"]
+            return "\n".join(lines) + "\n"
+
+        assert state._ROWS_PER_WRITE == 2048
+        if rows_per_write is not None:
+            monkeypatch.setattr(state, "_ROWS_PER_WRITE", rows_per_write)
+        psi = mn.random_state(n, 20 + n)
+        path = tmp_path / "a.state"
+        mn.save_state(psi, path)
+        assert path.read_bytes() == one_call_text(psi).encode()
+
+    def test_writer_peak_memory_is_bounded(self, tmp_path):
+        """A 16-qubit state (a 3.5 MB file) is written in blocks; the one-call writer peaked at 15 MB."""
+        import tracemalloc
+
+        psi = mn.random_state(16, 0)
+        tracemalloc.start()
+        try:
+            mn.save_state(psi, tmp_path / "a.state")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
+
     def test_reader_matches_the_pair_loop(self, tmp_path):
         """Integers and signed zeros read as complex(float(re), float(im)); bools are no numbers."""
         for raw in (
