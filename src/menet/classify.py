@@ -192,8 +192,8 @@ def _pcg64_uniforms(entropy: list[int], count: int) -> list[float]:
     least significant first, into a pool of four and draws PCG64's 128-bit
     state and increment from it (generate_state(4, uint64)). PCG64 steps
     its LCG and emits the XSL-RR output of each new state (O'Neill,
-    HMC-CS-2014-0905); a uniform is the top 53 bits times 2**-53. The
-    uint32 and uint128 arithmetic wraps, as the masks make it here.
+    HMC-CS-2014-0905); a uniform is the top 53 bits times 2**-53. numpy's
+    unsigned arithmetic wraps; the masks keep each value to its width.
     """
     words = []
     for value in entropy:

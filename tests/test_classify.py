@@ -189,7 +189,8 @@ class TestBasisStacks:
 
         for k in range(301):
             want = np.random.default_rng([seed, k]).random(9)
-            assert np.array_equal(np.array(_pcg64_uniforms([seed, k], 9)).view(np.uint64), want.view(np.uint64)), k
+            got = np.array(_pcg64_uniforms([seed, k], 9))
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), k
 
     @pytest.mark.parametrize("entropy", [[2**96 + 5, 3], [2**100 - 1, 2**64 + 9], [], [0] * 9])
     def test_uniforms_match_numpy_past_the_pool(self, entropy):
