@@ -365,7 +365,7 @@ class TestStateFiles:
         assert path.read_bytes() == one_call_text(psi).encode()
 
     def test_writer_peak_memory_is_bounded(self, tmp_path):
-        """A 16-qubit state (a 3.5 MB file) is written in blocks; the one-call writer peaked at 15 MB."""
+        """A 16-qubit state (a 3.7 MB file) is written in blocks; the one-call writer peaked at 15 MB."""
         import tracemalloc
 
         psi = mn.random_state(16, 0)
