@@ -397,7 +397,7 @@ def _seed_scalar(seed) -> int:
     raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
-_SINGLE_QUBIT_SPLITS = (((1,), (2, 3)), ((2,), (1, 3)), ((3,), (1, 2)))
+_SINGLE_QUBIT_SPLITS = np.array([4, 2, 1]), np.array([3, 5, 6])  # {i} | rest for i = 1, 2, 3; qubit q is bit 3 - q
 
 
 def classify(
@@ -420,7 +420,7 @@ def _classify_with_census(
     if psi.num_qubits != 3:
         raise WrongArity(f"classification requires a 3-qubit state, got n={psi.num_qubits}")
     # each {i} against the rest, with no qubit held: is_separable(psi, {i}, tol)
-    separable = _splits_separable(psi.amplitudes, _SINGLE_QUBIT_SPLITS, tol).tolist()
+    separable = _splits_separable(psi.amplitudes, *_SINGLE_QUBIT_SPLITS, tol).tolist()
     count = sum(separable)
     if count == 3:
         return TripartiteClass(ClassTag.FULLY_SEPARABLE), None

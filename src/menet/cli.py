@@ -149,11 +149,13 @@ def cmd_extract(args) -> list[str]:
 
 def cmd_reconstruct(args) -> list[str]:
     model = load_model(args.model)
+    original = None if args.check is None else load_state(args.check)
+    if original is not None and original.num_qubits != model.num_qubits:  # before OUT is written
+        raise InvalidQuery(f"--check state has {original.num_qubits} qubits, the model has {model.num_qubits}")
     psi = reconstruct_state(model)
     save_state(psi, args.output)
     lines = [f"n: {psi.num_qubits}"]
-    if args.check is not None:
-        original = load_state(args.check)
+    if original is not None:
         lines.append(f"fidelity: {_fmt(fidelity_up_to_phase(psi, original))}")
     return lines
 

@@ -41,12 +41,13 @@ from .state import (
     _disjoint_subsets,
     _entry_value,
     _read_json,
+    _writing,
 )
 
 _NORM_AUDIT_MAX = 12  # brute-force normalization audit bound
 _RECONSTRUCT_MAX = 24
-_PERFECT_MAP_MAX = 9  # largest n whose fresh-process `menet verify` takes < 1 s and < 100 MB
-_GRAPHOID_MAX = 8  # the same, with the graphoid check added to that verify
+_PERFECT_MAP_MAX = 10  # largest n whose fresh-process `menet verify` takes < 1 s and < 100 MB
+_GRAPHOID_MAX = 9  # the same, with the graphoid check added to that verify
 _MODULUS_ATOL = 1e-9
 
 
@@ -498,7 +499,7 @@ def verify_perfect_map(
     2x2 minors, each distinct minor tested once in a shared table,
     independently of the pairwise test that builds graphs.
     """
-    from .separability import _splits_separable
+    from .separability import _mask_qubits, _role_masks, _splits_separable
 
     n = psi.num_qubits
     if g.num_nodes != n:
@@ -508,45 +509,28 @@ def verify_perfect_map(
             f"perfect-map enumeration is limited to n <= {_PERFECT_MAP_MAX}, got {n}"
         )
     zero = psi.min_modulus() <= tol.zero_amp_threshold
-    # (A, B) and (B, A) are the same check: keep the one whose lowest qubit is in A
-    splits = [
-        groups
-        for groups in _colorings(n, 3)
-        if groups[0] and groups[1] and groups[0][0] < groups[1][0]
-    ]
-    separable = _splits_separable(psi.amplitudes, [(a, b) for a, b, _ in splits], tol)
-    disagreements = []
-    for (set_a, set_b, set_c), sep in zip(splits, separable.tolist()):
-        graph_sep = _complement_separated(g, set_a, set_b)
-        if sep != graph_sep:
-            disagreements.append((set_a, set_b, set_c, sep, graph_sep))
-    return PerfectMapReport(n, len(splits), tuple(disagreements), zero)
+    # (A, B) and (B, A) are the same check: keep the one whose lowest qubit,
+    # the highest bit of the two, is in A
+    masks = _role_masks(n, 3)
+    a, b, c = masks[:, masks[0] > masks[1]]
+    separable = _splits_separable(psi.amplitudes, a, b, tol)
+    wrong = (separable != _complement_separated(g, a, b)).nonzero()[0]
+    disagreements = tuple(
+        (*(_mask_qubits(m[k], n) for m in (a, b, c)), sep, not sep)
+        for k, sep in zip(wrong.tolist(), separable[wrong].tolist())
+    )
+    return PerfectMapReport(n, a.size, disagreements, zero)
 
 
-def _complement_separated(g: MenGraph, a, b) -> bool:
-    """node_separation(g, A, B, C) for C the exact complement of A | B.
-
-    Every node off C is in A or B, so a path from A to B that avoids C has
-    an edge from A to B somewhere: A and B are separated iff no edge joins
-    them.
-    """
-    return not any(g.has_edge(i, j) for i in a for j in b)
-
-
-@functools.lru_cache(maxsize=16)
-def _colorings(n: int, parts: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Every assignment of qubits 1..n to `parts` roles, as per-role qubit tuples.
-
-    In itertools.product order over the roles of qubits 1..n; each tuple is
-    ascending.
-    """
-    out = []
-    for colors in itertools.product(range(parts), repeat=n):
-        groups: tuple[list[int], ...] = tuple([] for _ in range(parts))
-        for q, color in enumerate(colors, start=1):
-            groups[color].append(q)
-        out.append(tuple(map(tuple, groups)))
-    return tuple(out)
+def _complement_separated(g: MenGraph, masks_a, masks_b):
+    """node_separation(g, A, B, C) per mask pair, for C the exact complement of
+    A | B: a path from A to B off C has an edge from A to B somewhere, so A and
+    B are separated iff no neighbour of A is in B."""
+    n = g.num_nodes
+    reach = masks_a & 0  # the neighbours of each A
+    for i in range(1, n + 1):
+        reach |= (masks_a >> (n - i) & 1) * sum(1 << (n - j) for j in g.neighbors(i))
+    return (reach & masks_b) == 0
 
 
 @dataclass(frozen=True)
@@ -584,33 +568,32 @@ def check_graphoid_axioms(psi: PureState, tol: ToleranceConfig = DEFAULT_TOL) ->
     for all three terms, but I(A, B) conditions on v and I(A, {v}) on B.
     Exponential, hence the n <= _GRAPHOID_MAX guard.
     """
-    from .separability import _splits_separable
+    from .separability import _mask_qubits, _role_masks, _split_table
 
     n = psi.num_qubits
     if n > _GRAPHOID_MAX:
         raise EnumerationBoundExceeded(
             f"graphoid enumeration is limited to n <= {_GRAPHOID_MAX}, got {n}"
         )
+    # I(A, B) for every ordered pair, in a table indexed by the two masks;
     # (A, B) and (B, A) come from different minor classes, so symmetry
     # compares two independently computed verdicts
-    pairs = [(a, b) for a, b, _ in _colorings(n, 3) if a and b]
-    ind = dict(zip(pairs, _splits_separable(psi.amplitudes, pairs, tol).tolist()))
-    triples = [(a, b, d, tuple(sorted(b + d))) for a, b, d, _ in _colorings(n, 4) if a and b and d]
+    a, b = _role_masks(n, 3)[:2]
+    ind = _split_table(psi.amplitudes, a, b, tol)
+    triples = ta, tb, td = _role_masks(n, 4)[:3]  # ordered (A, B, D)
+    tbd = tb | td
 
-    def fmt(**sets) -> str:
-        return ", ".join(f"{k}={v}" for k, v in sets.items())
+    def violations(broken, *sets) -> tuple[str, ...]:
+        return tuple(
+            ", ".join(f"{key}={_mask_qubits(m[k], n)}" for key, m in zip("ABD", sets))
+            for k in broken.nonzero()[0].tolist()
+        )
 
-    symmetry = [fmt(A=a, B=b) for a, b in pairs if ind[a, b] and not ind[b, a]]
-    weak_union = [fmt(A=a, B=b, D=d) for a, b, d, bd in triples if ind[a, bd] and not ind[a, b]]
-    intersection = [
-        fmt(A=a, B=b, D=d)
-        for a, b, d, bd in triples
-        if b[0] < d[0] and ind[a, b] and ind[a, d] and not ind[a, bd]
-    ]
+    intersection = (tb > td) & ind[ta, tb] & ind[ta, td] & ~ind[ta, tbd]  # unordered {B, D}
     return GraphoidReport((
-        AxiomResult("symmetry", len(pairs), tuple(symmetry)),
-        AxiomResult("weak_union", len(triples), tuple(weak_union)),
-        AxiomResult("intersection", len(triples) // 2, tuple(intersection)),
+        AxiomResult("symmetry", a.size, violations(ind[a, b] & ~ind[b, a], a, b)),
+        AxiomResult("weak_union", ta.size, violations(ind[ta, tbd] & ~ind[ta, tb], *triples)),
+        AxiomResult("intersection", ta.size // 2, violations(intersection, *triples)),
     ))
 
 
@@ -674,7 +657,7 @@ def save_model(model: MenModel, path) -> None:
     lines.append(f'  "reference": "{"".join(str(b) for b in bits)}",')
     lines.append('  "reference_modulus": %.17e,' % model.reference_modulus)
     lines.append('  "q": {')
-    with open(path, "w", encoding="utf-8") as fh:
+    with _writing(path, "model file ") as fh:
         fh.write("\n".join(lines) + "\n")
         # one table at a time, each in one "%.17e" format call, as save_state writes
         for index, table in enumerate(model.potentials):

@@ -320,25 +320,31 @@ def _minor_passes(amps: np.ndarray, d_a: np.ndarray, d_b: np.ndarray):
         yield rows, np.abs(tl * br - bl * tr), corners
 
 
-def _split_masks(n: int, splits) -> tuple[np.ndarray, np.ndarray]:
-    """Each split's A and B as amplitude-index bit masks (qubit q is bit n - q)."""
-    groups = [group for split in splits for group in split]  # A0, B0, A1, B1, ...
-    sizes = np.fromiter(map(len, groups), dtype=np.int64, count=len(groups))
-    qubits = np.fromiter(itertools.chain.from_iterable(groups), dtype=np.int64, count=int(sizes.sum()))
-    running = np.zeros(qubits.size + 1, dtype=np.int64)
-    np.cumsum(1 << (n - qubits), out=running[1:])
-    ends = np.cumsum(sizes)
-    masks = running[ends] - running[ends - sizes]
-    return masks[0::2], masks[1::2]
+def _role_masks(n: int, roles: int) -> np.ndarray:
+    """Every assignment of qubits 1..n to `roles` roles that leaves no role
+    but the last empty, as masks (roles, assignments).
+
+    Assignments are in itertools.product order over the roles of qubits
+    1..n; row r holds the mask of the qubits given role r.
+    """
+    masks = np.zeros((roles, 1), dtype=np.intp)
+    for shift in range(n - 1, -1, -1):  # qubit 1 first: the slowest digit
+        masks = (masks[:, :, None] + (np.eye(roles, dtype=np.intp) << shift)[:, None]).reshape(roles, -1)
+    return masks[:, (masks[:-1] != 0).all(axis=0)]
 
 
-def _splits_separable(amps: np.ndarray, splits, tol: ToleranceConfig) -> np.ndarray:
+def _mask_qubits(mask: int, n: int) -> tuple[int, ...]:
+    """The qubits of a mask, ascending."""
+    return tuple(q for q in range(1, n + 1) if mask >> (n - q) & 1)
+
+
+def _splits_separable(amps: np.ndarray, masks_a: np.ndarray, masks_b: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
     """Robust conditional test of many (A, B) splits of one state.
 
-    `amps` is a state's amplitude vector (2**n,); each split is a pair
-    (A, B) of disjoint nonempty qubit collections, with every other qubit
-    held. The result has one bool per split, True where A and B are
-    conditionally separable, i.e. equal to
+    `amps` is a state's amplitude vector (2**n,); split k is the pair
+    (masks_a[k], masks_b[k]) of disjoint nonempty qubit masks, with every
+    other qubit held. The result has one bool per split, True where A and B
+    are conditionally separable, i.e. equal to
     `conditionally_separable(psi, A, B, rest, tol).separable`.
 
     A 2x2 minor of a split's (2^|A|, 2^|B|, 2^rest) view depends only on
@@ -351,7 +357,6 @@ def _splits_separable(amps: np.ndarray, splits, tol: ToleranceConfig) -> np.ndar
     has a violation: the upward `_subset_or` of the class verdicts.
     """
     n = amps.size.bit_length() - 1
-    masks_a, masks_b = _split_masks(n, splits)
     if not masks_a.size:  # no split; n may then be 1, with no 2x2 minor at all
         return np.empty(0, dtype=bool)
     d_a, d_b = _minor_classes(n, masks_a, masks_b)
@@ -368,14 +373,11 @@ def _splits_separable(amps: np.ndarray, splits, tol: ToleranceConfig) -> np.ndar
     return ~_subset_or(violated, n, upward=True)[masks_a, masks_b]
 
 
-def _class_peaks(amps: np.ndarray, splits) -> np.ndarray:
-    """Peak |minor| of each class below the splits, as a (2^n, 2^n) table by masks."""
-    n = amps.size.bit_length() - 1
-    d_a, d_b = _minor_classes(n, *_split_masks(n, splits))
-    peaks = np.zeros((1 << n, 1 << n))
-    for rows, mags, _ in _minor_passes(amps, d_a, d_b):
-        peaks[d_a[rows], d_b[rows]] = mags.max(axis=1)
-    return peaks
+def _split_table(amps: np.ndarray, masks_a: np.ndarray, masks_b: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """`_splits_separable` as a (2^n, 2^n) bool table by the masks of A and B, False off the splits."""
+    table = np.zeros((amps.size, amps.size), dtype=bool)
+    table[masks_a, masks_b] = _splits_separable(amps, masks_a, masks_b, tol)
+    return table
 
 
 def _scan_reference_minors(arr: np.ndarray, row0: int, col0: int, tol: ToleranceConfig):

@@ -16,6 +16,7 @@ which only read models (chain queries, the CLI's start) never load it.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
@@ -519,7 +520,7 @@ def save_state(psi: PureState, path) -> None:
     # one "%.17e" format call covers each block of rows; the complex128
     # amplitudes viewed as float64 are (re, im) pairs in row order
     amps = psi.amplitudes
-    with open(path, "w", encoding="utf-8") as fh:
+    with _writing(path, "state file ") as fh:
         fh.write(f'{{\n  "n": {psi.num_qubits},\n  "amplitudes": [\n')
         for start in range(0, len(amps), _ROWS_PER_WRITE):
             parts = amps[start : start + _ROWS_PER_WRITE].view(np.float64).tolist()
@@ -527,6 +528,16 @@ def save_state(psi: PureState, path) -> None:
                 fh.write(",\n")
             fh.write(",\n".join(["    [%.17e, %.17e]"] * (len(parts) // 2)) % tuple(parts))
         fh.write("\n  ]\n}\n")
+
+
+@contextlib.contextmanager
+def _writing(path, what: str):
+    """The file at `path`, open for writing text; `what` names its format in errors."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise FileFormatError(f"cannot write {what}{path}: {exc}") from exc
 
 
 def _read_json(path, what: str = "") -> object:

@@ -48,6 +48,18 @@ def off_chain_twin_fixture():
     return off_chain_twin
 
 
+def split_masks(n, splits):
+    """Splits (A, B) of qubits 1..n, given as qubit collections, as the two
+    mask arrays the split kernel takes (qubit q is bit n - q)."""
+    masks = [[sum(1 << (n - q) for q in group) for group in split] for split in splits]
+    return np.array(masks, dtype=np.intp).reshape(-1, 2).T
+
+
+@pytest.fixture(name="split_masks")
+def split_masks_fixture():
+    return split_masks
+
+
 @pytest.fixture
 def bell():
     amp = 1.0 / math.sqrt(2.0)

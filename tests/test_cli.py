@@ -80,6 +80,37 @@ class TestExitCodes:
         assert rc == 1
         assert "EnumerationBoundExceeded" in capsys.readouterr().err
 
+    def test_reconstruct_check_of_another_size_is_1(self, capsys, fixture_dir, tmp_path):
+        """The --check state is sized up before the output is written, so none is left."""
+        out = tmp_path / "out.state"
+        rc = main(
+            ["reconstruct", str(fixture_dir / "chain4.model"), "-o", str(out),
+             "--check", str(fixture_dir / "ghz.state")]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == "error: InvalidQuery: --check state has 3 qubits, the model has 4\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, kind",
+        [
+            (["extract", "plusplus.state"], "model"),
+            (["reconstruct", "chain4.model"], "state"),
+            (["measure", "ghz.state", "--qubit", "1", "--outcome", "0"], "state"),
+        ],
+        ids=["extract", "reconstruct", "measure"],
+    )
+    def test_unwritable_output_is_1(self, capsys, fixture_dir, tmp_path, argv, kind):
+        out = tmp_path / "no_such_dir" / "out"
+        rc = main([argv[0], str(fixture_dir / argv[1]), *argv[2:], "-o", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: FileFormatError: cannot write {kind} file {out}: "
+            f"[Errno 2] No such file or directory: '{out}'\n"
+        )
+
 
 def golden_cases(fixture_dir, tmp_path):
     fx = str(fixture_dir)

@@ -356,18 +356,19 @@ class TestNodeSeparation:
             mn.node_separation(MenGraph.empty(3), {1}, {1}, {2})
 
     @pytest.mark.parametrize("n", range(2, 7))
-    def test_complement_rule_equals_node_separation(self, n):
+    def test_complement_rule_equals_node_separation(self, n, split_masks):
         """With C the exact complement, verify's edge rule equals the search."""
         from menet.network import _complement_separated
 
         rng = np.random.default_rng([n, 5])
         pairs = list(itertools.combinations(range(1, n + 1), 2))
+        splits = [(x, y, c) for a, b, c in _all_splits(n) for x, y in ((a, b), (b, a))]
+        masks = split_masks(n, [(x, y) for x, y, _ in splits])
         for density in (0.0, 0.25, 0.5, 0.75, 1.0):
             for _ in range(3):
                 g = MenGraph.from_edges(n, [p for p in pairs if rng.random() < density])
-                for a, b, c in _all_splits(n):
-                    for x, y in ((a, b), (b, a)):
-                        assert _complement_separated(g, x, y) == mn.node_separation(g, x, y, c)
+                want = [mn.node_separation(g, x, y, c) for x, y, c in splits]
+                assert _complement_separated(g, *masks).tolist() == want
 
 
 def _all_splits(n):
@@ -489,18 +490,22 @@ class TestGraphoidAxioms:
         ids=["symmetry", "weak_union", "intersection"],
     )
     def test_each_planted_break_is_reported_by_its_axiom_only(
-        self, monkeypatch, holds, axiom, violations
+        self, monkeypatch, split_masks, holds, axiom, violations
     ):
         import importlib
 
-        def planted(amps, splits, tol):
-            return np.array([holds(a, b) for a, b in splits])
+        def qubits(mask):
+            return tuple(q for q in (1, 2, 3) if mask >> (3 - q) & 1)
+
+        def planted(amps, masks_a, masks_b, tol):
+            return np.array([holds(qubits(a), qubits(b)) for a, b in zip(masks_a.tolist(), masks_b.tolist())])
 
         monkeypatch.setattr(importlib.import_module("menet.separability"), "_splits_separable", planted)
         report = mn.check_graphoid_axioms(mn.random_nonzero_state(3, 0))
         assert {ax.name: list(ax.violations) for ax in report.axioms if ax.violations} == {
             axiom: violations
         }
+        assert report == _graphoid_oracle(mn.random_nonzero_state(3, 0), split_masks)
 
     def test_product_state_passes(self):
         psi = mn.random_product_state(({1}, {2}, {3}), 1).state
@@ -511,6 +516,106 @@ class TestGraphoidAxioms:
 
         with pytest.raises(mn.EnumerationBoundExceeded):
             mn.check_graphoid_axioms(mn.random_state(_GRAPHOID_MAX + 1, 0))
+
+
+def _colorings(n, parts):
+    """Every assignment of qubits 1..n to `parts` roles, as per-role qubit tuples.
+
+    In itertools.product order over the roles of qubits 1..n; each tuple is
+    ascending. The tuple enumeration the exhaustive checks ran on before
+    they took masks, kept as the oracle for their reports.
+    """
+    out = []
+    for colors in itertools.product(range(parts), repeat=n):
+        groups = tuple([] for _ in range(parts))
+        for q, color in enumerate(colors, start=1):
+            groups[color].append(q)
+        out.append(tuple(map(tuple, groups)))
+    return out
+
+
+def _tuple_verdicts(psi, splits, split_masks, tol=mn.DEFAULT_TOL):
+    from menet import separability
+
+    return separability._splits_separable(psi.amplitudes, *split_masks(psi.num_qubits, splits), tol).tolist()
+
+
+def _perfect_map_oracle(psi, g, split_masks, tol=mn.DEFAULT_TOL):
+    """verify_perfect_map on tuple splits, with graph separation read edge by edge."""
+    n = psi.num_qubits
+    splits = [groups for groups in _colorings(n, 3) if groups[0] and groups[1] and groups[0][0] < groups[1][0]]
+    separable = _tuple_verdicts(psi, [(a, b) for a, b, _ in splits], split_masks, tol)
+    disagreements = []
+    for (set_a, set_b, set_c), sep in zip(splits, separable):
+        graph_sep = not any(g.has_edge(i, j) for i in set_a for j in set_b)
+        if sep != graph_sep:
+            disagreements.append((set_a, set_b, set_c, sep, graph_sep))
+    zero = psi.min_modulus() <= tol.zero_amp_threshold
+    return network.PerfectMapReport(n, len(splits), tuple(disagreements), zero)
+
+
+def _graphoid_oracle(psi, split_masks, tol=mn.DEFAULT_TOL):
+    """check_graphoid_axioms on a dict keyed by tuple pairs and a list of tuple triples."""
+    n = psi.num_qubits
+    pairs = [(a, b) for a, b, _ in _colorings(n, 3) if a and b]
+    ind = dict(zip(pairs, _tuple_verdicts(psi, pairs, split_masks, tol)))
+    triples = [(a, b, d, tuple(sorted(b + d))) for a, b, d, _ in _colorings(n, 4) if a and b and d]
+
+    def fmt(**sets):
+        return ", ".join(f"{k}={v}" for k, v in sets.items())
+
+    symmetry = [fmt(A=a, B=b) for a, b in pairs if ind[a, b] and not ind[b, a]]
+    weak_union = [fmt(A=a, B=b, D=d) for a, b, d, bd in triples if ind[a, bd] and not ind[a, b]]
+    intersection = [
+        fmt(A=a, B=b, D=d)
+        for a, b, d, bd in triples
+        if b[0] < d[0] and ind[a, b] and ind[a, d] and not ind[a, bd]
+    ]
+    return network.GraphoidReport((
+        network.AxiomResult("symmetry", len(pairs), tuple(symmetry)),
+        network.AxiomResult("weak_union", len(triples), tuple(weak_union)),
+        network.AxiomResult("intersection", len(triples) // 2, tuple(intersection)),
+    ))
+
+
+class TestReportsEqualTheTupleOracle:
+    """Both exhaustive checks, on masks, give the reports of the tuple
+    enumeration, disagreements and violations in the same order."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_states_and_wrong_graphs(self, n, split_masks):
+        states = [mn.random_state(n, [n, 21])]
+        if n > 1:  # exact zeros: qubit 2 measured
+            states.append(mn.measure_qubit(mn.random_state(n, [n, 22]), 2, 1)[1])
+        wrong = 0
+        for psi in states:
+            built = quiet_graph(psi)
+            complete = MenGraph.from_edges(n, itertools.combinations(range(1, n + 1), 2))
+            for g in (built, MenGraph.path(n), MenGraph.empty(n), complete):
+                report = mn.verify_perfect_map(psi, g)
+                assert report == _perfect_map_oracle(psi, g, split_masks)
+                wrong += len(report.disagreements)
+            assert mn.check_graphoid_axioms(psi) == _graphoid_oracle(psi, split_masks)
+        assert wrong or n == 1
+
+    @pytest.mark.parametrize("n", range(4, 7))
+    def test_planted_verdicts(self, n, split_masks, monkeypatch):
+        """A planted kernel with pseudo-random verdicts breaks every axiom many
+        times over, so the order of long violation lists is compared too."""
+        import importlib
+
+        def planted(amps, masks_a, masks_b, tol):
+            return (masks_a * 40503 + masks_b * 2654435761) >> 9 & 1 == 1
+
+        monkeypatch.setattr(importlib.import_module("menet.separability"), "_splits_separable", planted)
+        psi = mn.random_nonzero_state(n, n)
+        g = MenGraph.path(n)
+        report = mn.verify_perfect_map(psi, g)
+        assert report == _perfect_map_oracle(psi, g, split_masks)
+        axioms = mn.check_graphoid_axioms(psi)
+        assert axioms == _graphoid_oracle(psi, split_masks)
+        assert len(report.disagreements) > 1
+        assert all(len(ax.violations) > 1 for ax in axioms.axioms)
 
 
 class TestExportDot:

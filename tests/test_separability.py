@@ -423,35 +423,41 @@ def _split_oracle(psi, splits):
 
 def _ordered_splits(n):
     """Every ordered (A, B) pair of nonempty disjoint qubit sets; the rest is held."""
-    from menet.network import _colorings
-
-    return [(a, b) for a, b, _ in _colorings(n, 3) if a and b]
+    out = []
+    for colors in itertools.product(range(3), repeat=n):  # the order verify enumerates them in
+        a, b = (tuple(q for q in range(1, n + 1) if colors[q - 1] == role) for role in (0, 1))
+        if a and b:
+            out.append((a, b))
+    return out
 
 
 class TestSplitKernel:
     """The batched split kernel against conditionally_separable, split by split."""
 
-    @staticmethod
-    def kernel(psi, splits):
+    @pytest.fixture
+    def kernel(self, split_masks):
         from menet.separability import _splits_separable
 
-        return _splits_separable(psi.amplitudes, splits, mn.DEFAULT_TOL).tolist()
+        def run(psi, splits):
+            return _splits_separable(psi.amplitudes, *split_masks(psi.num_qubits, splits), mn.DEFAULT_TOL).tolist()
+
+        return run
 
     @pytest.mark.parametrize("n", range(2, 8))
-    def test_pairwise_factor_states(self, n):
+    def test_pairwise_factor_states(self, kernel, n):
         splits = _ordered_splits(n)
         for seed in range(2 if n < 6 else 1):
             rng = np.random.default_rng([seed, n, 2])
             pairs = list(itertools.combinations(range(1, n + 1), 2))
             edges = [p for p in pairs if rng.random() < 0.4]
             psi = _pairwise_factor_state(n, edges, [seed, n, 2])
-            got = self.kernel(psi, splits)
+            got = kernel(psi, splits)
             assert got == _split_oracle(psi, splits)
             assert all(got) == (not edges)  # an edge's ends on both sides are entangled
             assert any(got) == (len(edges) < len(pairs))  # two non-neighbours are not
 
     @pytest.mark.parametrize("n", range(2, 7))
-    def test_states_with_exact_zeros(self, n):
+    def test_states_with_exact_zeros(self, kernel, n):
         splits = _ordered_splits(n)
         states = [_ghz(n), _w(n), mn.basis_state(n, 0)]
         bell = np.zeros(2**n)
@@ -460,21 +466,21 @@ class TestSplitKernel:
         states.append(mn.random_product_state(([1], list(range(2, n + 1))), n).state)
         states.append(_pairwise_factor_state(n, [(1, n)], [n, 3], zero_fraction=0.4))
         for psi in states:
-            assert self.kernel(psi, splits) == _split_oracle(psi, splits)
+            assert kernel(psi, splits) == _split_oracle(psi, splits)
 
-    def test_split_order_and_repeats_do_not_matter(self):
+    def test_split_order_and_repeats_do_not_matter(self, kernel):
         psi = _pairwise_factor_state(5, [(1, 2), (2, 5), (3, 4)], 9)
         splits = _ordered_splits(5)
         want = _split_oracle(psi, splits)
         shuffled = list(range(len(splits)))
         np.random.default_rng(1).shuffle(shuffled)
         picked = shuffled + shuffled[:7]
-        got = self.kernel(psi, [(tuple(reversed(splits[k][0])), splits[k][1]) for k in picked])
+        got = kernel(psi, [(tuple(reversed(splits[k][0])), splits[k][1]) for k in picked])
         assert got == [want[k] for k in picked]
-        assert self.kernel(psi, []) == []
+        assert kernel(psi, []) == []
 
     @pytest.mark.parametrize("held", [0, 1])
-    def test_minor_at_the_tolerance_boundary(self, held):
+    def test_minor_at_the_tolerance_boundary(self, kernel, held):
         """Real amplitudes (0.1, 0.3, 0.3, s), normalized: both routes do the same
         real arithmetic, and a one-ulp step in s takes the minor across its bound.
         The entries' moduli differ, so the bound's choice of the two largest shows;
@@ -500,28 +506,28 @@ class TestSplitKernel:
         assert _split_oracle(on, first) == [True]
         assert _split_oracle(past, first) == [False]
         for psi in (on, past):
-            assert self.kernel(psi, splits) == _split_oracle(psi, splits)
+            assert kernel(psi, splits) == _split_oracle(psi, splits)
 
-    def test_passes_are_chunked(self, monkeypatch):
+    def test_passes_are_chunked(self, kernel, monkeypatch):
         from menet import separability
 
         psi = _pairwise_factor_state(5, [(1, 3), (3, 4)], 4)
         splits = _ordered_splits(5)
-        want = self.kernel(psi, splits)
+        want = kernel(psi, splits)
         monkeypatch.setattr(separability, "_SPLIT_PASS_MINORS", 1)
-        assert self.kernel(psi, splits) == want
+        assert kernel(psi, splits) == want
 
-    def test_one_class_a_pass(self, monkeypatch):
+    def test_one_class_a_pass(self, kernel, monkeypatch):
         from menet import separability
 
         psi = _pairwise_factor_state(6, [(1, 4), (2, 6), (4, 5)], 6)
         splits = _ordered_splits(6)
         want = _split_oracle(psi, splits)
-        assert self.kernel(psi, splits) == want
+        assert kernel(psi, splits) == want
         monkeypatch.setattr(separability, "_SPLIT_PASS_MINORS", 1)
-        assert self.kernel(psi, splits) == want
+        assert kernel(psi, splits) == want
 
-    def test_at_the_perfect_map_bound(self):
+    def test_at_the_perfect_map_bound(self, kernel):
         """At n = _PERFECT_MAP_MAX the oracle is too slow for every split: all
         ordered splits are checked against the state's own factor graph (A and B
         are separable iff no factor joins them; the factors are generic and no
@@ -532,21 +538,29 @@ class TestSplitKernel:
         edges = [(1, 2), (2, 5), (3, 4), (4, 8), (6, 7), (5, 9)]
         psi = _dense_factor_state(n, edges, 11)
         splits = _ordered_splits(n)
-        got = self.kernel(psi, splits)
+        got = kernel(psi, splits)
         assert got == [not any((i in a and j in b) or (j in a and i in b) for i, j in edges) for a, b in splits]
         assert any(got) and not all(got)
         picked = np.random.default_rng(12).choice(len(splits), size=120, replace=False)
         assert [got[k] for k in picked] == _split_oracle(psi, [splits[k] for k in picked])
 
     @pytest.mark.parametrize("n", range(3, 7))
-    def test_peak_minor_bit_for_bit(self, n):
+    def test_peak_minor_bit_for_bit(self, split_masks, n):
         """Complex amplitudes, so operand order shows in the last bit: a split's
         largest |minor| in the general scan equals, exactly, the largest peak of
-        the (D_A, D_B) classes below it."""
-        from menet.separability import _class_peaks, _partition_matrix, _scan_all_minors
+        the (D_A, D_B) classes below it, which the kernel's passes compute."""
+        from menet.separability import _minor_classes, _minor_passes, _partition_matrix, _scan_all_minors
 
         splits = _ordered_splits(n)
         weight = {q: 1 << (n - q) for q in range(1, n + 1)}
+        d_a, d_b = _minor_classes(n, *split_masks(n, splits))
+
+        def class_peaks(amps):
+            """Peak |minor| of each class below the splits, as a (2^n, 2^n) table by masks."""
+            peaks = np.zeros((1 << n, 1 << n))
+            for rows, mags, _ in _minor_passes(amps, d_a, d_b):
+                peaks[d_a[rows], d_b[rows]] = mags.max(axis=1)
+            return peaks
 
         def below(qubits):
             mask = sum(weight[q] for q in qubits)
@@ -554,7 +568,7 @@ class TestSplitKernel:
 
         for seed in range(3):
             psi = mn.random_state(n, [seed, n])
-            peaks = _class_peaks(psi.amplitudes, splits)
+            peaks = class_peaks(psi.amplitudes)
             for a, b in splits:
                 arr, _ = _partition_matrix(psi, list(a), list(b))
                 want, _ = _scan_all_minors(arr, mn.DEFAULT_TOL)
@@ -624,7 +638,7 @@ class TestBoundScreen:
         assert y == tol.abs_eps + tol.rel_eps * 1.0 * y
         return y
 
-    def test_undecided_pairs_fall_back_to_the_exact_law(self, monkeypatch):
+    def test_undecided_pairs_fall_back_to_the_exact_law(self, monkeypatch, split_masks):
         """Rows (1, 0, 0, y) put the minor y strictly between lo = abs_eps and hi:
         at the bound it is separable, one ulp above it entangled."""
         from menet.separability import _bound_range, _pairwise_entangled, _splits_separable
@@ -640,12 +654,12 @@ class TestBoundScreen:
         calls = self.count_exact_bounds(monkeypatch)
         assert _pairwise_entangled(rows, mn.DEFAULT_TOL).tolist() == want
         assert len(calls) == 1
-        splits = [((1,), (2,)), ((2,), (1,))]
+        splits = split_masks(2, [((1,), (2,)), ((2,), (1,))])
         for row, (entangled,) in zip(rows, want):
-            assert _splits_separable(row, splits, mn.DEFAULT_TOL).tolist() == [not entangled] * 2
+            assert _splits_separable(row, *splits, mn.DEFAULT_TOL).tolist() == [not entangled] * 2
         assert len(calls) == 4
 
-    def test_a_peak_equal_to_hi_is_not_a_violation(self):
+    def test_a_peak_equal_to_hi_is_not_a_violation(self, split_masks):
         """Row (x, p, q, x): the two largest moduli are both the row's largest, so
         the bound of its one minor x*x - q*p is hi itself, and p and q are picked
         to make the minor equal to it, exactly. It does not exceed its bound."""
@@ -664,7 +678,7 @@ class TestBoundScreen:
         assert lo[0] < hi == top[0]
         assert _exact_pairwise(row).tolist() == [[False]]
         assert _pairwise_entangled(row, tol).tolist() == [[False]]
-        assert _splits_separable(row[0], [((1,), (2,))], tol).tolist() == [True]
+        assert _splits_separable(row[0], *split_masks(2, [((1,), (2,))]), tol).tolist() == [True]
         past = np.array([[x, p / 2, q, x]], dtype=np.complex128)
         assert _exact_pairwise(past).tolist() == [[True]]
         assert _pairwise_entangled(past, tol).tolist() == [[True]]
