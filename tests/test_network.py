@@ -587,11 +587,10 @@ class TestReportsEqualTheTupleOracle:
         states = [mn.random_state(n, [n, 21])]
         if n > 1:  # exact zeros: qubit 2 measured
             states.append(mn.measure_qubit(mn.random_state(n, [n, 22]), 2, 1)[1])
+        complete = MenGraph.from_edges(n, itertools.combinations(range(1, n + 1), 2))
         wrong = 0
         for psi in states:
-            built = quiet_graph(psi)
-            complete = MenGraph.from_edges(n, itertools.combinations(range(1, n + 1), 2))
-            for g in (built, MenGraph.path(n), MenGraph.empty(n), complete):
+            for g in (quiet_graph(psi), MenGraph.path(n), MenGraph.empty(n), complete):
                 report = mn.verify_perfect_map(psi, g)
                 assert report == _perfect_map_oracle(psi, g, split_masks)
                 wrong += len(report.disagreements)
