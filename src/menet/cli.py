@@ -37,6 +37,7 @@ from .state import (
     DEFAULT_TOL,
     Assignment,
     ToleranceConfig,
+    _load_amplitudes,
     _read_json,
     _state_from_payload,
     fidelity_up_to_phase,
@@ -201,13 +202,11 @@ def cmd_measure(args) -> list[str]:
 
 
 def cmd_classify(args) -> list[str]:
-    from .classify import _classify_with_census, topology_census
+    from .classify import classify, topology_census
 
-    psi = load_state(args.state)
-    result, census = _classify_with_census(psi, args.samples, args.seed, DEFAULT_TOL)
-    if census is None:  # stage 1 decided the class; the census is printed regardless
-        census = topology_census(psi, args.samples, args.seed)
-    return [f"class: {result.label()}"] + census.to_lines()
+    amps = _load_amplitudes(args.state)  # plain Python for a 3-qubit file: no numpy
+    result = classify(amps)
+    return [f"class: {result.label()}"] + topology_census(amps, args.samples, args.seed).to_lines()
 
 
 def cmd_verify(args) -> list[str]:

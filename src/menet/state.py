@@ -559,7 +559,8 @@ def load_state(path) -> PureState:
     return _state_from_payload(_read_json(path, "state file "))
 
 
-def _state_from_payload(payload) -> PureState:
+def _payload_entries(payload) -> list:
+    """The amplitude entries of a state file's payload, after its structural checks."""
     if not isinstance(payload, dict) or "n" not in payload or "amplitudes" not in payload:
         raise FileFormatError("state file must be an object with 'n' and 'amplitudes'")
     n = payload["n"]
@@ -568,24 +569,51 @@ def _state_from_payload(payload) -> PureState:
     raw = payload["amplitudes"]
     if not isinstance(raw, list) or len(raw) != 2**n:
         raise FileFormatError(f"expected {2**n} amplitude pairs, got {len(raw) if isinstance(raw, list) else type(raw).__name__}")
-    import numpy as np
+    return raw
 
-    amps = _batched_entries(raw)
-    if amps is None:  # entry by entry, to name the first bad one
-        amps = np.empty(len(raw), dtype=np.complex128)
-        for i, pair in enumerate(raw):
-            try:
-                amps[i] = _entry_value(pair)
-            except (ValueError, OverflowError):  # an int too large for a double is a bad entry too
-                raise FileFormatError(f"amplitude {i} must be a [re, im] pair of reals") from None
-    if not np.all(np.isfinite(amps)):
-        raise FileFormatError("amplitudes must be finite")
-    norm = _norm(amps)
+
+def _file_norm(norm: float) -> float:
+    """A state file's norm, refused unless within _FILE_NORM_ATOL of 1."""
     if abs(norm - 1.0) >= _FILE_NORM_ATOL:
         raise FileFormatError(
             f"state file norm {norm!r} deviates from 1 by {abs(norm - 1.0):.3e} (>= {_FILE_NORM_ATOL})"
         )
-    return PureState(amps / norm)
+    return norm
+
+
+def _state_from_payload(payload) -> PureState:
+    raw = _payload_entries(payload)
+    import numpy as np
+
+    amps = _batched_entries(raw)
+    if amps is None:  # entry by entry, to name the first bad one
+        amps = np.array(_entry_list(raw), dtype=np.complex128)
+    if not np.all(np.isfinite(amps)):
+        raise FileFormatError("amplitudes must be finite")
+    return PureState(amps / _file_norm(_norm(amps)))
+
+
+def _load_amplitudes(path) -> list[complex]:
+    """load_state(path).amplitudes.tolist(), bit for bit; plain Python for 3 qubits.
+
+    A 3-qubit file goes through _state_from_payload's checks, in its order
+    and with its messages, but builds no array: the 16 squares are summed
+    in numpy's pairwise order for 16 numbers (eight running sums
+    r[j] = x[j] + x[j + 8], then a fixed tree), and each part is scaled as
+    numpy divides a complex number by a real one, (re + im*0.0) * (1/norm)
+    and (im - re*0.0) * (1/norm), zero signs included. Files of other sizes
+    are read by _state_from_payload.
+    """
+    payload = _read_json(path, "state file ")
+    if len(_payload_entries(payload)) != 8:
+        return _state_from_payload(payload).amplitudes.tolist()
+    amps = _entry_list(payload["amplitudes"])
+    parts = [x for a in amps for x in (a.real, a.imag)]
+    if not all(map(math.isfinite, parts)):
+        raise FileFormatError("amplitudes must be finite")
+    r = [parts[j] * parts[j] + parts[j + 8] * parts[j + 8] for j in range(8)]
+    scale = 1.0 / _file_norm(math.sqrt(((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))))
+    return [complex((a.real + a.imag * 0.0) * scale, (a.imag - a.real * 0.0) * scale) for a in amps]
 
 
 # Both file formats store complex numbers as [re, im] entries and hold them
@@ -613,6 +641,17 @@ def _batched_entries(pairs: list):
         return np.array(flat, dtype=np.float64).view(np.complex128)
     except OverflowError:  # an int past the double range
         return None
+
+
+def _entry_list(pairs: list) -> list[complex]:
+    """The [re, im] entries `pairs` as complex values; the first bad one is named."""
+    values = []
+    for i, pair in enumerate(pairs):
+        try:
+            values.append(_entry_value(pair))
+        except (ValueError, OverflowError):  # an int too large for a double is a bad entry too
+            raise FileFormatError(f"amplitude {i} must be a [re, im] pair of reals") from None
+    return values
 
 
 def _entry_value(pair) -> complex:

@@ -254,9 +254,9 @@ def test_criterion_6_chain_inference():
 
 
 def test_criterion_7_classification():
-    """Canonical classes with K = 256 and a fixed seed; GHZ census holds both
-    chain and triangle shapes, W census only triangles; 20 random local basis
-    changes never alter any class; runtime < 60 s."""
+    """Canonical classes; with K = 256 and a fixed seed the GHZ census holds
+    both chain and triangle shapes, the W census only triangles; 20 random
+    local basis changes never alter any class; runtime < 60 s."""
     start = time.perf_counter()
     seed, samples = 7, 256
     expectations = {
@@ -268,7 +268,7 @@ def test_criterion_7_classification():
         "product": mn.TripartiteClass(mn.ClassTag.FULLY_SEPARABLE),
     }
     for name, expected in expectations.items():
-        got = mn.classify(mn.canonical_state(name), samples, seed)
+        got = mn.classify(mn.canonical_state(name))
         assert got == expected, (name, got)
 
     ghz_census = mn.topology_census(mn.canonical_state("ghz"), samples, seed)

@@ -601,3 +601,86 @@ def test_one_command_parser(monkeypatch):
         one = build_parser(name)
         assert list(one._subparsers._group_actions[0].choices) == [name]
         assert one.format_usage() == full.format_usage()
+
+
+def _rows(values):
+    return ", ".join(values)
+
+
+_UNIT8 = ["[%r, 0.0]" % 8 ** -0.5] * 8
+
+
+def _with(rows, **at):
+    rows = list(rows)
+    for index, entry in at.items():
+        rows[int(index[1:])] = entry
+    return '{"n": 3, "amplitudes": [%s]}' % _rows(rows)
+
+
+_BIG = "1" + "0" * 400
+# Malformed files: those of the tests above, then 3-qubit ones, some with two faults
+CLASSIFY_FILE_ERRORS = [
+    '{"n": 1, "amplitudes": [[1.0, 0.0]]}',
+    '{"n": 1, "edges": [], "reference": "0", "reference_modulus": 1.0, "q": {}}',
+    "[1, 2]",
+    '{"n": ',
+    '{"n": 1, "amplitudes": [[0.6, 0.0], [%s, 0.8]]}' % _BIG,
+    '{"n": 1, "edges": [], "reference": "0", "reference_modulus": 0.7, '
+    '"q": {"1": {"0": [1.0, 0.0], "1": [-%s, 0.0]}}}' % _BIG,
+    '{"n": 1, "edges": [], "reference": "0", "reference_modulus": 1.0, '
+    '"q": {"1": [[1.0, 0.0], [1.0, 0.0]]}}',
+    *(_with(_UNIT8, **{f"i{k}": bad}) for k, bad in enumerate([
+        "[null, 0.0]", '["0.5", 0.0]', "[0.5, [0.0]]", "[0.5]", "[0.5, 0.0, 0.0]",
+        "[true, 0.0]", '{"re": 0.5}', "[%s, 0.0]" % _BIG,
+    ])),
+    _with(_UNIT8, i2="[NaN, 0.0]"),
+    _with(_UNIT8, i7="[0.3, Infinity]"),
+    _with(_UNIT8, i0="[1e400, 0]"),
+    _with(_UNIT8, i2="[NaN, 0.0]", i6="[null, 0.0]"),
+    _with(_UNIT8, i5="[-%s, 0.0]" % _BIG, i6="[0.5]"),
+    _with(_UNIT8, i1="[NaN, 0.0]", i3="[2.0, 0.0]"),
+    _with(["[0.36, 0.0]"] * 8),
+    _with(["[0, 0]"] * 8),
+    _with(_UNIT8, i4="[%r, 0.0]" % (8 ** -0.5 + 4e-6)),
+    '{"n": true, "amplitudes": [%s]}' % _rows(_UNIT8),
+    '{"n": 0, "amplitudes": []}',
+    '{"n": "3", "amplitudes": [%s]}' % _rows(_UNIT8),
+    '{"n": 3.0, "amplitudes": [%s]}' % _rows(_UNIT8),
+    '{"amplitudes": [%s]}' % _rows(_UNIT8),
+    '{"n": 3}',
+    '{"n": 3, "amplitudes": {"0": [1.0, 0.0]}}',
+    '{"n": 3, "amplitudes": [%s]}' % _rows(_UNIT8[:7]),
+    '{"n": 3, "amplitudes": [%s]}' % _rows(_UNIT8 + ["[0.0, 0.0]"]),
+    '{"n": 4, "amplitudes": [%s]}' % _rows(["[0.3, 0.0]"] * 16),
+    '{"n": 4, "amplitudes": [%s]}' % _rows(["[0.25, 0.0]"] * 15 + ["[0.25]"]),
+]
+
+
+class TestClassifyReader:
+    """`menet classify` reads its state without numpy, with load_state's errors."""
+
+    @pytest.mark.parametrize("k", range(len(CLASSIFY_FILE_ERRORS)))
+    def test_file_errors_equal_load_states(self, k, capsys, tmp_path):
+        path = tmp_path / "bad.state"
+        path.write_text(CLASSIFY_FILE_ERRORS[k])
+        with pytest.raises(mn.MenError) as raised:
+            mn.load_state(path)
+        rc = main(["classify", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err == f"error: {type(raised.value).__name__}: {raised.value}\n"
+
+    def test_missing_file(self, capsys, tmp_path):
+        path = tmp_path / "absent.state"
+        with pytest.raises(mn.FileFormatError) as raised:
+            mn.load_state(path)
+        assert main(["classify", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: FileFormatError: {raised.value}\n"
+
+    def test_four_qubits_is_wrong_arity(self, capsys, tmp_path):
+        path = tmp_path / "four.state"
+        mn.save_state(mn.random_state(4, 8), path)
+        assert main(["classify", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: WrongArity: classification requires a 3-qubit state, got n=4\n"

@@ -150,7 +150,7 @@ COMMANDS = [
     (["mle", "chain20.model"], CORE | {"inference"}, False),
     (["measure", "ghz.state", "--qubit", "1", "--outcome", "0", "-o", "out.state"],
      CORE | {"separability"}, True),
-    (["classify", "ghz.state", "--samples", "8"], CORE | {"classify", "separability"}, True),
+    (["classify", "ghz.state", "--samples", "8"], CORE | {"classify"}, False),
 ]
 
 

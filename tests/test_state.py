@@ -426,3 +426,66 @@ class TestStateFiles:
         path = tmp_path / "digits.state"
         mn.save_state(mn.PureState([1 / math.sqrt(2), 1 / math.sqrt(2)]), path)
         assert "7.07106781186547462e-01" in path.read_text()
+
+
+def _exact(amps):
+    """Complex values as the hex of their parts: equal iff bit for bit, signed zeros included."""
+    return [(complex(a).real.hex(), complex(a).imag.hex()) for a in amps]
+
+
+def _parity_files(root):
+    """Over 1,000 3-qubit state files the readers must agree on."""
+    from menet.state import _FILE_NORM_ATOL
+
+    rng = np.random.default_rng(2207)
+    paths = []
+
+    def text(rows):
+        path = root / f"s{len(paths)}.state"
+        path.write_text('{"n": 3, "amplitudes": [%s]}' % ", ".join("[%s, %s]" % row for row in rows))
+        paths.append(path)
+
+    for k in range(400):  # the writer's own files
+        path = root / f"s{len(paths)}.state"
+        mn.save_state(mn.random_state(3, [17, k]), path)
+        paths.append(path)
+    for k in range(100):  # local-unitary images of states with zeros, some parts -0.0 or tiny
+        psi = mn.canonical_state(["ghz", "w", "product", "bell12_0"][k % 4])
+        path = root / f"s{len(paths)}.state"
+        mn.save_state(mn.apply_local_basis_change(psi, mn.LocalBasisChange.rotations(rng.uniform(0, 4, 3))), path)
+        paths.append(path)
+    # hand-written entries: integers, signed zeros and exact binary fractions
+    units = [[1], [0.6, 0.8], [0.5, 0.5, 0.5, 0.5], [0.28, 0.96], [0.36, 0.48, 0.8]]
+    zeros = ["0", "0.0", "-0.0", "-0", "0e0"]
+    for k in range(300):
+        parts = [zeros[i] for i in rng.integers(0, len(zeros), 16)]
+        unit = units[k % len(units)]
+        for value, slot in zip(unit, rng.choice(16, len(unit), replace=False)):
+            sign = "-" if rng.random() < 0.5 else ""
+            parts[slot] = sign + (str(int(value)) if value == 1 else repr(value))
+        text(list(zip(parts[0::2], parts[1::2])))
+    # norms within the renormalizing band, either side of 1
+    for k in range(250):
+        amps = mn.random_state(3, [19, k]).amplitudes * (1.0 + rng.uniform(-0.98, 0.98) * _FILE_NORM_ATOL)
+        text([(repr(float(a.real)), repr(float(a.imag))) for a in amps])
+    return paths
+
+
+class TestPlainReader:
+    """`_load_amplitudes`, the reader of `menet classify`, against load_state."""
+
+    def test_bit_identical_to_load_state(self, tmp_path):
+        from menet.state import _load_amplitudes
+
+        paths = _parity_files(tmp_path)
+        assert len(paths) >= 1000
+        for path in paths:
+            assert _exact(_load_amplitudes(path)) == _exact(mn.load_state(path).amplitudes.tolist()), path
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_other_sizes_read_through_load_state(self, tmp_path, n):
+        from menet.state import _load_amplitudes
+
+        path = tmp_path / "other.state"
+        mn.save_state(mn.random_state(n, 3), path)
+        assert _exact(_load_amplitudes(path)) == _exact(mn.load_state(path).amplitudes.tolist())
