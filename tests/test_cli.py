@@ -625,6 +625,8 @@ CLASSIFY_FILE_ERRORS = [
     "[1, 2]",
     '{"n": ',
     '{"n": 1, "amplitudes": [[0.6, 0.0], [%s, 0.8]]}' % _BIG,
+    '{"n": 1, "edges": [], "reference": "0", "reference_modulus": %s, '
+    '"q": {"1": {"0": [1.0, 0.0], "1": [1.0, 0.0]}}}' % _BIG,
     '{"n": 1, "edges": [], "reference": "0", "reference_modulus": 0.7, '
     '"q": {"1": {"0": [1.0, 0.0], "1": [-%s, 0.0]}}}' % _BIG,
     '{"n": 1, "edges": [], "reference": "0", "reference_modulus": 1.0, '
