@@ -1,19 +1,25 @@
 """Exact probabilistic queries on states and models.
 
-Two routes are kept deliberately independent so they can check each other:
+Three routes; the dense one is kept independent of the other two so they
+can check each other:
 
 - brute force: marginal_probability sums squared moduli over completions of
   a partial assignment directly on the amplitude vector; marginal_ratio does
-  the same on a model's telescoping q-products. Exponential, used as the
-  oracle.
+  the same on a model's telescoping q-products, and mle_brute_force takes
+  the dense argmax. Exponential, used as the oracle, and on state files.
 - chain specializations: on path-graph models, marginal ratios, conditionals
   and maximum likelihood instantiations come from one sum-product and one
   max-product sweep along the chain, linear in the number of qubits. They
-  run in plain Python on the tables' flat entries; only the brute-force
-  routes import numpy. The per-model part, the |q|^2 weights and log Z, is
-  worked out on the first query that needs it and kept on the model
-  instance (_chain_weights, _model_log_z); each query then runs only its
-  own sweep. Values and op counts do not depend on whether it was kept.
+  run in plain Python on the tables' flat entries. The per-model part, the
+  |q|^2 weights and log Z, is worked out on the first query that needs it
+  and kept on the model instance (_chain_weights, _model_log_z); each query
+  then runs only its own sweep. Values and op counts do not depend on
+  whether it was kept.
+- variable elimination (menet.elimination): every other model query, by
+  sum-product or max-product bucket elimination in descending qubit order,
+  also plain Python. Its cost is exponential in the largest factor that
+  order builds, not in the number of free qubits. Model queries therefore
+  never load numpy; only the brute-force routes import it.
 
 QueryResult.op_count counts complex multiplications, additions, and
 modulus-square evaluations (one each); comparisons and rescaling divisions
@@ -139,9 +145,10 @@ def conditional_probability(
 ) -> float:
     """p(query | evidence) as a ratio of marginal ratios; clamped to [0, 1].
 
-    Chain models take sum-product sweeps (joint and evidence) and log Z for
-    the evidence floor, which like the weights is swept once per model
-    object and then read back; other graphs sum by brute force.
+    Joint and evidence are two sums, by sum-product sweeps on a chain model
+    and by variable elimination on other graphs, and log Z sets the
+    evidence floor; log Z, like a chain's weights, is worked out once per
+    model object and then read back.
     """
     return _conditional(model, query, evidence)
 
@@ -157,16 +164,11 @@ def _conditional(source: PureState | MenModel, query: Assignment, evidence: Assi
     scale_e = scale_j = log_z = 0.0
     if isinstance(source, PureState):
         value_e, value_j = (marginal_probability(source, x_m) for x_m in (evidence, joint))
-    elif source.graph.is_path():
-        levels = _chain_weights(source)
+    else:
         (value_e, scale_e, _), (value_j, scale_j, _) = (
-            _chain_marginal(levels, x_m) for x_m in (evidence, joint)
+            _model_sum(source, x_m) for x_m in (evidence, joint)
         )
         log_z = _model_log_z(source)[0]
-    else:
-        value_e, value_j = (marginal_ratio(source, x_m).value for x_m in (evidence, joint))
-        ref_squared = source.reference_modulus**2
-        log_z = -math.log(ref_squared) if ref_squared > 0.0 else math.inf
     if _log_of(value_e, scale_e) - log_z < math.log(_EVIDENCE_FLOOR):  # the modulus may be 0
         raise ZeroEvidenceProbability(
             f"evidence {evidence!r} has probability below {_EVIDENCE_FLOOR}"
@@ -342,12 +344,33 @@ def _chain_log_z(levels) -> tuple[float, int]:
 
 
 def _model_log_z(model: MenModel) -> tuple[float, int]:
-    """(log Z, op count) of a chain model, swept on the first call and kept on the model."""
-    log_z = model.__dict__.get("_chain_log_z")
+    """(log Z, op count) of a model, worked out on the first call and kept on the model.
+
+    A chain sweeps it; any other graph eliminates it.
+    """
+    log_z = model.__dict__.get("_log_z")
     if log_z is None:
-        log_z = _chain_log_z(_chain_weights(model))
-        object.__setattr__(model, "_chain_log_z", log_z)
+        if model.graph.is_path():
+            log_z = _chain_log_z(_chain_weights(model))
+        else:
+            from .elimination import log_partition
+
+            log_z = log_partition(model.potentials, model.reference_bits())
+        object.__setattr__(model, "_log_z", log_z)
     return log_z
+
+
+def _model_sum(model: MenModel, x_m: Assignment) -> tuple[float, float, int]:
+    """Marginal ratio of x_m on a model as (value, log scale, op count).
+
+    One sum-product sweep on a chain, variable elimination on other graphs.
+    """
+    if model.graph.is_path():
+        return _chain_marginal(_chain_weights(model), x_m)
+    from .elimination import sum_product
+
+    _validate_bindings(x_m, model.num_qubits)
+    return sum_product(model.potentials, model.reference_bits(), x_m)
 
 
 def _chain_marginal(levels, x_m: Assignment) -> tuple[float, float, int]:
@@ -362,13 +385,13 @@ def _log_of(value: float, log_scale: float) -> float:
     return log_scale + math.log(value) if value > 0.0 else -math.inf
 
 
-def _chain_probability(model: MenModel, ratio: float, log_ratio: float) -> tuple[float, int]:
-    """p = ratio * reference_modulus**2 and its op count.
+def _probability(model: MenModel, ratio: float, log_ratio: float) -> tuple[float, int]:
+    """p = ratio * reference_modulus**2 and its op count, on any model.
 
     When that product (or the squared modulus in it) is not a normal
-    positive double, the modulus has under- or overflowed and
+    positive double, the modulus or the ratio has under- or overflowed and
     p = exp(log ratio - log Z) instead. The count includes the log-Z sweep
-    whether or not the model already held log Z.
+    or elimination whether or not the model already held log Z.
     """
     ref = model.reference_modulus
     probability = ref * ref * ratio
@@ -423,10 +446,9 @@ def chain_marginal_ratio(model: MenModel, x_m: Assignment) -> QueryResult:
 def _marginal(source: PureState | MenModel, x_m: Assignment, ratio: bool) -> tuple[float, float]:
     """p(x_M), or with `ratio` p(x_M) / p(reference), and its natural log.
 
-    A state's reference is 0...0, refused below _EVIDENCE_FLOOR. Chain models
-    take one sweep over the model's kept weights; past the double range
-    their ratio is 0 or inf while its log stays finite. Elsewhere sums are
-    brute force.
+    A state's reference is 0...0, refused below _EVIDENCE_FLOOR; its sums
+    are brute force. A model takes one sum (_model_sum); past the double
+    range its ratio is 0 or inf while its log stays finite.
     """
     if isinstance(source, PureState):
         value = marginal_probability(source, x_m)
@@ -435,16 +457,12 @@ def _marginal(source: PureState | MenModel, x_m: Assignment, ratio: bool) -> tup
             if reference < _EVIDENCE_FLOOR:
                 raise ZeroEvidenceProbability("reference probability p(0...0) is ~0")
             value /= reference
-    elif not source.graph.is_path():
-        value = marginal_ratio(source, x_m).value
-        if not ratio:
-            value *= source.reference_modulus**2
-    else:
-        value, log_scale, _ = _chain_marginal(_chain_weights(source), x_m)
-        value, log_value = _scale_back(value, log_scale), _log_of(value, log_scale)
-        if ratio:
-            return value, log_value
-        value = _chain_probability(source, value, log_value)[0]
+        return value, _log_of(value, 0.0)
+    value, log_scale, _ = _model_sum(source, x_m)
+    value, log_value = _scale_back(value, log_scale), _log_of(value, log_scale)
+    if ratio:
+        return value, log_value
+    value = _probability(source, value, log_value)[0]
     return value, _log_of(value, 0.0)
 
 
@@ -471,18 +489,28 @@ def mle_chain(model: MenModel) -> MleResult:
     ratio = math.prod(chosen)
     ops += len(chosen)
     log_ratio = sum(map(math.log, chosen)) if min(chosen) > 0.0 else -math.inf
-    probability, p_ops = _chain_probability(model, ratio, log_ratio)
+    probability, p_ops = _probability(model, ratio, log_ratio)
     return MleResult(Assignment.from_bits(bits), float(probability), ops + p_ops)
 
 
 def _mle(source: PureState | MenModel) -> MleResult:
     """Maximum likelihood on a state or a model.
 
-    Chain models take one max-product sweep, everything else the dense argmax.
+    A state takes the dense argmax, a chain model one max-product sweep, and
+    any other model max-product variable elimination. Ties resolve to the
+    lexicographically smallest assignment on every route.
     """
-    if isinstance(source, MenModel) and source.graph.is_path():
+    if isinstance(source, PureState):
+        return mle_brute_force(source)
+    if source.graph.is_path():
         return mle_chain(source)
-    return mle_brute_force(source if isinstance(source, PureState) else reconstruct_state(source))
+    from .elimination import max_product
+
+    bits, moduli, ops = max_product(source.potentials, source.reference_bits())
+    product = math.prod(moduli)
+    log_ratio = 2.0 * sum(map(math.log, moduli))
+    probability, p_ops = _probability(source, product * product, log_ratio)
+    return MleResult(Assignment.from_bits(bits), float(probability), ops + len(moduli) + p_ops)
 
 
 def measure_and_update(
@@ -515,7 +543,7 @@ def random_chain_model(n: int, seed) -> MenModel:
     message passing along the chain (linear, log-stabilized), so arbitrarily
     long chains are fine. Its square leaves the normal double range from
     roughly n = 355 and the modulus itself underflows to 0 from n ~ 745;
-    chain probabilities then come from log Z instead (_chain_probability).
+    chain probabilities then come from log Z instead (_probability).
     The levels and log Z swept here are kept on the model, as the first
     query would keep them (_chain_weights, _model_log_z).
     """
@@ -531,7 +559,7 @@ def random_chain_model(n: int, seed) -> MenModel:
     modulus = math.exp(-0.5 * log_z[0])  # log Z >= 0: the reference weighs 1
     model = MenModel(graph, potentials, Assignment.zeros(n), modulus)
     object.__setattr__(model, "_chain_weights", levels)
-    object.__setattr__(model, "_chain_log_z", log_z)
+    object.__setattr__(model, "_log_z", log_z)
     return model
 
 

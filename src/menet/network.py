@@ -10,8 +10,9 @@ ascending index order (lower-indexed neighbors at their actual values,
 higher-indexed ones at the reference).
 
 numpy is imported inside the functions that do dense work: reading a model
-file and checking its tables take plain Python, so chain queries on models
-past the normalization audit never load it.
+file, checking its tables and auditing its modulus (by the variable
+elimination of menet.elimination) take plain Python, so model queries never
+load it.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .state import (
     _writing,
 )
 
-_NORM_AUDIT_MAX = 12  # brute-force normalization audit bound
+_NORM_AUDIT_MAX = 12  # normalization audit bound
 _RECONSTRUCT_MAX = 24
 _PERFECT_MAP_MAX = 10  # largest n whose fresh-process `menet verify` takes < 1 s and < 100 MB
 _GRAPHOID_MAX = 9  # the same, with the graphoid check added to that verify
@@ -243,9 +244,10 @@ class MenModel:
     """Graph + per-node potentials + reference point; fixes a state up to phase.
 
     For n <= _NORM_AUDIT_MAX the reference modulus is audited against the
-    normalization formula. `_normalization` is for constructors that have
-    just evaluated that formula on these very potentials and hand its value
-    over instead of having the audit repeat the dense sum.
+    normalization formula, evaluated by variable elimination.
+    `_normalization` is for constructors that have just evaluated that
+    formula on these very potentials and hand its value over instead of
+    having the audit repeat the sum.
     """
 
     graph: MenGraph
@@ -275,7 +277,7 @@ class MenModel:
         if n <= _NORM_AUDIT_MAX:
             formula = _normalization
             if formula is None:
-                formula = normalization_modulus(self.potentials, bits, n)
+                formula = _eliminated_modulus(self.potentials, bits)
             if abs(self.reference_modulus - formula) > _MODULUS_ATOL:
                 raise ValueError(
                     f"reference_modulus {self.reference_modulus!r} disagrees with the "
@@ -296,6 +298,21 @@ def normalization_modulus(
     """1 / sqrt(sum over all assignments of |prod_i q(...)|^2)."""
     rel = _relative_amplitude_products(potentials, reference_bits, n).reshape(-1)
     return 1.0 / math.sqrt(float((abs(rel) ** 2).sum()))
+
+
+def _eliminated_modulus(potentials: tuple[QFunctionTable, ...], reference_bits: tuple[int, ...]) -> float:
+    """The normalization formula's value, exp(-log Z / 2), by variable elimination.
+
+    Plain Python, so reading a model file loads no numpy. A weight that is
+    not a finite number gives 0, the value the dense sum (normalization_modulus,
+    the oracle) gives for an infinite one.
+    """
+    from .elimination import log_partition
+
+    try:
+        return math.exp(-0.5 * log_partition(potentials, reference_bits)[0])
+    except EnumerationBoundExceeded:
+        return 0.0
 
 
 def q_value(

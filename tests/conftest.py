@@ -48,6 +48,28 @@ def off_chain_twin_fixture():
     return off_chain_twin
 
 
+def wide_elimination_model(m, seed):
+    """A sparse model whose descending elimination is wide: n = 2m qubits.
+
+    Each node j > m is joined to j - 1 and to the low node j - m, so every
+    node has at most three neighbours, yet eliminating from qubit n down
+    keeps the low ends of all those edges in one factor, over m + 1 qubits.
+    The tables are random and the modulus is not normalized: past n = 12 no
+    audit reads it.
+    """
+    from menet.network import _random_q_tables
+
+    n = 2 * m
+    graph = mn.MenGraph.from_edges(n, [(j - 1, j) for j in range(m + 1, n + 1)] + [(j - m, j) for j in range(m + 1, n + 1)])
+    tables = _random_q_tables(graph, np.random.default_rng(seed))
+    return mn.MenModel(graph, tables, mn.Assignment.zeros(n), 0.0)
+
+
+@pytest.fixture(name="wide_elimination_model")
+def wide_elimination_model_fixture():
+    return wide_elimination_model
+
+
 def split_masks(n, splits):
     """Splits (A, B) of qubits 1..n, given as qubit collections, as the two
     mask arrays the split kernel takes (qubit q is bit n - q)."""

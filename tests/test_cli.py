@@ -266,13 +266,28 @@ class TestCommandSemantics:
         assert "bases_sampled:" in out
         assert len(calls) == 1
 
-    def test_conditional_too_many_free_qubits_is_1(self, capsys, tmp_path, off_chain_twin):
-        path = tmp_path / "c40.model"
-        mn.save_model(off_chain_twin(mn.random_chain_model(40, seed=0)), path)
+    def test_conditional_too_many_free_qubits_is_1(self, capsys, tmp_path, wide_elimination_model):
+        path = tmp_path / "w40.model"
+        mn.save_model(wide_elimination_model(20, seed=0), path)
         rc = main(["conditional", str(path), "--query", "1=0", "--evidence", "2=1"])
         err = capsys.readouterr().err
         assert rc == 1
-        assert err.count("\n") == 1 and "EnumerationBoundExceeded" in err
+        assert err.count("\n") == 1 and err.startswith("error: EnumerationBoundExceeded: variable elimination")
+
+    def test_mle_past_the_reconstruction_bound(self, capsys, tmp_path, off_chain_twin):
+        """A non-chain model past n = 24 answers by elimination, as the chain it twins does."""
+        from menet.network import _RECONSTRUCT_MAX
+
+        model = mn.random_chain_model(30, seed=0)
+        twin = off_chain_twin(model)
+        assert twin.num_qubits > _RECONSTRUCT_MAX and not twin.graph.is_path()
+        mn.save_model(twin, tmp_path / "twin30.model")
+        rc, out = run_cli(capsys, ["mle", str(tmp_path / "twin30.model")])
+        expected = mn.mle_chain(model)
+        bits = "".join(map(str, expected.assignment.bits(30)))
+        assert rc == 0
+        assert out.splitlines()[0] == f"assignment: {bits}"
+        assert float(out.splitlines()[1].split(": ")[1]) == pytest.approx(expected.probability, rel=1e-11)
 
     def test_classify_census_contains_chain(self, capsys, fixture_dir):
         rc, out = run_cli(
@@ -476,18 +491,21 @@ ARGUMENT_ERRORS = [
     (["bench", "--sizes", "5", "--seed", "-1"], 2),
     (["measure", "ghz.state", "--qubit", "5", "--outcome", "0", "-o", "out.state"], 1),
     (["measure", "ghz.state", "--qubit", "0", "--outcome", "0", "-o", "out.state"], 1),
-    (["mle", "twin25.model"], 1),
+    (["mle", "wide40.model"], 1),
     (["reconstruct", "twin25.model", "-o", "out.state"], 1),
 ]
 
 
 @pytest.mark.parametrize("argv, code", ARGUMENT_ERRORS, ids=[" ".join(a) for a, _ in ARGUMENT_ERRORS])
-def test_argument_errors_are_one_line(argv, code, capsys, tmp_path, off_chain_twin, monkeypatch):
+def test_argument_errors_are_one_line(
+    argv, code, capsys, tmp_path, off_chain_twin, wide_elimination_model, monkeypatch
+):
     monkeypatch.chdir(tmp_path)
     mn.save_state(mn.canonical_state("ghz"), "ghz.state")
     twin = off_chain_twin(mn.random_chain_model(25, seed=0))
     assert twin.num_qubits == 25 and not twin.graph.is_path()
     mn.save_model(twin, "twin25.model")
+    mn.save_model(wide_elimination_model(20, seed=0), "wide40.model")
     if code == 2:
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -500,7 +518,11 @@ def test_argument_errors_are_one_line(argv, code, capsys, tmp_path, off_chain_tw
     assert len(errors) == 1 and err.endswith(errors[0] + "\n")
     if code == 1:
         assert err.count("\n") == 1
-        assert err.startswith(("error: InvalidQuery: qubit", "error: EnumerationBoundExceeded: dense"))
+        assert err.startswith((
+            "error: InvalidQuery: qubit",
+            "error: EnumerationBoundExceeded: dense",
+            "error: EnumerationBoundExceeded: variable elimination",
+        ))
 
 
 @pytest.mark.parametrize("argv", [["classify", "ghz.state"], ["bench", "--sizes", "5"]], ids=["classify", "bench"])

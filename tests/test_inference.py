@@ -107,21 +107,23 @@ class TestConditionalProbability:
 
 
 class TestBruteForceIndexGuards:
-    """Brute-force sums refuse what they cannot enumerate or represent.
+    """Sums refuse what they cannot enumerate, and sum what they can represent.
 
-    The bounds are the number of free qubits and the double range of the
-    sum, not n. Conditionals on chains take the sweeps, so the brute-force
-    route is exercised on the same states over the chain plus edge (1, 3).
+    The brute-force oracle is bounded by the number of free qubits and the
+    double range of its sum; variable elimination by the factors its order
+    builds, not by n. Conditionals on chains take the sweeps, so the
+    elimination route is exercised on the same states over the chain plus
+    edge (1, 3).
     """
 
-    def test_too_many_free_qubits(self, off_chain_twin):
-        model = mn.random_chain_model(30, 0)
-        with pytest.raises(mn.EnumerationBoundExceeded):
+    def test_too_many_free_qubits(self, wide_elimination_model):
+        # 40 qubits of degree <= 3, but a factor over 19 of them once 1 and 2 are bound
+        with pytest.raises(mn.EnumerationBoundExceeded, match="variable elimination"):
             mn.conditional_probability(
-                off_chain_twin(model), Assignment({1: 0}), Assignment({2: 1})
+                wide_elimination_model(20, 0), Assignment({1: 0}), Assignment({2: 1})
             )
         with pytest.raises(mn.EnumerationBoundExceeded):
-            mn.marginal_ratio(model, Assignment())
+            mn.marginal_ratio(mn.random_chain_model(30, 0), Assignment())
 
     @pytest.mark.parametrize("n", [64, 70])
     def test_indices_past_int64(self, n, off_chain_twin):
@@ -155,25 +157,28 @@ class TestBruteForceIndexGuards:
         assert got == pytest.approx(expected, rel=1e-9)
 
     def test_sum_past_the_double_range_is_an_error(self, off_chain_twin, tmp_path, capsys):
-        # n = 500 with all-ones evidence: the evidence sum overflows to inf
-        # and the conditional ratio would be nan; no RuntimeWarning either
+        # n = 500 with all-ones evidence: the oracle's evidence sum overflows
+        # to inf (no RuntimeWarning either); elimination divides each factor
+        # by its peak, so the conditional is the chain's
         n = 500
-        twin = off_chain_twin(mn.random_chain_model(n, 1))
-        evidence = Assignment({q: 1 for q in range(2, n - 4)})
+        model = mn.random_chain_model(n, 1)
+        twin = off_chain_twin(model)
+        query, evidence = Assignment({1: 0}), Assignment({q: 1 for q in range(2, n - 4)})
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(mn.EnumerationBoundExceeded, match="double range"):
                 mn.marginal_ratio(twin, evidence)
-            with pytest.raises(mn.EnumerationBoundExceeded, match="double range"):
-                mn.conditional_probability(twin, Assignment({1: 0}), evidence)
+            got = mn.conditional_probability(twin, query, evidence)
+        expected = mn.conditional_probability(model, query, evidence)
+        assert expected == pytest.approx(0.0482016908458, rel=1e-11)
+        assert got == pytest.approx(expected, rel=1e-9)
         path = tmp_path / "twin500.model"
         mn.save_model(twin, path)
         evidence_text = ",".join(f"{q}={b}" for q, b in evidence.items())
         rc = main(["conditional", str(path), "--query", "1=0", "--evidence", evidence_text])
         captured = capsys.readouterr()
-        assert rc == 1 and captured.out == ""
-        assert captured.err.startswith("error: EnumerationBoundExceeded:")
-        assert captured.err.count("\n") == 1
+        assert rc == 0 and captured.err == ""
+        assert captured.out == f"probability: {expected:.12g}\n"
 
 
 class TestChainPrefix:
@@ -542,7 +547,6 @@ class TestChainConditional:
 
     @pytest.mark.parametrize("n", [30, 64, 70])
     def test_past_the_brute_force_guards(self, n):
-        # these sizes are refused on the twin (see TestBruteForceIndexGuards)
         model = mn.random_chain_model(n, 1)
         query = Assignment({1: 0})
         evidence = Assignment({q: 0 for q in range(2, n - 4)})

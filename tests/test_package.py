@@ -12,6 +12,7 @@ import pytest
 import menet as mn
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 PUBLIC = [
     "AllBasesRejected", "Assignment", "BenchReport", "BenchRow", "ClassTag", "DEFAULT_TOL",
@@ -131,19 +132,24 @@ print(json.dumps([
 """
 
 CORE = {"cli", "errors", "network", "state"}
-# (argv, menet modules loaded, numpy loaded). chain4.model is past no size
-# guard, so its modulus is audited by the dense sum; chain20.model is past
-# the audit, and its queries run in plain Python.
+QUERY = CORE | {"inference", "elimination"}
+# (argv, menet modules loaded, numpy loaded). chain4.model and model_k4.model
+# (the complete graph) are within the n <= 12 modulus audit, which eliminates
+# variables in plain Python; chain20.model is past the audit, and its chain
+# sweeps load no elimination. Model queries never load numpy.
 COMMANDS = [
     ([], CORE, False),
     (["--help"], CORE, False),
     (["graph", "ghz.state"], CORE | {"separability"}, True),
     (["extract", "plusplus.state", "-o", "out.model"], CORE | {"separability"}, True),
-    (["reconstruct", "chain4.model", "-o", "out.state"], CORE, True),
+    (["reconstruct", "chain4.model", "-o", "out.state"], CORE | {"elimination"}, True),
     (["verify", "ghz.state"], CORE | {"separability"}, True),
-    (["marginal", "chain4.model", "--assign", "1=0", "--ratio"], CORE | {"inference"}, True),
-    (["conditional", "chain4.model", "--query", "1=0", "--evidence", "2=1"], CORE | {"inference"}, True),
-    (["mle", "chain4.model"], CORE | {"inference"}, True),
+    (["marginal", "chain4.model", "--assign", "1=0", "--ratio"], QUERY, False),
+    (["conditional", "chain4.model", "--query", "1=0", "--evidence", "2=1"], QUERY, False),
+    (["mle", "chain4.model"], QUERY, False),
+    (["marginal", "model_k4.model", "--assign", "1=0,3=1"], QUERY, False),
+    (["conditional", "model_k4.model", "--query", "1=0", "--evidence", "4=1"], QUERY, False),
+    (["mle", "model_k4.model"], QUERY, False),
     (["marginal", "chain20.model", "--assign", "1=0,7=1", "--ratio"], CORE | {"inference"}, False),
     (["marginal", "chain20.model", "--assign", "1=0,7=1"], CORE | {"inference"}, False),
     (["conditional", "chain20.model", "--query", "1=0", "--evidence", "20=1"], CORE | {"inference"}, False),
@@ -157,6 +163,8 @@ COMMANDS = [
 def command_id(argv):
     if not argv:
         return "import"
+    if "model_k4.model" in argv:
+        return f"{argv[0]}-k4"
     if "chain20.model" not in argv:
         return argv[0]
     return f"{argv[0]}-chain20" + ("-ratio" if "--ratio" in argv else "")
@@ -168,6 +176,7 @@ def test_each_command_imports_only_what_it_runs(argv, loaded, numpy, fixture_dir
 
     for name in ("ghz.state", "plusplus.state", "chain4.model"):
         (tmp_path / name).write_bytes((fixture_dir / name).read_bytes())
+    (tmp_path / "model_k4.model").write_bytes((GOLDEN / "model_k4.model").read_bytes())
     assert 20 > _NORM_AUDIT_MAX
     mn.save_model(mn.random_chain_model(20, seed=3), tmp_path / "chain20.model")
     rc, mods, statistics, numpy_loaded, numpy_random = json.loads(run_fresh(PROBE, *argv, cwd=tmp_path))
