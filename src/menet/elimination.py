@@ -42,7 +42,7 @@ def sum_product(potentials, ref_bits, bound) -> tuple[float, float, int]:
     Returns (value, log scale, op count); the sum is value * e^(log scale),
     and value is 0.0 only when the sum is.
     """
-    value, log_scale, ops, _ = _eliminate(potentials, ref_bits, bound, add)
+    value, log_scale, ops, _ = _eliminate(potentials, ref_bits, bound, False)
     return value, log_scale, ops
 
 
@@ -60,7 +60,7 @@ def max_product(potentials, ref_bits) -> tuple[list[int], list[float], int]:
     mle_brute_force and the chain max-product. Returns the bits, the
     modulus |q_i| each node's factor reads at them, and the op count.
     """
-    _, _, ops, choices = _eliminate(potentials, ref_bits, {}, None)
+    _, _, ops, choices = _eliminate(potentials, ref_bits, {}, True)
     bits = [0] * len(ref_bits)
     for v, rest, choice in reversed(choices):
         index = 0
@@ -169,14 +169,15 @@ def _repeat_blocks(values: list[float], block: int) -> list[float]:
     return doubled
 
 
-def _eliminate(potentials, ref_bits, bound, combine):
-    """Eliminate the free qubits in descending order with `combine` (add), or maximize.
+def _eliminate(potentials, ref_bits, bound, maximize: bool):
+    """Sum, or maximize, the free qubits out in descending order.
 
-    Returns (value, log scale, op count, choices). With combine None each
+    Returns (value, log scale, op count, choices). When maximizing, each
     eliminated qubit v leaves (v, the rest of its bucket's scope, the best
     bit of v per assignment of that rest as bytes, 0 on ties).
     """
     n = len(ref_bits)
+    bound = dict(bound)
     scopes = _scopes(potentials, bound)
     _check_size(scopes, n)
     buckets: dict[int, list] = {}
@@ -202,11 +203,11 @@ def _eliminate(potentials, ref_bits, bound, combine):
         ops += (len(bucket) - 1) * len(product)
         half = len(product) // 2
         low, high = product[:half], product[half:]
-        if combine is None:
+        if maximize:
             choices.append((v, target[1:], bytes(map(gt, high, low))))
             message = [b if b > a else a for a, b in zip(low, high)]
         else:
-            message = list(map(combine, low, high))
+            message = list(map(add, low, high))
             ops += half
         peak = max(message)
         if peak > 0.0:
