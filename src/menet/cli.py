@@ -8,8 +8,8 @@ name), 2 usage error.
 Only the modules every command needs are imported here; each command
 imports the inference and classification names it uses when it runs, so a
 fresh `menet` process loads only what its command runs. numpy is one of
-those: `import menet.cli`, `--help`, `classify`, and `marginal`,
-`conditional` and `mle` on model files never load it.
+those: `import menet.cli`, `--help`, and `marginal`, `conditional` and `mle`
+on model files never load it.
 """
 
 from __future__ import annotations
