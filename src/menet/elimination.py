@@ -8,8 +8,8 @@ summed (or maximized) out one at a time in descending index order, each
 from the bucket of factors whose highest qubit it is (Dechter, AIJ 113,
 1999; Koller & Friedman 2009, ch. 9). The cost is exponential in the
 largest factor that order builds, not in the number of free qubits. The
-entries of all the factors it builds are counted before any arithmetic,
-and an elimination past _FACTOR_ENTRIES_MAX of them is refused.
+entries of all the factors it builds are counted before any arithmetic
+(_plan), and an elimination past _FACTOR_ENTRIES_MAX of them is refused.
 
 Plain Python on lists of floats: only model queries and the model
 modulus audit load this module, and none of them loads numpy. A factor is
@@ -31,7 +31,7 @@ from operator import add, gt, mul, truediv
 from .errors import EnumerationBoundExceeded
 
 # The most entries the bucket products of one elimination may hold in all
-# (see _check_size), measured by verify's rule for a command: under 1 s and
+# (see _plan), measured by verify's rule for a command: under 1 s and
 # 100 MB in a fresh `menet` process.
 _FACTOR_ENTRIES_MAX = 1 << 19
 
@@ -88,17 +88,19 @@ def _scopes(potentials, bound) -> list[tuple[int, ...]]:
     ]
 
 
-def _check_size(scopes, n: int) -> None:
-    """Refuse, before any arithmetic, an elimination that would build too many entries.
+def _plan(scopes, n: int) -> dict[int, tuple[int, ...]]:
+    """Each eliminated qubit's bucket scope, descending, in elimination order.
 
     Bucket v's product is over the union of its factors' scopes: 2^size
     entries. Their sum over the buckets bounds both the time and the largest
-    factor held at once.
+    factor held at once, and past _FACTOR_ENTRIES_MAX the elimination is
+    refused here, before any arithmetic.
     """
     buckets: dict[int, set[int]] = {}
     for scope in scopes:
         if scope:
             buckets.setdefault(scope[0], set()).update(scope)
+    targets = {}
     total = widest = 0
     for v in range(n, 0, -1):
         union = buckets.pop(v, None)
@@ -111,9 +113,10 @@ def _check_size(scopes, n: int) -> None:
                 f"variable elimination needs more than {_FACTOR_ENTRIES_MAX} factor entries "
                 f"(a factor over {widest} qubits so far)"
             )
-        union.discard(v)
-        if union:
-            buckets.setdefault(max(union), set()).update(union)
+        targets[v] = target = tuple(sorted(union, reverse=True))
+        if len(target) > 1:
+            buckets.setdefault(target[1], set()).update(target[1:])
+    return targets
 
 
 def _node_factor(table, scope, ref_bits, bound) -> tuple[list[float], float]:
@@ -179,7 +182,7 @@ def _eliminate(potentials, ref_bits, bound, maximize: bool):
     n = len(ref_bits)
     bound = dict(bound)
     scopes = _scopes(potentials, bound)
-    _check_size(scopes, n)
+    targets = _plan(scopes, n)
     buckets: dict[int, list] = {}
     log_scale = 0.0
     ops = 0
@@ -191,11 +194,8 @@ def _eliminate(potentials, ref_bits, bound, maximize: bool):
             buckets.setdefault(scope[0], []).append((scope, values))
     value = 1.0
     choices = []
-    for v in range(n, 0, -1):
-        bucket = buckets.pop(v, None)
-        if bucket is None:
-            continue
-        target = tuple(sorted({u for scope, _ in bucket for u in scope}, reverse=True))
+    for v, target in targets.items():
+        bucket = buckets.pop(v)
         product = None
         for scope, values in bucket:
             values = values if scope == target else _broadcast(scope, values, target)

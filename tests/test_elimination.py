@@ -17,7 +17,7 @@ import pytest
 import menet as mn
 from menet import Assignment, MenGraph, MenModel, QFunctionTable
 from menet import elimination as el
-from menet.inference import _conditional, _marginal, _mle
+from menet.inference import _marginal, _mle
 from menet.network import _eliminated_modulus
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -76,7 +76,6 @@ def assert_matches_oracles(model, rng, queries=6):
         evidence = Assignment({int(q): int(rng.integers(0, 2)) for q in order[split:stop]})
         want = mn.marginal_probability(psi, query.merge(evidence)) / mn.marginal_probability(psi, evidence)
         assert mn.conditional_probability(model, query, evidence) == pytest.approx(want, rel=REL)
-        assert _conditional(psi, query, evidence) == pytest.approx(want, rel=REL)
 
 
 class TestAgainstDenseOracles:
@@ -194,7 +193,7 @@ class TestRange:
             model = wide_elimination_model(m, seed=m)
             scopes = el._scopes(model.potentials, {})
             if runs:
-                el._check_size(scopes, 2 * m)
+                el._plan(scopes, 2 * m)
             else:
                 with pytest.raises(mn.EnumerationBoundExceeded):
-                    el._check_size(scopes, 2 * m)
+                    el._plan(scopes, 2 * m)
