@@ -37,15 +37,14 @@ _EXPORTS = {
     "network": (
         "GraphoidReport", "MenGraph", "MenModel", "PerfectMapReport", "QFunctionTable",
         "build_graph", "check_graphoid_axioms", "export_dot", "extract_men",
-        "load_model", "node_separation", "normalization_modulus", "q_value",
-        "random_model", "reconstruct_state", "save_model", "verify_perfect_map",
+        "load_model", "measure_and_update", "node_separation", "normalization_modulus",
+        "q_value", "random_model", "reconstruct_state", "save_model", "verify_perfect_map",
     ),
     "inference": (
         "BenchReport", "BenchRow", "MleResult", "QueryResult", "bench_chains",
         "chain_marginal_ratio", "chain_prefix_marginal_ratio",
         "conditional_probability", "marginal_probability", "marginal_ratio",
-        "measure_and_update", "mle_brute_force", "mle_chain", "probability_of",
-        "random_chain_model",
+        "mle_brute_force", "mle_chain", "probability_of", "random_chain_model",
     ),
     "classify": (
         "ClassTag", "InvarianceReport", "TopologyCensus", "TripartiteClass",

@@ -29,6 +29,7 @@ from .network import (
     export_dot,
     extract_men,
     load_model,
+    measure_and_update,
     reconstruct_state,
     save_model,
     verify_perfect_map,
@@ -42,7 +43,6 @@ from .state import (
     _state_from_payload,
     fidelity_up_to_phase,
     load_state,
-    measure_qubit,
     save_state,
 )
 
@@ -193,10 +193,8 @@ def cmd_measure(args) -> list[str]:
     if not 1 <= args.qubit <= psi.num_qubits:
         raise InvalidQuery(f"qubit {args.qubit} out of range 1..{psi.num_qubits}")
     tol = ToleranceConfig(rel_eps=args.tolerance)
-    probability, collapsed = measure_qubit(psi, args.qubit, args.outcome, tol)
-    with warnings.catch_warnings():  # the collapsed state has structural zeros
-        warnings.simplefilter("ignore", ZeroAmplitudeWarning)
-        new_graph = build_graph(collapsed, tol)
+    # no graph of psi is passed: measure_and_update does not read it
+    probability, collapsed, new_graph = measure_and_update(psi, None, args.qubit, args.outcome, tol)
     save_state(collapsed, args.output)
     return [f"probability: {_fmt_prob(probability)}"] + _graph_lines(new_graph)
 

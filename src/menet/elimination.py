@@ -1,4 +1,4 @@
-"""Bucket elimination over a model's squared telescoping product.
+"""Sums and maxima over a model's squared telescoping product.
 
 The squared product factorizes: node i contributes the factor |q_i|^2 over
 {i} and its lower-indexed neighbours, with its higher neighbours at the
@@ -11,12 +11,18 @@ largest factor that order builds, not in the number of free qubits. The
 entries of all the factors it builds are counted before any arithmetic
 (_plan), and an elimination past _FACTOR_ENTRIES_MAX of them is refused.
 
-Plain Python on lists of floats: only model queries and the model
-modulus audit load this module, and none of them loads numpy. A factor is
-a (scope, values) pair, its qubits in descending order, the first the
-most significant bit of the index into values. Every factor is divided by
-its peak as it is made, and the logs of the peaks are kept, so nothing
-overflows and nothing underflows that matters against its peak.
+On the chain 1-2-...-n the factors are 2x2 levels, and one sweep along the
+chain replaces the buckets (the chain section below). _model_log_z is a
+model's one route to log Z, the sweep on a chain and bucket elimination
+on any other graph: MenModel derives and audits its reference modulus
+through it, and the queries of menet.inference read it back.
+
+Plain Python on lists of floats, so building or reading a model and
+answering its queries load no numpy. A factor is a (scope, values) pair,
+its qubits in descending order, the first the most significant bit of the
+index into values. Every factor is divided by its peak as it is made, and
+the logs of the peaks are kept, so nothing overflows and nothing
+underflows that matters against its peak.
 
 Op counts take one unit per modulus square, multiplication and addition,
 as inference's do; comparisons and the divisions by a peak are not counted.
@@ -25,15 +31,17 @@ as inference's do; comparisons and the divisions by a peak are not counted.
 from __future__ import annotations
 
 import math
-from itertools import repeat
+from itertools import chain, repeat
 from operator import add, gt, mul, truediv
 
-from .errors import EnumerationBoundExceeded
+from .errors import EnumerationBoundExceeded, NotAChain
 
 # The most entries the bucket products of one elimination may hold in all
 # (see _plan), measured by verify's rule for a command: under 1 s and
 # 100 MB in a fresh `menet` process.
 _FACTOR_ENTRIES_MAX = 1 << 19
+_RESCALE_HI = 1e100
+_RESCALE_LO = 1e-100
 
 
 def sum_product(potentials, ref_bits, bound) -> tuple[float, float, int]:
@@ -218,3 +226,175 @@ def _eliminate(potentials, ref_bits, bound, maximize: bool):
         else:
             value *= message[0]
     return value, log_scale, ops, choices
+
+
+# --- chains ------------------------------------------------------------------
+#
+# On the chain 1-2-...-n the squared telescoping product is
+# prod_i w_i(x_{i-1}, x_i), with w_i(p, b) = |q(x_i = b | x_{i-1} = p,
+# x_{i+1} at reference)|^2. Node 1 has no left neighbor: both rows of its
+# level are equal, and x_0 is a dummy fixed at 0. Every chain query is a
+# sum-product or a max-product sweep over these n levels.
+
+
+def _model_log_z(model) -> tuple[float, int]:
+    """(log Z, op count) of a model, worked out on the first call and kept on the model.
+
+    The one route to a model's normalization constant: a chain sweeps it
+    (and keeps its levels, _chain_weights), any other graph eliminates it.
+    MenModel calls it when it derives or audits its reference modulus. A
+    route that raises keeps nothing.
+    """
+    log_z = model.__dict__.get("_log_z")
+    if log_z is None:
+        if model.graph.is_path():
+            log_z = _chain_log_z(_chain_weights(model))
+        else:
+            log_z = log_partition(model.potentials, model.reference_bits())
+        object.__setattr__(model, "_log_z", log_z)
+    return log_z
+
+
+def _chain_weights(model) -> list[list[float]]:
+    """The model's chain levels, gathered on the first call and kept on the model.
+
+    They depend on the model alone, so later queries on the same instance
+    read them back; they are stored as MenGraph.is_path stores its answer,
+    outside the fields, so equality, repr and dataclasses.replace do not
+    see them. A gather that raises keeps nothing.
+    """
+    levels = model.__dict__.get("_chain_weights")
+    if levels is None:
+        if not model.graph.is_path():
+            raise NotAChain("model graph is not the chain 1-2-...-n")
+        levels = _chain_levels(model.potentials, model.reference_bits())
+        object.__setattr__(model, "_chain_weights", levels)
+    return levels
+
+
+def _chain_levels(potentials, ref_bits) -> list[list[float]]:
+    """levels[i - 1] = [w_i(0, 0), w_i(0, 1), w_i(1, 0), w_i(1, 1)], gathered from the entries.
+
+    A table's flat index is bit << k | ctx, and on a chain the context is
+    (x_{i-1}, x_{i+1}) with either end absent, so w_i(p, b) sits at offset
+    4b + 2p + r inside the chain (r = x_{i+1} at the reference), 2b + r at
+    node 1, 2b + p at node n, and b when n == 1. Each weight is Python's
+    abs(v) ** 2, libm hypot(re, im) raised by libm pow(h, 2.0), to which the
+    chain results are pinned. A weight past the double range, or not
+    finite, raises EnumerationBoundExceeded, as brute force does for sums
+    past that range.
+    """
+    tables = [table.entries for table in potentials]
+    try:
+        if len(tables) == 1:
+            v = tables[0]
+            levels = [[abs(v[0]) ** 2, abs(v[1]) ** 2] * 2]
+        else:
+            v, r = tables[0], ref_bits[1]
+            first = [abs(v[r]) ** 2, abs(v[2 + r]) ** 2] * 2
+            middle = [
+                [abs(v[r]) ** 2, abs(v[4 + r]) ** 2, abs(v[2 + r]) ** 2, abs(v[6 + r]) ** 2]
+                for v, r in zip(tables[1:-1], ref_bits[2:])
+            ]
+            v = tables[-1]
+            levels = [first, *middle, [abs(v[0]) ** 2, abs(v[2]) ** 2, abs(v[1]) ** 2, abs(v[3]) ** 2]]
+    except OverflowError:
+        raise EnumerationBoundExceeded("a chain weight |q|^2 is past the double range") from None
+    # weights are >= 0, so they are all finite when their sum is; only a sum
+    # past the double range leaves each weight to be looked at (inf or nan entries)
+    if not math.isfinite(sum(map(sum, levels))) and not all(
+        map(math.isfinite, chain.from_iterable(levels))
+    ):
+        raise EnumerationBoundExceeded("a chain weight |q|^2 is past the double range")
+    return levels
+
+
+def _sweep_ops(num_levels: int, bound: dict[int, int]) -> int:
+    """Op count of _sum_product: per level t, s(t+1) * (c * s(t) - 1).
+
+    s(t) is the number of bits y_t may take (1 if bound, else 2) and c is 2
+    at the first level, which has no message to multiply, and 3 after. All
+    free, that is 6 and then 10 per level; only levels next to a bound
+    position differ.
+    """
+    if not num_levels:
+        return 0
+    ops = 6 + 10 * (num_levels - 1)
+    for t in {u for b in bound for u in (b - 1, b) if 0 <= u < num_levels}:
+        s_t = 1 if t in bound else 2
+        s_next = 1 if t + 1 in bound else 2
+        ops += s_next * ((3 if t else 2) * s_t - 1) - (10 if t else 6)
+    return ops
+
+
+def _sum_product(
+    levels, bound: dict[int, int], normalize: bool = False
+) -> tuple[tuple[float, float], float, int]:
+    """Sum out y_0, y_1, ... in order; levels[t][2p + b] weighs y_t = p -> y_{t+1} = b.
+
+    `bound` maps positions t to the one bit y_t may take. Returns the last
+    message (m0, m1), 0.0 at a bound-out bit, its log scale and the op
+    count. A bound-out term adds w * 0.0 = 0.0 (weights are finite and
+    >= 0), so every entry equals the sum over the allowed terms alone. The
+    message is divided by its peak when that leaves [1e-100, 1e100], or at
+    every level with `normalize`.
+    """
+    first = bound.get(0)
+    m0 = 0.0 if first == 1 else 1.0
+    m1 = 0.0 if first == 0 else 1.0
+    keep = [None] * len(levels)  # keep[t]: the bit y_{t+1} is bound to
+    for t, bit in bound.items():
+        if 0 < t <= len(levels):
+            keep[t - 1] = bit
+    log_scale = 0.0
+    for (w00, w01, w10, w11), k in zip(levels, keep):
+        n0 = w00 * m0 + w10 * m1
+        n1 = w01 * m0 + w11 * m1
+        if k is not None:
+            if k:
+                n0 = 0.0
+            else:
+                n1 = 0.0
+        peak = n1 if n1 > n0 else n0
+        if normalize or peak > _RESCALE_HI or (0.0 < peak < _RESCALE_LO):
+            n0 /= peak
+            n1 /= peak
+            log_scale += math.log(peak)
+        m0, m1 = n0, n1
+    return (m0, m1), log_scale, _sweep_ops(len(levels), bound)
+
+
+def _max_product(levels) -> tuple[list[int], list[float], int]:
+    """Lexicographically smallest argmax of prod_i w_i(x_{i-1}, x_i).
+
+    A backward pass keeps, per bit, the best suffix product (divided by its
+    peak at each level: argmax-invariant, so no overflow); the forward pass
+    picks bits left to right, preferring 0 on exact ties. Returns the bits,
+    the chosen factors and the op count.
+    """
+    a0 = a1 = 1.0
+    best = [(a0, a1)]
+    for w00, w01, w10, w11 in reversed(levels[1:]):
+        x, y = w00 * a0, w01 * a1
+        c0 = y if y > x else x
+        x, y = w10 * a0, w11 * a1
+        c1 = y if y > x else x
+        peak = c1 if c1 > c0 else c0
+        a0, a1 = (c0 / peak, c1 / peak) if peak > 0.0 else (c0, c1)
+        best.append((a0, a1))
+    best.reverse()
+    bits: list[int] = []
+    chosen: list[float] = []
+    pick = 0
+    for (w00, w01, w10, w11), (a0, a1) in zip(levels, best):
+        r0, r1 = (w10, w11) if pick else (w00, w01)
+        pick = 1 if r1 * a1 > r0 * a0 else 0
+        bits.append(pick)
+        chosen.append(r1 if pick else r0)
+    return bits, chosen, 8 * (len(levels) - 1) + 4 * len(levels)
+
+
+def _chain_log_z(levels) -> tuple[float, int]:
+    """log of the sum over all assignments of the squared q-products."""
+    (m0, m1), log_scale, ops = _sum_product(levels, {0: 0}, True)
+    return log_scale + math.log(m0 + m1), ops + 1

@@ -11,15 +11,21 @@ can check each other:
   and maximum likelihood instantiations come from one sum-product and one
   max-product sweep along the chain, linear in the number of qubits. They
   run in plain Python on the tables' flat entries. The per-model part, the
-  |q|^2 weights and log Z, is worked out on the first query that needs it
-  and kept on the model instance (_chain_weights, _model_log_z); each query
-  then runs only its own sweep. Values and op counts do not depend on
-  whether it was kept.
+  |q|^2 levels and log Z, is worked out once and kept on the model
+  instance (menet.elimination's _chain_weights and _model_log_z): when the
+  model derives or audits its modulus, else on the first query that needs
+  it. Each query then runs only its own sweep. Values and op counts do not
+  depend on whether it was kept.
 - variable elimination (menet.elimination): every other model query, by
   sum-product or max-product bucket elimination in descending qubit order,
   also plain Python. Its cost is exponential in the largest factor that
   order builds, not in the number of free qubits. Model queries therefore
   never load numpy; only the brute-force routes import it.
+
+The sweeps themselves, the level gather and log Z live in menet.elimination,
+next to the buckets, because MenModel normalizes through them; this module
+holds the query routes, their rules (bindings, evidence floor, the
+fallback to log Z past the double range) and the public API.
 
 QueryResult.op_count counts complex multiplications, additions, and
 modulus-square evaluations (one each); comparisons and rescaling divisions
@@ -30,43 +36,29 @@ cost model is 6*(n-m) + 2*m - 1; only affinity is load-bearing).
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 import time
-import warnings
 from dataclasses import dataclass
 
+from .elimination import _chain_weights, _max_product, _model_log_z, _sum_product, max_product, sum_product
 from .errors import (
     EnumerationBoundExceeded,
     InvalidQuery,
-    NotAChain,
     NotAPrefix,
-    ZeroAmplitudeWarning,
     ZeroEvidenceProbability,
 )
 from .network import (
     MenGraph,
     MenModel,
-    QFunctionTable,
-    _random_q_tables,
     _relative_amplitude_products,
-    build_graph,
+    random_model,
     reconstruct_state,
 )
-from .state import (
-    DEFAULT_TOL,
-    Assignment,
-    PureState,
-    ToleranceConfig,
-    assignment_of,
-    measure_qubit,
-)
+from .state import Assignment, PureState, assignment_of
 
 _EVIDENCE_FLOOR = 1e-300
 _BRUTE_FREE_MAX = 26
-_RESCALE_HI = 1e100
-_RESCALE_LO = 1e-100
 
 
 @dataclass(frozen=True)
@@ -146,9 +138,10 @@ def conditional_probability(
     """p(query | evidence) as a ratio of marginal ratios; clamped to [0, 1].
 
     Joint and evidence are two sums, by sum-product sweeps on a chain model
-    and by variable elimination on other graphs, and log Z sets the
-    evidence floor; log Z, like a chain's weights, is worked out once per
-    model object and then read back.
+    and by variable elimination on other graphs. The evidence floor is
+    decided on p(evidence) (_probability), which reads log Z only when the
+    squared reference modulus times the evidence ratio is not a normal
+    double.
     """
     return _conditional(model, query, evidence)
 
@@ -161,15 +154,16 @@ def _conditional(source: PureState | MenModel, query: Assignment, evidence: Assi
     if set(query) & set(evidence):
         raise InvalidQuery("query and evidence domains must be disjoint")
     joint = query.merge(evidence)
-    scale_e = scale_j = log_z = 0.0
     if isinstance(source, PureState):
         value_e, value_j = (marginal_probability(source, x_m) for x_m in (evidence, joint))
+        scale_e = scale_j = 0.0
+        p_evidence = value_e
     else:
         (value_e, scale_e, _), (value_j, scale_j, _) = (
             _model_sum(source, x_m) for x_m in (evidence, joint)
         )
-        log_z = _model_log_z(source)[0]
-    if _log_of(value_e, scale_e) - log_z < math.log(_EVIDENCE_FLOOR):  # the modulus may be 0
+        p_evidence = _probability(source, _scale_back(value_e, scale_e), _log_of(value_e, scale_e))[0]
+    if p_evidence < _EVIDENCE_FLOOR:
         raise ZeroEvidenceProbability(
             f"evidence {evidence!r} has probability below {_EVIDENCE_FLOOR}"
         )
@@ -178,67 +172,8 @@ def _conditional(source: PureState | MenModel, query: Assignment, evidence: Assi
 
 # --- chain specializations ---------------------------------------------------
 #
-# On the chain 1-2-...-n the squared telescoping product is
-# prod_i w_i(x_{i-1}, x_i), with w_i(p, b) = |q(x_i = b | x_{i-1} = p,
-# x_{i+1} at reference)|^2. Node 1 has no left neighbor: both rows of its
-# level are equal, and x_0 is a dummy fixed at 0. Every chain query is a
-# sum-product or a max-product sweep over these n levels.
-
-
-def _chain_weights(model: MenModel) -> list[list[float]]:
-    """The model's chain levels, gathered on the first call and kept on the model.
-
-    They depend on the model alone, so later queries on the same instance
-    read them back; they are stored as MenGraph.is_path stores its answer,
-    outside the fields, so equality, repr and dataclasses.replace do not
-    see them. A gather that raises keeps nothing.
-    """
-    levels = model.__dict__.get("_chain_weights")
-    if levels is None:
-        if not model.graph.is_path():
-            raise NotAChain("model graph is not the chain 1-2-...-n")
-        levels = _chain_levels(model.potentials, model.reference_bits())
-        object.__setattr__(model, "_chain_weights", levels)
-    return levels
-
-
-def _chain_levels(
-    potentials: tuple[QFunctionTable, ...], ref_bits: tuple[int, ...]
-) -> list[list[float]]:
-    """levels[i - 1] = [w_i(0, 0), w_i(0, 1), w_i(1, 0), w_i(1, 1)], gathered from the entries.
-
-    A table's flat index is bit << k | ctx, and on a chain the context is
-    (x_{i-1}, x_{i+1}) with either end absent, so w_i(p, b) sits at offset
-    4b + 2p + r inside the chain (r = x_{i+1} at the reference), 2b + r at
-    node 1, 2b + p at node n, and b when n == 1. Each weight is Python's
-    abs(v) ** 2, libm hypot(re, im) raised by libm pow(h, 2.0), to which the
-    chain results are pinned. A weight past the double range, or not
-    finite, raises EnumerationBoundExceeded, as brute force does for sums
-    past that range.
-    """
-    tables = [table.entries for table in potentials]
-    try:
-        if len(tables) == 1:
-            v = tables[0]
-            levels = [[abs(v[0]) ** 2, abs(v[1]) ** 2] * 2]
-        else:
-            v, r = tables[0], ref_bits[1]
-            first = [abs(v[r]) ** 2, abs(v[2 + r]) ** 2] * 2
-            middle = [
-                [abs(v[r]) ** 2, abs(v[4 + r]) ** 2, abs(v[2 + r]) ** 2, abs(v[6 + r]) ** 2]
-                for v, r in zip(tables[1:-1], ref_bits[2:])
-            ]
-            v = tables[-1]
-            levels = [first, *middle, [abs(v[0]) ** 2, abs(v[2]) ** 2, abs(v[1]) ** 2, abs(v[3]) ** 2]]
-    except OverflowError:
-        raise EnumerationBoundExceeded("a chain weight |q|^2 is past the double range") from None
-    # weights are >= 0, so they are all finite when their sum is; only a sum
-    # past the double range leaves each weight to be looked at (inf or nan entries)
-    if not math.isfinite(sum(map(sum, levels))) and not all(
-        map(math.isfinite, itertools.chain.from_iterable(levels))
-    ):
-        raise EnumerationBoundExceeded("a chain weight |q|^2 is past the double range")
-    return levels
+# The levels, the sweeps over them and log Z are in menet.elimination's
+# chain section; these are the chain query routes built on them.
 
 
 def _scale_back(value: float, log_scale: float) -> float:
@@ -252,114 +187,6 @@ def _scale_back(value: float, log_scale: float) -> float:
         return math.inf
 
 
-def _sweep_ops(num_levels: int, bound: dict[int, int]) -> int:
-    """Op count of _sum_product: per level t, s(t+1) * (c * s(t) - 1).
-
-    s(t) is the number of bits y_t may take (1 if bound, else 2) and c is 2
-    at the first level, which has no message to multiply, and 3 after. All
-    free, that is 6 and then 10 per level; only levels next to a bound
-    position differ.
-    """
-    if not num_levels:
-        return 0
-    ops = 6 + 10 * (num_levels - 1)
-    for t in {u for b in bound for u in (b - 1, b) if 0 <= u < num_levels}:
-        s_t = 1 if t in bound else 2
-        s_next = 1 if t + 1 in bound else 2
-        ops += s_next * ((3 if t else 2) * s_t - 1) - (10 if t else 6)
-    return ops
-
-
-def _sum_product(
-    levels, bound: dict[int, int], normalize: bool = False
-) -> tuple[tuple[float, float], float, int]:
-    """Sum out y_0, y_1, ... in order; levels[t][2p + b] weighs y_t = p -> y_{t+1} = b.
-
-    `bound` maps positions t to the one bit y_t may take. Returns the last
-    message (m0, m1), 0.0 at a bound-out bit, its log scale and the op
-    count. A bound-out term adds w * 0.0 = 0.0 (weights are finite and
-    >= 0), so every entry equals the sum over the allowed terms alone. The
-    message is divided by its peak when that leaves [1e-100, 1e100], or at
-    every level with `normalize`.
-    """
-    first = bound.get(0)
-    m0 = 0.0 if first == 1 else 1.0
-    m1 = 0.0 if first == 0 else 1.0
-    keep = [None] * len(levels)  # keep[t]: the bit y_{t+1} is bound to
-    for t, bit in bound.items():
-        if 0 < t <= len(levels):
-            keep[t - 1] = bit
-    log_scale = 0.0
-    for (w00, w01, w10, w11), k in zip(levels, keep):
-        n0 = w00 * m0 + w10 * m1
-        n1 = w01 * m0 + w11 * m1
-        if k is not None:
-            if k:
-                n0 = 0.0
-            else:
-                n1 = 0.0
-        peak = n1 if n1 > n0 else n0
-        if normalize or peak > _RESCALE_HI or (0.0 < peak < _RESCALE_LO):
-            n0 /= peak
-            n1 /= peak
-            log_scale += math.log(peak)
-        m0, m1 = n0, n1
-    return (m0, m1), log_scale, _sweep_ops(len(levels), bound)
-
-
-def _max_product(levels) -> tuple[list[int], list[float], int]:
-    """Lexicographically smallest argmax of prod_i w_i(x_{i-1}, x_i).
-
-    A backward pass keeps, per bit, the best suffix product (divided by its
-    peak at each level: argmax-invariant, so no overflow); the forward pass
-    picks bits left to right, preferring 0 on exact ties. Returns the bits,
-    the chosen factors and the op count.
-    """
-    a0 = a1 = 1.0
-    best = [(a0, a1)]
-    for w00, w01, w10, w11 in reversed(levels[1:]):
-        x, y = w00 * a0, w01 * a1
-        c0 = y if y > x else x
-        x, y = w10 * a0, w11 * a1
-        c1 = y if y > x else x
-        peak = c1 if c1 > c0 else c0
-        a0, a1 = (c0 / peak, c1 / peak) if peak > 0.0 else (c0, c1)
-        best.append((a0, a1))
-    best.reverse()
-    bits: list[int] = []
-    chosen: list[float] = []
-    pick = 0
-    for (w00, w01, w10, w11), (a0, a1) in zip(levels, best):
-        r0, r1 = (w10, w11) if pick else (w00, w01)
-        pick = 1 if r1 * a1 > r0 * a0 else 0
-        bits.append(pick)
-        chosen.append(r1 if pick else r0)
-    return bits, chosen, 8 * (len(levels) - 1) + 4 * len(levels)
-
-
-def _chain_log_z(levels) -> tuple[float, int]:
-    """log of the sum over all assignments of the squared q-products."""
-    (m0, m1), log_scale, ops = _sum_product(levels, {0: 0}, True)
-    return log_scale + math.log(m0 + m1), ops + 1
-
-
-def _model_log_z(model: MenModel) -> tuple[float, int]:
-    """(log Z, op count) of a model, worked out on the first call and kept on the model.
-
-    A chain sweeps it; any other graph eliminates it.
-    """
-    log_z = model.__dict__.get("_log_z")
-    if log_z is None:
-        if model.graph.is_path():
-            log_z = _chain_log_z(_chain_weights(model))
-        else:
-            from .elimination import log_partition
-
-            log_z = log_partition(model.potentials, model.reference_bits())
-        object.__setattr__(model, "_log_z", log_z)
-    return log_z
-
-
 def _model_sum(model: MenModel, x_m: Assignment) -> tuple[float, float, int]:
     """Marginal ratio of x_m on a model as (value, log scale, op count).
 
@@ -367,8 +194,6 @@ def _model_sum(model: MenModel, x_m: Assignment) -> tuple[float, float, int]:
     """
     if model.graph.is_path():
         return _chain_marginal(_chain_weights(model), x_m)
-    from .elimination import sum_product
-
     _validate_bindings(x_m, model.num_qubits)
     return sum_product(model.potentials, model.reference_bits(), x_m)
 
@@ -504,8 +329,6 @@ def _mle(source: PureState | MenModel) -> MleResult:
         return mle_brute_force(source)
     if source.graph.is_path():
         return mle_chain(source)
-    from .elimination import max_product
-
     bits, moduli, ops = max_product(source.potentials, source.reference_bits())
     product = math.prod(moduli)
     log_ratio = 2.0 * sum(map(math.log, moduli))
@@ -513,54 +336,18 @@ def _mle(source: PureState | MenModel) -> MleResult:
     return MleResult(Assignment.from_bits(bits), float(probability), ops + len(moduli) + p_ops)
 
 
-def measure_and_update(
-    psi: PureState,
-    g: MenGraph,
-    qubit: int,
-    outcome: int,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> tuple[float, PureState, MenGraph]:
-    """Measure one qubit and rebuild the graph of the collapsed state.
-
-    `g` is accepted but not read: the new graph is built from the collapsed
-    state alone. Contract (holds when `g` is psi's graph, in the
-    nonzero-amplitude regime): the new edge set is a subset of g's minus
-    all edges incident to the measured qubit; measurement never introduces
-    edges. The collapsed state has structural zeros at the un-measured
-    outcome, so the rebuild suppresses the zero-amplitude warning.
-    """
-    probability, collapsed = measure_qubit(psi, qubit, outcome, tol)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ZeroAmplitudeWarning)
-        new_graph = build_graph(collapsed, tol)
-    return probability, collapsed, new_graph
-
-
 def random_chain_model(n: int, seed) -> MenModel:
-    """Chain model with random potentials, moduli in [0.2, 5], uniform phases.
+    """random_model on the chain 1-2-...-n: moduli in [0.2, 5], uniform phases.
 
-    The reference modulus comes from the normalization formula evaluated by
-    message passing along the chain (linear, log-stabilized), so arbitrarily
-    long chains are fine. Its square leaves the normal double range from
-    roughly n = 355 and the modulus itself underflows to 0 from n ~ 745;
-    chain probabilities then come from log Z instead (_probability).
-    The levels and log Z swept here are kept on the model, as the first
-    query would keep them (_chain_weights, _model_log_z).
+    The model normalizes itself by one sweep along the chain (linear,
+    log-stabilized) and keeps the levels and log Z it swept, so arbitrarily
+    long chains are fine. The modulus's square leaves the normal double
+    range from roughly n = 355 and the modulus itself underflows to 0 from
+    n ~ 745; chain probabilities then come from log Z instead (_probability).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    import numpy as np
-
-    graph = MenGraph.path(n)
-    rng = np.random.default_rng(seed)
-    potentials = _random_q_tables(graph, rng)
-    levels = _chain_levels(potentials, (0,) * n)
-    log_z = _chain_log_z(levels)
-    modulus = math.exp(-0.5 * log_z[0])  # log Z >= 0: the reference weighs 1
-    model = MenModel(graph, potentials, Assignment.zeros(n), modulus)
-    object.__setattr__(model, "_chain_weights", levels)
-    object.__setattr__(model, "_log_z", log_z)
-    return model
+    return random_model(MenGraph.path(n), seed)
 
 
 # --- benchmark harness -------------------------------------------------------

@@ -22,7 +22,7 @@ import itertools
 import math
 import warnings
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 from .errors import (
     EnumerationBoundExceeded,
@@ -43,6 +43,7 @@ from .state import (
     _entry_value,
     _read_json,
     _writing,
+    measure_qubit,
 )
 
 _NORM_AUDIT_MAX = 12  # normalization audit bound
@@ -243,20 +244,22 @@ def _relative_amplitude_products(
 class MenModel:
     """Graph + per-node potentials + reference point; fixes a state up to phase.
 
-    For n <= _NORM_AUDIT_MAX the reference modulus is audited against the
-    normalization formula, evaluated by variable elimination.
-    `_normalization` is for constructors that have just evaluated that
-    formula on these very potentials and hand its value over instead of
-    having the audit repeat the sum.
+    Left out, the reference modulus is derived from the normalization
+    formula, exp(-log Z / 2), with log Z from the model's own sum-product
+    route (menet.elimination._model_log_z: a sweep on a chain, bucket
+    elimination on any other graph); a graph too wide for that route raises
+    EnumerationBoundExceeded. A modulus that is given is audited against
+    the same log Z for n <= _NORM_AUDIT_MAX. Either way log Z (and a chain's
+    levels) is kept on the instance, outside the fields, and the queries
+    read it back.
     """
 
     graph: MenGraph
     potentials: tuple[QFunctionTable, ...]
     reference: Assignment
-    reference_modulus: float
-    _normalization: InitVar[float | None] = None
+    reference_modulus: float | None = None
 
-    def __post_init__(self, _normalization: float | None) -> None:
+    def __post_init__(self) -> None:
         n = self.graph.num_nodes
         object.__setattr__(self, "potentials", tuple(self.potentials))
         if len(self.potentials) != n:
@@ -272,12 +275,19 @@ class MenModel:
                 )
             if table.reference_bit != bits[i - 1]:
                 raise ValueError(f"node {i}: table reference bit disagrees with reference point")
-        if not (self.reference_modulus >= 0.0 and math.isfinite(self.reference_modulus)):
+        if self.reference_modulus is None:
+            from .elimination import _model_log_z
+
+            object.__setattr__(self, "reference_modulus", math.exp(-0.5 * _model_log_z(self)[0]))
+        elif not (self.reference_modulus >= 0.0 and math.isfinite(self.reference_modulus)):
             raise ValueError("reference_modulus must be finite and >= 0")
-        if n <= _NORM_AUDIT_MAX:
-            formula = _normalization
-            if formula is None:
-                formula = _eliminated_modulus(self.potentials, bits)
+        elif n <= _NORM_AUDIT_MAX:
+            from .elimination import _model_log_z
+
+            try:
+                formula = math.exp(-0.5 * _model_log_z(self)[0])
+            except EnumerationBoundExceeded:  # a weight that is not a finite number
+                formula = 0.0  # what the dense sum (normalization_modulus) gives for an infinite one
             if abs(self.reference_modulus - formula) > _MODULUS_ATOL:
                 raise ValueError(
                     f"reference_modulus {self.reference_modulus!r} disagrees with the "
@@ -295,24 +305,13 @@ class MenModel:
 def normalization_modulus(
     potentials: tuple[QFunctionTable, ...], reference_bits: tuple[int, ...], n: int
 ) -> float:
-    """1 / sqrt(sum over all assignments of |prod_i q(...)|^2)."""
+    """1 / sqrt(sum over all assignments of |prod_i q(...)|^2), by the dense sum.
+
+    The oracle: models normalize themselves by sum-product (MenModel), and
+    the tests check that route against this 2^n-entry sum.
+    """
     rel = _relative_amplitude_products(potentials, reference_bits, n).reshape(-1)
     return 1.0 / math.sqrt(float((abs(rel) ** 2).sum()))
-
-
-def _eliminated_modulus(potentials: tuple[QFunctionTable, ...], reference_bits: tuple[int, ...]) -> float:
-    """The normalization formula's value, exp(-log Z / 2), by variable elimination.
-
-    Plain Python, so reading a model file loads no numpy. A weight that is
-    not a finite number gives 0, the value the dense sum (normalization_modulus,
-    the oracle) gives for an infinite one.
-    """
-    from .elimination import log_partition
-
-    try:
-        return math.exp(-0.5 * log_partition(potentials, reference_bits)[0])
-    except EnumerationBoundExceeded:
-        return 0.0
 
 
 def q_value(
@@ -386,6 +385,29 @@ def build_graph(
     return MenGraph(n, frozenset(pair for pair, hit in zip(pairs, entangled) if hit))
 
 
+
+def measure_and_update(
+    psi: PureState,
+    g: MenGraph,
+    qubit: int,
+    outcome: int,
+    tol: ToleranceConfig = DEFAULT_TOL,
+) -> tuple[float, PureState, MenGraph]:
+    """Measure one qubit and rebuild the graph of the collapsed state.
+
+    `g` is accepted but not read: the new graph is built from the collapsed
+    state alone. Contract (holds when `g` is psi's graph, in the
+    nonzero-amplitude regime): the new edge set is a subset of g's minus
+    all edges incident to the measured qubit; measurement never introduces
+    edges. The collapsed state has structural zeros at the un-measured
+    outcome, so the rebuild suppresses the zero-amplitude warning.
+    """
+    probability, collapsed = measure_qubit(psi, qubit, outcome, tol)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ZeroAmplitudeWarning)
+        new_graph = build_graph(collapsed, tol)
+    return probability, collapsed, new_graph
+
 def extract_men(psi: PureState, tol: ToleranceConfig = DEFAULT_TOL) -> MenModel:
     """Read graph, potentials and reference modulus off an all-nonzero state.
 
@@ -393,9 +415,10 @@ def extract_men(psi: PureState, tol: ToleranceConfig = DEFAULT_TOL) -> MenModel:
     (all-zeros) point; a well-definedness audit verifies, on every one of
     the 2^(n-1) contexts of every node, that the full-context ratio really
     is independent of non-neighbor coordinates, and raises InconsistentGraph
-    on violation. The reference modulus is computed from the normalization
-    formula rather than read off the state, once: the model's audit is
-    handed that value.
+    on violation. The reference modulus is not read off the state: the
+    model derives it from the normalization formula by its own sum-product
+    route (see MenModel), so a graph too wide for that route raises
+    EnumerationBoundExceeded.
     """
     import numpy as np
 
@@ -418,8 +441,7 @@ def extract_men(psi: PureState, tol: ToleranceConfig = DEFAULT_TOL) -> MenModel:
         tables.append(QFunctionTable(i, nb, 0, ratios.reshape(-1).tolist(), tol.zero_amp_threshold))
     potentials = tuple(tables)
     _audit_well_defined(psi, graph, potentials, tol)
-    modulus = normalization_modulus(potentials, (0,) * n, n)
-    return MenModel(graph, potentials, reference, modulus, _normalization=modulus)
+    return MenModel(graph, potentials, reference)
 
 
 def _audit_well_defined(
@@ -628,19 +650,14 @@ def random_model(graph: MenGraph, seed) -> MenModel:
 
     Off-reference entries have moduli uniform in [0.2, 5] and uniform
     phases, so every one stays bounded away from zero. The reference is
-    all-zeros; its modulus comes from the normalization formula (brute
-    force, hence the size guard).
+    all-zeros; the model derives its modulus by its own sum-product route
+    (see MenModel), so the size limit is the engine's factor-entry bound,
+    not the number of qubits.
     """
     import numpy as np
 
-    n = graph.num_nodes
-    if n > 16:
-        raise ValueError("random_model normalizes by brute force; use n <= 16")
-    rng = np.random.default_rng(seed)
-    reference = Assignment.zeros(n)
-    potentials = _random_q_tables(graph, rng)
-    modulus = normalization_modulus(potentials, (0,) * n, n)
-    return MenModel(graph, potentials, reference, modulus, _normalization=modulus)
+    potentials = _random_q_tables(graph, np.random.default_rng(seed))
+    return MenModel(graph, potentials, Assignment.zeros(graph.num_nodes))
 
 
 def _random_q_tables(graph: MenGraph, rng: np.random.Generator) -> tuple[QFunctionTable, ...]:

@@ -16,6 +16,7 @@ import pytest
 
 import menet as mn
 from menet import Assignment, MenGraph, MenModel, QFunctionTable
+from menet import elimination as el
 from menet import inference as inf
 
 # --- reference copy of the dict sweeps ----------------------------------------
@@ -138,7 +139,7 @@ def ref_conditional(levels, query, evidence):
 
 # --- helpers --------------------------------------------------------------------
 
-GATHER = inf._chain_levels  # the gather itself, past the counting fixture
+GATHER = el._chain_levels  # the gather itself, past the counting fixture
 
 
 @pytest.fixture
@@ -150,7 +151,7 @@ def gathers(monkeypatch):
         calls.append(1)
         return GATHER(*args)
 
-    monkeypatch.setattr(inf, "_chain_levels", counting)
+    monkeypatch.setattr(el, "_chain_levels", counting)
     return calls
 
 
@@ -234,7 +235,7 @@ def assert_queries_match(model, rng, prefixes, bindings, conditionals):
         assert repr(ratio) == repr((inf._scale_back(value, log_scale), inf._log_of(value, log_scale)))
         seen += [repr(got), outcome(lambda *a: inf._marginal(*a, False)[0], model, x), repr(ratio)]
     assert_levels_kept()
-    assert repr(inf._chain_log_z(new_levels)) == repr(ref_log_z(levels))
+    assert repr(el._chain_log_z(new_levels)) == repr(ref_log_z(levels))
     assert repr(inf._model_log_z(model)) == repr(ref_log_z(levels))
     for _ in range(conditionals if n > 1 else 0):
         order = rng.permutation(np.arange(1, n + 1))
@@ -351,7 +352,7 @@ def test_level_gather_equals_python_abs_squared(scale):
         for chunk in np.split(values, cuts)
     ]
     ref_bits = tuple(rng.integers(0, 2, n).tolist())
-    got = np.array(inf._chain_levels(tables, ref_bits))
+    got = np.array(el._chain_levels(tables, ref_bits))
     want = np.array([level[0] + level[1] for level in ref_levels(tables, ref_bits)])
     assert got.size >= 100_000
     assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
@@ -384,13 +385,13 @@ class TestPerQueryShortcuts:
     def test_built_chain_keeps_its_log_z(self, monkeypatch):
         """random_chain_model sweeps log Z once, for the modulus; queries read that sweep back."""
         sweeps = []
-        sweep = inf._chain_log_z
+        sweep = el._chain_log_z
 
         def counting(levels):
             sweeps.append(1)
             return sweep(levels)
 
-        monkeypatch.setattr(inf, "_chain_log_z", counting)
+        monkeypatch.setattr(el, "_chain_log_z", counting)
         model = mn.random_chain_model(400, seed=4)
         mn.mle_chain(model)  # past n = 355 this reads log Z
         assert len(sweeps) == 1

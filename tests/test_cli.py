@@ -540,16 +540,16 @@ class TestMarginalSumsOnce:
 
     @pytest.fixture
     def gathers(self, monkeypatch):
-        from menet import inference
+        from menet import elimination
 
         calls = []
-        original = inference._chain_levels
+        original = elimination._chain_levels
 
         def counting(*args):
             calls.append(1)
             return original(*args)
 
-        monkeypatch.setattr(inference, "_chain_levels", counting)
+        monkeypatch.setattr(elimination, "_chain_levels", counting)
         return calls
 
     def test_ratio_past_the_double_range(self, capsys, gathers, tmp_path):

@@ -1,7 +1,7 @@
 """Variable elimination against the dense oracles it replaced on the query routes.
 
-Every model query that is not on a chain, and the n <= 12 modulus audit,
-run through menet.elimination. These tests compare it with marginal_ratio,
+Every model query that is not on a chain, and every model's log Z (its
+derived modulus and the n <= 12 audit), run through menet.elimination. These tests compare it with marginal_ratio,
 dense conditionals, mle_brute_force of the reconstructed state and
 normalization_modulus on random graphs, on exactly tied models and on the
 golden model files.
@@ -18,7 +18,6 @@ import menet as mn
 from menet import Assignment, MenGraph, MenModel, QFunctionTable
 from menet import elimination as el
 from menet.inference import _marginal, _mle
-from menet.network import _eliminated_modulus
 
 GOLDEN = Path(__file__).parent / "golden"
 REL = 1e-12
@@ -51,7 +50,7 @@ def assert_matches_oracles(model, rng, queries=6):
     bits = model.reference_bits()
     psi = mn.reconstruct_state(model)
     formula = mn.normalization_modulus(model.potentials, bits, n)
-    assert _eliminated_modulus(model.potentials, bits) == pytest.approx(formula, rel=REL)
+    assert math.exp(-0.5 * el._model_log_z(model)[0]) == pytest.approx(formula, rel=REL)
     brute = mn.mle_brute_force(psi)
     got_bits, got_probability = engine_mle(model)
     assert got_bits == brute.assignment.bits(n)
@@ -106,7 +105,8 @@ class TestAgainstDenseOracles:
         graph = MenGraph.from_edges(3, [(1, 2), (1, 3), (2, 3)])
         tables = [mn.random_model(graph, 1).potentials[i] for i in (0, 2)]
         tables.insert(1, QFunctionTable(2, (1, 3), 0, [1] * 4 + [math.inf, 2, 2, 2]))
-        assert _eliminated_modulus(tuple(tables), (0, 0, 0)) == 0.0
+        with pytest.raises(mn.EnumerationBoundExceeded, match="not a finite number"):
+            MenModel(graph, tuple(tables), Assignment.zeros(3))  # nothing to derive the modulus from
         MenModel(graph, tuple(tables), Assignment.zeros(3), 0.0)
         with pytest.raises(ValueError, match="disagrees"):
             MenModel(graph, tuple(tables), Assignment.zeros(3), 0.5)

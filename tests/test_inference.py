@@ -94,6 +94,30 @@ class TestConditionalProbability:
         with pytest.raises(mn.InvalidQuery):
             mn.conditional_probability(model, Assignment({1: 0}), Assignment({1: 1}))
 
+    @pytest.mark.parametrize(
+        "seed, stored",
+        [(0, "0.10983577362501876"), (1, "0.07194690802575107"), (2, "0.6104935286544796"), (3, "0.29276009479512033")],
+    )
+    def test_floor_needs_no_log_z(self, seed, stored, off_chain_twin, monkeypatch):
+        """A model with a normal squared modulus decides the evidence floor on
+        p(evidence) = ratio * modulus**2: no log-Z elimination. The values are
+        those of the route that eliminated log Z for the floor."""
+        from menet import elimination
+
+        twin = off_chain_twin(mn.random_chain_model(20, seed))  # n > 12: loaded without an audit
+        assert not twin.graph.is_path()
+        calls = []
+        original = elimination.log_partition
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(elimination, "log_partition", counting)
+        got = mn.conditional_probability(twin, Assignment({1: 0, 5: 1}), Assignment({3: 1, 20: 0}))
+        assert repr(got) == stored
+        assert not calls
+
     @pytest.mark.parametrize("seed", range(3))
     def test_probability_laws(self, seed):
         model = mn.random_chain_model(5, seed + 9)

@@ -9,7 +9,7 @@ import pytest
 
 import menet as mn
 from menet import Assignment, MenGraph, MenModel, QFunctionTable
-from menet import network
+from menet import elimination, network
 from menet.network import _audit_well_defined
 
 
@@ -149,34 +149,45 @@ class TestExtractMen:
         formula = mn.normalization_modulus(model.potentials, (0,) * 4, 4)
         assert abs(model.reference_modulus - formula) <= 1e-9
 
-    def test_normalization_summed_once(self, monkeypatch):
-        import importlib
-
-        network = importlib.import_module("menet.network")
-        original = network.normalization_modulus
+    @staticmethod
+    def log_z_routes(monkeypatch):
+        """Counts the log-Z computations: chain sweeps and eliminations."""
         calls = []
+        for name in ("_chain_log_z", "log_partition"):
+            original = getattr(elimination, name)
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+            def counting(*args, original=original):
+                calls.append(1)
+                return original(*args)
 
-        monkeypatch.setattr(network, "normalization_modulus", counting)
+            monkeypatch.setattr(elimination, name, counting)
+        return calls
+
+    def test_normalization_summed_once(self, monkeypatch):
+        """extract_men's model derives log Z once; within the audit bound, the audit reads it back."""
+        calls = self.log_z_routes(monkeypatch)
         model = mn.extract_men(mn.random_nonzero_state(5, 1))
         assert len(calls) == 1
-        assert model.reference_modulus == original(model.potentials, (0,) * 5, 5)
+        assert model.reference_modulus == math.exp(-0.5 * elimination._model_log_z(model)[0])
+        assert len(calls) == 1
 
     def test_random_model_sums_once(self, monkeypatch):
-        original = network.normalization_modulus
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(network, "normalization_modulus", counting)
+        calls = self.log_z_routes(monkeypatch)
         model = mn.random_model(MenGraph.path(10), seed=3)
         assert len(calls) == 1
-        assert model.reference_modulus == original(model.potentials, (0,) * 10, 10)
+        assert model.reference_modulus == math.exp(-0.5 * elimination._model_log_z(model)[0])
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_moduli_agree_with_the_dense_sum(self, n):
+        """extract_men and random_model against normalization_modulus, the oracle."""
+        rng = np.random.default_rng([n, 24])
+        extracted = mn.extract_men(mn.random_nonzero_state(n, [n, 24]))
+        edges = [e for e in itertools.combinations(range(1, n + 1), 2) if rng.random() < 0.4]
+        drawn = mn.random_model(MenGraph.from_edges(n, edges), [n, 24])
+        for model in (extracted, drawn):
+            formula = mn.normalization_modulus(model.potentials, model.reference_bits(), n)
+            assert model.reference_modulus == pytest.approx(formula, rel=1e-12)
 
     def test_caller_built_model_keeps_the_audit(self):
         import dataclasses
@@ -1057,6 +1068,36 @@ class TestRandomModel:
         psi = mn.reconstruct_state(mn.random_model(g, 3))
         assert abs(np.linalg.norm(psi.amplitudes) - 1.0) < 1e-9
 
-    def test_size_guard(self):
-        with pytest.raises(ValueError):
-            mn.random_model(MenGraph.path(17), 0)
+    def test_past_the_dense_sum(self):
+        """A 40-qubit ladder and a 60-qubit path: sizes no dense sum reaches.
+
+        Each modulus is exp(-log Z / 2) with the log Z the model keeps, and
+        that is the log Z its route gives afresh: elimination on the ladder,
+        the chain sweep on the path.
+        """
+        ladder = MenGraph.from_edges(
+            40, [(i, i + 2) for i in range(1, 39)] + [(i, i + 1) for i in range(1, 40, 2)]
+        )
+        model = mn.random_model(ladder, 5)
+        fresh = elimination.log_partition(model.potentials, model.reference_bits())
+        assert model.reference_modulus == math.exp(-0.5 * elimination._model_log_z(model)[0])
+        assert elimination._model_log_z(model) == fresh
+        chain = mn.random_model(MenGraph.path(60), 5)
+        fresh = elimination._chain_log_z(elimination._chain_levels(chain.potentials, chain.reference_bits()))
+        assert chain.reference_modulus == math.exp(-0.5 * elimination._model_log_z(chain)[0])
+        assert elimination._model_log_z(chain) == fresh
+        assert 0.0 < chain.reference_modulus < 1.0 and 0.0 < model.reference_modulus < 1.0
+
+    @pytest.mark.parametrize("n", range(1, 31))
+    def test_path_is_random_chain_model(self, n):
+        for seed in (0, [n, 7]):
+            model = mn.random_model(MenGraph.path(n), seed)
+            chain = mn.random_chain_model(n, seed)
+            assert model == chain
+            assert repr(model.reference_modulus) == repr(chain.reference_modulus)
+
+    def test_too_wide_for_the_engine(self, wide_elimination_model):
+        """A graph whose elimination needs more than 2^19 factor entries is refused."""
+        graph = wide_elimination_model(20, seed=0).graph
+        with pytest.raises(mn.EnumerationBoundExceeded, match="variable elimination needs more than"):
+            mn.random_model(graph, 0)

@@ -133,15 +133,17 @@ print(json.dumps([
 
 CORE = {"cli", "errors", "network", "state"}
 QUERY = CORE | {"inference", "elimination"}
-# (argv, menet modules loaded, numpy loaded). chain4.model and model_k4.model
-# (the complete graph) are within the n <= 12 modulus audit, which eliminates
-# variables in plain Python; chain20.model is past the audit, and its chain
-# sweeps load no elimination. Model queries never load numpy.
+# (argv, menet modules loaded, numpy loaded). A model normalizes itself, and
+# audits a given modulus for n <= 12, through menet.elimination (plain
+# Python), which also holds the chain sweeps: extracting, and reading
+# chain4.model or model_k4.model (the complete graph), load it, and so does
+# every model query. chain20.model is past the audit; its queries still
+# load elimination for the sweeps. Model queries never load numpy.
 COMMANDS = [
     ([], CORE, False),
     (["--help"], CORE, False),
     (["graph", "ghz.state"], CORE | {"separability"}, True),
-    (["extract", "plusplus.state", "-o", "out.model"], CORE | {"separability"}, True),
+    (["extract", "plusplus.state", "-o", "out.model"], CORE | {"separability", "elimination"}, True),
     (["reconstruct", "chain4.model", "-o", "out.state"], CORE | {"elimination"}, True),
     (["verify", "ghz.state"], CORE | {"separability"}, True),
     (["marginal", "chain4.model", "--assign", "1=0", "--ratio"], QUERY, False),
@@ -150,10 +152,10 @@ COMMANDS = [
     (["marginal", "model_k4.model", "--assign", "1=0,3=1"], QUERY, False),
     (["conditional", "model_k4.model", "--query", "1=0", "--evidence", "4=1"], QUERY, False),
     (["mle", "model_k4.model"], QUERY, False),
-    (["marginal", "chain20.model", "--assign", "1=0,7=1", "--ratio"], CORE | {"inference"}, False),
-    (["marginal", "chain20.model", "--assign", "1=0,7=1"], CORE | {"inference"}, False),
-    (["conditional", "chain20.model", "--query", "1=0", "--evidence", "20=1"], CORE | {"inference"}, False),
-    (["mle", "chain20.model"], CORE | {"inference"}, False),
+    (["marginal", "chain20.model", "--assign", "1=0,7=1", "--ratio"], QUERY, False),
+    (["marginal", "chain20.model", "--assign", "1=0,7=1"], QUERY, False),
+    (["conditional", "chain20.model", "--query", "1=0", "--evidence", "20=1"], QUERY, False),
+    (["mle", "chain20.model"], QUERY, False),
     (["measure", "ghz.state", "--qubit", "1", "--outcome", "0", "-o", "out.state"],
      CORE | {"separability"}, True),
     (["classify", "ghz.state", "--samples", "8"], CORE | {"classify"}, False),
@@ -186,3 +188,22 @@ def test_each_command_imports_only_what_it_runs(argv, loaded, numpy, fixture_dir
     assert numpy_loaded == numpy
     # about 6 MB per process; classify's census draws its Haar bases without it
     assert not numpy_random
+
+
+def test_building_and_reading_models_loads_no_inference(tmp_path):
+    """network normalizes models through menet.elimination alone, never menet.inference."""
+    mn.save_model(mn.random_model(mn.MenGraph.from_edges(4, [(1, 2), (2, 3), (1, 4)]), 2), tmp_path / "m4.model")
+    mn.save_state(mn.PureState([0.5] * 4), tmp_path / "plusplus.state")
+    code = (
+        "import contextlib, io, sys\n"
+        "import menet\n"
+        "from menet.cli import main\n"
+        "menet.random_model(menet.MenGraph.path(5), 0)\n"
+        "menet.random_model(menet.MenGraph.from_edges(3, [(1, 2), (1, 3), (2, 3)]), 0)\n"
+        "menet.extract_men(menet.random_nonzero_state(3, 0))\n"
+        "menet.load_model('m4.model')\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = main(['extract', 'plusplus.state', '-o', 'out.model'])\n"
+        "print(rc, 'menet.elimination' in sys.modules, 'menet.inference' in sys.modules)\n"
+    )
+    assert run_fresh(code, cwd=tmp_path).split() == ["0", "True", "False"]
