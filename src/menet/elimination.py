@@ -40,6 +40,7 @@ from .errors import EnumerationBoundExceeded, NotAChain
 # (see _plan), measured by verify's rule for a command: under 1 s and
 # 100 MB in a fresh `menet` process.
 _FACTOR_ENTRIES_MAX = 1 << 19
+# A chain sweep divides its message by the peak when the peak leaves this range.
 _RESCALE_HI = 1e100
 _RESCALE_LO = 1e-100
 

@@ -385,7 +385,6 @@ def build_graph(
     return MenGraph(n, frozenset(pair for pair, hit in zip(pairs, entangled) if hit))
 
 
-
 def measure_and_update(
     psi: PureState,
     g: MenGraph,
@@ -407,6 +406,7 @@ def measure_and_update(
         warnings.simplefilter("ignore", ZeroAmplitudeWarning)
         new_graph = build_graph(collapsed, tol)
     return probability, collapsed, new_graph
+
 
 def extract_men(psi: PureState, tol: ToleranceConfig = DEFAULT_TOL) -> MenModel:
     """Read graph, potentials and reference modulus off an all-nonzero state.

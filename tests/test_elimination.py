@@ -1,10 +1,10 @@
 """Variable elimination against the dense oracles it replaced on the query routes.
 
 Every model query that is not on a chain, and every model's log Z (its
-derived modulus and the n <= 12 audit), run through menet.elimination. These tests compare it with marginal_ratio,
-dense conditionals, mle_brute_force of the reconstructed state and
-normalization_modulus on random graphs, on exactly tied models and on the
-golden model files.
+derived modulus and the n <= 12 audit), run through menet.elimination.
+These tests compare it with marginal_ratio, dense conditionals,
+mle_brute_force of the reconstructed state and normalization_modulus on
+random graphs, on exactly tied models and on the golden model files.
 """
 
 import itertools

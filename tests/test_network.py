@@ -116,6 +116,21 @@ class TestBuildGraph:
         assert quiet_graph(mn.random_state(1, 0)).sorted_edges() == []
 
 
+@pytest.fixture
+def log_z_calls(monkeypatch):
+    """Counts the log-Z computations: chain sweeps and eliminations."""
+    calls = []
+    for name in ("_chain_log_z", "log_partition"):
+        original = getattr(elimination, name)
+
+        def counting(*args, original=original):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(elimination, name, counting)
+    return calls
+
+
 class TestExtractMen:
     def test_uniform_two_qubits(self, plusplus):
         model = mn.extract_men(plusplus)
@@ -149,34 +164,18 @@ class TestExtractMen:
         formula = mn.normalization_modulus(model.potentials, (0,) * 4, 4)
         assert abs(model.reference_modulus - formula) <= 1e-9
 
-    @staticmethod
-    def log_z_routes(monkeypatch):
-        """Counts the log-Z computations: chain sweeps and eliminations."""
-        calls = []
-        for name in ("_chain_log_z", "log_partition"):
-            original = getattr(elimination, name)
-
-            def counting(*args, original=original):
-                calls.append(1)
-                return original(*args)
-
-            monkeypatch.setattr(elimination, name, counting)
-        return calls
-
-    def test_normalization_summed_once(self, monkeypatch):
+    def test_normalization_summed_once(self, log_z_calls):
         """extract_men's model derives log Z once; within the audit bound, the audit reads it back."""
-        calls = self.log_z_routes(monkeypatch)
         model = mn.extract_men(mn.random_nonzero_state(5, 1))
-        assert len(calls) == 1
+        assert len(log_z_calls) == 1
         assert model.reference_modulus == math.exp(-0.5 * elimination._model_log_z(model)[0])
-        assert len(calls) == 1
+        assert len(log_z_calls) == 1
 
-    def test_random_model_sums_once(self, monkeypatch):
-        calls = self.log_z_routes(monkeypatch)
+    def test_random_model_sums_once(self, log_z_calls):
         model = mn.random_model(MenGraph.path(10), seed=3)
-        assert len(calls) == 1
+        assert len(log_z_calls) == 1
         assert model.reference_modulus == math.exp(-0.5 * elimination._model_log_z(model)[0])
-        assert len(calls) == 1
+        assert len(log_z_calls) == 1
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_moduli_agree_with_the_dense_sum(self, n):
