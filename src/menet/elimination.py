@@ -43,6 +43,11 @@ _FACTOR_ENTRIES_MAX = 1 << 19
 # A chain sweep divides its message by the peak when the peak leaves this range.
 _RESCALE_HI = 1e100
 _RESCALE_LO = 1e-100
+# The largest ratio of one level's largest modulus to its smallest that
+# _scaled_levels takes: its scaled weights then lie within [1 / ratio,
+# ratio], and their products with messages in [_RESCALE_LO, _RESCALE_HI]
+# stay normal doubles.
+_SCALED_WEIGHT_MAX = 1e200
 
 
 def sum_product(potentials, ref_bits, bound) -> tuple[float, float, int]:
@@ -249,7 +254,8 @@ def _model_log_z(model) -> tuple[float, int]:
     log_z = model.__dict__.get("_log_z")
     if log_z is None:
         if model.graph.is_path():
-            log_z = _chain_log_z(_chain_weights(model))
+            log_z, ops = _chain_log_z(_chain_weights(model))
+            log_z = log_z + _chain_log_offset(model), ops
         else:
             log_z = log_partition(model.potentials, model.reference_bits())
         object.__setattr__(model, "_log_z", log_z)
@@ -263,14 +269,68 @@ def _chain_weights(model) -> list[list[float]]:
     read them back; they are stored as MenGraph.is_path stores its answer,
     outside the fields, so equality, repr and dataclasses.replace do not
     see them. A gather that raises keeps nothing.
+
+    When a weight is past the double range, each level is gathered divided
+    by a scale of its own instead (_scaled_levels), and the log of the
+    factor divided out is kept beside the levels (_chain_log_offset).
     """
     levels = model.__dict__.get("_chain_weights")
     if levels is None:
         if not model.graph.is_path():
             raise NotAChain("model graph is not the chain 1-2-...-n")
-        levels = _chain_levels(model.potentials, model.reference_bits())
+        try:
+            levels = _chain_levels(model.potentials, model.reference_bits())
+        except OverflowError:
+            levels, log_offset = _scaled_levels(model.potentials, model.reference_bits())
+            object.__setattr__(model, "_chain_log_offset", log_offset)
         object.__setattr__(model, "_chain_weights", levels)
     return levels
+
+
+def _chain_log_offset(model) -> float:
+    """The log of the factor divided out of the model's chain levels.
+
+    Every chain product takes exactly one weight per level, so a sum or a
+    maximum of such products over the levels, in logs, adds this offset.
+    0.0 unless a weight is past the double range.
+    """
+    _chain_weights(model)
+    return model.__dict__.get("_chain_log_offset", 0.0)
+
+
+def _level_offsets(n: int, ref_bits) -> list[tuple[int, int, int, int]]:
+    """Where each level's [w(0, 0), w(0, 1), w(1, 0), w(1, 1)] sit in its node's flat entries."""
+    if n == 1:
+        return [(0, 1, 0, 1)]
+    r = ref_bits[1]
+    middle = [(r, 4 + r, 2 + r, 6 + r) for r in ref_bits[2:]]
+    return [(r, 2 + r, r, 2 + r), *middle, (0, 2, 1, 3)]
+
+
+def _scaled_levels(potentials, ref_bits) -> tuple[list[list[float]], float]:
+    """The chain levels, each divided by a scale of its own, and the summed logs of the scales.
+
+    For weights past the double range. A level's moduli are divided by the
+    geometric mean of its smallest and largest before they are squared, so
+    its weights sit either side of 1; a division by the peak alone would
+    leave the reference-bit weights of 1 to underflow against a peak past
+    1e154. A level whose moduli span more than _SCALED_WEIGHT_MAX, or an
+    entry that is not finite, raises EnumerationBoundExceeded.
+    """
+    levels = []
+    log_offset = 0.0
+    for table, at in zip(potentials, _level_offsets(len(ref_bits), ref_bits)):
+        try:
+            moduli = [abs(table.entries[x]) for x in at]
+        except OverflowError:  # hypot(re, im) past the double range
+            moduli = [math.inf]
+        low, high = min(moduli), max(moduli)
+        if not (math.isfinite(high) and 0.0 < low and high / low <= _SCALED_WEIGHT_MAX):
+            raise EnumerationBoundExceeded("a chain weight |q|^2 is past the double range")
+        scale = math.sqrt(low) * math.sqrt(high)
+        levels.append([(m / scale) ** 2 for m in moduli])
+        log_offset += 2.0 * math.log(scale)
+    return levels, log_offset
 
 
 def _chain_levels(potentials, ref_bits) -> list[list[float]]:
@@ -281,26 +341,24 @@ def _chain_levels(potentials, ref_bits) -> list[list[float]]:
     4b + 2p + r inside the chain (r = x_{i+1} at the reference), 2b + r at
     node 1, 2b + p at node n, and b when n == 1. Each weight is Python's
     abs(v) ** 2, libm hypot(re, im) raised by libm pow(h, 2.0), to which the
-    chain results are pinned. A weight past the double range, or not
-    finite, raises EnumerationBoundExceeded, as brute force does for sums
-    past that range.
+    chain results are pinned. A weight past the double range raises
+    OverflowError (_chain_weights then gathers _scaled_levels); one
+    that is not finite raises EnumerationBoundExceeded, as brute force
+    does for sums past that range.
     """
     tables = [table.entries for table in potentials]
-    try:
-        if len(tables) == 1:
-            v = tables[0]
-            levels = [[abs(v[0]) ** 2, abs(v[1]) ** 2] * 2]
-        else:
-            v, r = tables[0], ref_bits[1]
-            first = [abs(v[r]) ** 2, abs(v[2 + r]) ** 2] * 2
-            middle = [
-                [abs(v[r]) ** 2, abs(v[4 + r]) ** 2, abs(v[2 + r]) ** 2, abs(v[6 + r]) ** 2]
-                for v, r in zip(tables[1:-1], ref_bits[2:])
-            ]
-            v = tables[-1]
-            levels = [first, *middle, [abs(v[0]) ** 2, abs(v[2]) ** 2, abs(v[1]) ** 2, abs(v[3]) ** 2]]
-    except OverflowError:
-        raise EnumerationBoundExceeded("a chain weight |q|^2 is past the double range") from None
+    if len(tables) == 1:
+        v = tables[0]
+        levels = [[abs(v[0]) ** 2, abs(v[1]) ** 2] * 2]
+    else:
+        v, r = tables[0], ref_bits[1]
+        first = [abs(v[r]) ** 2, abs(v[2 + r]) ** 2] * 2
+        middle = [
+            [abs(v[r]) ** 2, abs(v[4 + r]) ** 2, abs(v[2 + r]) ** 2, abs(v[6 + r]) ** 2]
+            for v, r in zip(tables[1:-1], ref_bits[2:])
+        ]
+        v = tables[-1]
+        levels = [first, *middle, [abs(v[0]) ** 2, abs(v[2]) ** 2, abs(v[1]) ** 2, abs(v[3]) ** 2]]
     # weights are >= 0, so they are all finite when their sum is; only a sum
     # past the double range leaves each weight to be looked at (inf or nan entries)
     if not math.isfinite(sum(map(sum, levels))) and not all(

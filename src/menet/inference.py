@@ -41,7 +41,15 @@ import sys
 import time
 from dataclasses import dataclass
 
-from .elimination import _chain_weights, _max_product, _model_log_z, _sum_product, max_product, sum_product
+from .elimination import (
+    _chain_log_offset,
+    _chain_weights,
+    _max_product,
+    _model_log_z,
+    _sum_product,
+    max_product,
+    sum_product,
+)
 from .errors import (
     EnumerationBoundExceeded,
     InvalidQuery,
@@ -63,25 +71,44 @@ _BRUTE_FREE_MAX = 26
 
 @dataclass(frozen=True)
 class QueryResult:
-    """A query value plus the operation count that produced it."""
+    """A query value, the operation count that produced it, and the value's natural log.
+
+    Past the double range `value` reads inf or 0.0 while `log_value` stays
+    finite: the chain sweeps and elimination fill it from the log scale
+    they keep. Left out, it is math.log(value), -inf at 0, which is what
+    brute force gives.
+    """
 
     value: float
     op_count: int
+    log_value: float | None = None
 
     def __post_init__(self) -> None:
         if not self.value >= 0.0:
             raise ValueError(f"query value must be >= 0, got {self.value!r}")
         if self.op_count <= 0:
             raise ValueError("op_count must be positive")
+        if self.log_value is None:
+            object.__setattr__(self, "log_value", _log_of(self.value, 0.0))
 
 
 @dataclass(frozen=True)
 class MleResult:
-    """A maximum-likelihood basis assignment and its probability."""
+    """A maximum-likelihood basis assignment, its probability and that probability's natural log.
+
+    `log_probability` is finite where `probability` underflows to 0.0: on
+    a model it is log ratio - log Z whenever the probability is worked out
+    from log Z. Left out, it is math.log(probability), -inf at 0.
+    """
 
     assignment: Assignment
     probability: float
     op_count: int
+    log_probability: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.log_probability is None:
+            object.__setattr__(self, "log_probability", _log_of(self.probability, 0.0))
 
 
 def _validate_bindings(x_m: Assignment, n: int) -> None:
@@ -193,9 +220,15 @@ def _model_sum(model: MenModel, x_m: Assignment) -> tuple[float, float, int]:
     One sum-product sweep on a chain, variable elimination on other graphs.
     """
     if model.graph.is_path():
-        return _chain_marginal(_chain_weights(model), x_m)
+        return _chain_sum(model, x_m)
     _validate_bindings(x_m, model.num_qubits)
     return sum_product(model.potentials, model.reference_bits(), x_m)
+
+
+def _chain_sum(model: MenModel, x_m: Assignment) -> tuple[float, float, int]:
+    """_chain_marginal on the model's levels, with their log offset in the log scale."""
+    value, log_scale, ops = _chain_marginal(_chain_weights(model), x_m)
+    return value, log_scale + _chain_log_offset(model), ops
 
 
 def _chain_marginal(levels, x_m: Assignment) -> tuple[float, float, int]:
@@ -210,20 +243,22 @@ def _log_of(value: float, log_scale: float) -> float:
     return log_scale + math.log(value) if value > 0.0 else -math.inf
 
 
-def _probability(model: MenModel, ratio: float, log_ratio: float) -> tuple[float, int]:
-    """p = ratio * reference_modulus**2 and its op count, on any model.
+def _probability(model: MenModel, ratio: float, log_ratio: float) -> tuple[float, float, int]:
+    """p = ratio * reference_modulus**2, its natural log and its op count, on any model.
 
     When that product (or the squared modulus in it) is not a normal
     positive double, the modulus or the ratio has under- or overflowed and
-    p = exp(log ratio - log Z) instead. The count includes the log-Z sweep
-    or elimination whether or not the model already held log Z.
+    p = exp(log ratio - log Z) instead, with log p = log ratio - log Z. The
+    count includes the log-Z sweep or elimination whether or not the model
+    already held log Z.
     """
     ref = model.reference_modulus
     probability = ref * ref * ratio
     if math.isfinite(probability) and min(ref * ref, probability) >= sys.float_info.min:
-        return probability, 2
+        return probability, math.log(probability), 2
     log_z, ops = _model_log_z(model)
-    return math.exp(log_ratio - log_z), 2 + ops
+    log_probability = log_ratio - log_z
+    return math.exp(log_probability), log_probability, 2 + ops
 
 
 def chain_prefix_marginal_ratio(model: MenModel, x_m: Assignment) -> QueryResult:
@@ -242,30 +277,33 @@ def chain_prefix_marginal_ratio(model: MenModel, x_m: Assignment) -> QueryResult
     # the suffix sweep runs over the reversed chain x_n, ..., x_m (x_0 if m == 0)
     reversed_levels = [(w00, w10, w01, w11) for w00, w01, w10, w11 in reversed(levels[m:])]
     suffix, log_scale, ops = _sum_product(reversed_levels, {} if m else {n: 0})
+    log_scale += _chain_log_offset(model)
     if m == 0:
         value = suffix[0]
-    else:
-        bits = x_m.bits(m)
-        value = levels[0][bits[0]]
-        ops += 1
-        for i in range(1, m):
-            value *= levels[i][2 * bits[i - 1] + bits[i]]
-            ops += 2
-        if m < n:
-            value *= suffix[bits[-1]]
-            ops += 1
-    return QueryResult(float(_scale_back(value, log_scale)), ops)
+        return QueryResult(float(_scale_back(value, log_scale)), ops, _log_of(value, log_scale))
+    bits = x_m.bits(m)
+    picked = [levels[0][bits[0]], *(levels[i][2 * bits[i - 1] + bits[i]] for i in range(1, m))]
+    if m < n:
+        picked.append(suffix[bits[-1]])
+    value = picked[0]
+    for w in picked[1:]:
+        value *= w
+    ops += 2 * m - 1 + (m < n)
+    log_value = _log_of(value, log_scale)
+    if not sys.float_info.min <= value < math.inf:  # the product left the double range: its log, term by term
+        log_value = log_scale + sum(map(math.log, picked)) if min(picked) > 0.0 else -math.inf
+    return QueryResult(float(_scale_back(value, log_scale)), ops, log_value)
 
 
 def chain_marginal_ratio(model: MenModel, x_m: Assignment) -> QueryResult:
     """Marginal ratio for any partial assignment on a chain model.
 
     Sequential elimination left to right with a 2-entry message; linear in n
-    and equal to marginal_ratio up to rounding; inf past the double range
-    (see _marginal).
+    and equal to marginal_ratio up to rounding; inf past the double range,
+    where log_value stays finite (see _marginal).
     """
-    value, log_scale, ops = _chain_marginal(_chain_weights(model), x_m)
-    return QueryResult(float(_scale_back(value, log_scale)), ops)
+    value, log_scale, ops = _chain_sum(model, x_m)
+    return QueryResult(float(_scale_back(value, log_scale)), ops, _log_of(value, log_scale))
 
 
 def _marginal(source: PureState | MenModel, x_m: Assignment, ratio: bool) -> tuple[float, float]:
@@ -311,11 +349,12 @@ def mle_chain(model: MenModel) -> MleResult:
     in n.
     """
     bits, chosen, ops = _max_product(_chain_weights(model))
-    ratio = math.prod(chosen)
+    log_offset = _chain_log_offset(model)  # one chosen weight per level
+    ratio = _scale_back(math.prod(chosen), log_offset)
     ops += len(chosen)
-    log_ratio = sum(map(math.log, chosen)) if min(chosen) > 0.0 else -math.inf
-    probability, p_ops = _probability(model, ratio, log_ratio)
-    return MleResult(Assignment.from_bits(bits), float(probability), ops + p_ops)
+    log_ratio = sum(map(math.log, chosen)) + log_offset if min(chosen) > 0.0 else -math.inf
+    probability, log_probability, p_ops = _probability(model, ratio, log_ratio)
+    return MleResult(Assignment.from_bits(bits), float(probability), ops + p_ops, log_probability)
 
 
 def _mle(source: PureState | MenModel) -> MleResult:
@@ -332,8 +371,8 @@ def _mle(source: PureState | MenModel) -> MleResult:
     bits, moduli, ops = max_product(source.potentials, source.reference_bits())
     product = math.prod(moduli)
     log_ratio = 2.0 * sum(map(math.log, moduli))
-    probability, p_ops = _probability(source, product * product, log_ratio)
-    return MleResult(Assignment.from_bits(bits), float(probability), ops + len(moduli) + p_ops)
+    probability, log_probability, p_ops = _probability(source, product * product, log_ratio)
+    return MleResult(Assignment.from_bits(bits), float(probability), ops + len(moduli) + p_ops, log_probability)
 
 
 def random_chain_model(n: int, seed) -> MenModel:

@@ -37,17 +37,21 @@ from .state import (
     Assignment,
     PureState,
     ToleranceConfig,
+    _as_json,
     _bits,
     _broadcast_over,
     _disjoint_subsets,
     _entry_value,
+    _ParsedTable,
     _read_json,
+    _table_hook,
     _writing,
     measure_qubit,
 )
 
 _NORM_AUDIT_MAX = 12  # normalization audit bound
-_RECONSTRUCT_MAX = 24
+_RECONSTRUCT_MAX = 19  # largest n whose fresh-process `menet reconstruct -o` takes < 1 s and < 100 MB
+_ELIDED_BYTES = 256 * 1024  # numpy's smallest temporary that a binary operator reuses
 _PERFECT_MAP_MAX = 10  # largest n whose fresh-process `menet verify` takes < 1 s and < 100 MB
 _GRAPHOID_MAX = 9  # the same, with the graphoid check added to that verify
 _MODULUS_ATOL = 1e-9
@@ -226,6 +230,12 @@ def _relative_amplitude_products(
     bound = bound or {}
     free = [q for q in range(1, n + 1) if q not in bound]
     out = np.ones((2,) * len(free) or (1,), dtype=np.complex128)
+    # Multiplied in place, in the operand order of `out = out * factor`:
+    # numpy works a temporary factor of _ELIDED_BYTES or more into that
+    # product as factor * out, in the factor's memory, and complex products
+    # round differently in the two orders, so the values stay those of the
+    # out-of-place product
+    swapped = out.nbytes >= _ELIDED_BYTES
     for table in potentials:
         i = table.node
         lower = [j for j in table.neighbors if j < i]
@@ -236,7 +246,9 @@ def _relative_amplitude_products(
         if i not in bound:
             values = np.moveaxis(values, 0, -1)  # the node after its lower neighbors
         axes = [j for j in (*lower, i) if j not in bound]
-        out = out * _broadcast_over(values, axes, free)
+        factor = _broadcast_over(values, axes, free)
+        np.multiply(*((factor, out) if swapped else (out, factor)), out=out)
+        del factor  # freed before the next one is built: two arrays at most
     return out
 
 
@@ -481,13 +493,19 @@ def _audit_well_defined(
 def reconstruct_state(model: MenModel) -> PureState:
     """State whose amplitudes are reference_modulus * telescoping q-products.
 
-    The unidentifiable reference phase is fixed to positive real.
+    The unidentifiable reference phase is fixed to positive real. The
+    products are multiplied into one array, scaled in place, and the state
+    takes that array over: the peak is about two copies of the state, the
+    result and one broadcast factor.
     """
+    import numpy as np
+
     n = model.num_qubits
     if n > _RECONSTRUCT_MAX:
         raise EnumerationBoundExceeded(f"dense reconstruction is limited to n <= {_RECONSTRUCT_MAX}")
     rel = _relative_amplitude_products(model.potentials, model.reference_bits(), n)
-    return PureState(model.reference_modulus * rel.reshape(-1))
+    np.multiply(model.reference_modulus, rel, out=rel)
+    return PureState._adopt(rel.reshape(-1))
 
 
 def node_separation(g: MenGraph, a, b, c) -> bool:
@@ -706,16 +724,31 @@ def save_model(model: MenModel, path) -> None:
 
 
 def load_model(path) -> MenModel:
-    return _model_from_payload(_read_json(path, "model file "), path)
+    """The model in the file at `path`, read in one pass.
+
+    Each table becomes its keys and complex values as soon as json has
+    parsed it (state._table_hook), so the read never holds the file's
+    whole tree of [re, im] lists: its peak is about the file's text plus
+    the model it keeps. The model is field for field and bit for bit the
+    one an entry-by-entry read of the same file builds, and a bad file is
+    refused with the same message.
+    """
+    return _model_from_payload(_read_json(path, "model file ", _table_hook), path)
 
 
 def _model_from_payload(payload, path) -> MenModel:
-    """Build a model from a parsed model file; `path` names it in errors."""
+    """Build a model from a parsed model file; `path` names it in errors.
+
+    The payload may come from json.load with or without _table_hook: the
+    objects at its top two levels are read as json builds them without
+    it, and only the tables keep their conversion.
+    """
     try:
+        payload = _as_json(payload)
         n = payload["n"]
         if type(n) is not int or n < 1:  # bool is an int subclass
             raise ValueError(f"'n' must be a positive integer, got {n!r}")
-        graph = MenGraph.from_edges(n, map(_edge, payload["edges"]))
+        graph = MenGraph.from_edges(n, map(_edge, _as_json(payload["edges"])))
         ref_text = payload["reference"]
         if (
             not isinstance(ref_text, str)
@@ -728,7 +761,7 @@ def _model_from_payload(payload, path) -> MenModel:
         if type(modulus) not in (int, float):
             raise ValueError(f"'reference_modulus' must be a number, got {modulus!r}")
         modulus = float(modulus)
-        q_section = payload["q"]
+        q_section = _as_json(payload["q"])
         tables = []
         for i, bit in enumerate(ref_text, start=1):
             nb = graph.neighbors(i)
@@ -759,18 +792,28 @@ def _table_key_set(width: int) -> frozenset[str]:
 def _table_entries(node: int, raw, width: int) -> tuple[complex, ...]:
     """One node's flat entries from its {bit-string: [re, im]} object.
 
-    Keys and entries are read in file order, so the first bad one is named;
-    coverage is checked after all of them.
+    A table converted as it was parsed (a state._ParsedTable) holds good
+    entries under distinct keys: its keys are checked in file order, and
+    its complex values are ordered, not converted again, so the model
+    keeps those very objects. Any other object is read key by key and
+    entry by entry in file order, so the first bad one is named. Coverage
+    is checked after all of them.
     """
-    if not isinstance(raw, dict):
-        raise ValueError(f"node {node}: table must be a JSON object, got {type(raw).__name__}")
     valid = _table_key_set(width)
+    if type(raw) is _ParsedTable:
+        if raw.keys == _table_keys(width):  # the writer's order: every key valid, each once
+            return raw.entries
+        pairs, entry = zip(raw.keys, raw.entries), None
+    elif isinstance(raw, dict):
+        pairs, entry = raw.items(), _entry_value
+    else:
+        raise ValueError(f"node {node}: table must be a JSON object, got {type(raw).__name__}")
     found = {}
-    for key, pair in raw.items():
+    for key, value in pairs:
         if key not in valid:
             raise ValueError(f"node {node}: bad table key {key!r}")
         try:
-            found[key] = _entry_value(pair)
+            found[key] = value if entry is None else entry(value)
         except ValueError:
             raise ValueError(f"node {node}: entry {key!r} must be a [re, im] pair of reals") from None
     if len(found) != 1 << width:  # distinct valid keys: the count decides coverage

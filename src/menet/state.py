@@ -209,7 +209,27 @@ class PureState:
     def __init__(self, amplitudes):
         import numpy as np
 
-        arr = np.array(amplitudes, dtype=np.complex128)
+        self._hold(np.array(amplitudes, dtype=np.complex128))
+
+    @classmethod
+    def _adopt(cls, arr) -> "PureState":
+        """The state of `arr`, a fresh complex128 array no one else holds.
+
+        The constructor's checks, without its copy: the state takes `arr`
+        over and freezes it, and the array it views, if any.
+        """
+        import numpy as np
+
+        psi = cls.__new__(cls)
+        psi._hold(arr)
+        if isinstance(arr.base, np.ndarray):
+            arr.base.setflags(write=False)
+        return psi
+
+    def _hold(self, arr) -> None:
+        """Check `arr` as a state's amplitudes, then keep it, frozen."""
+        import numpy as np
+
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("amplitudes must be a non-empty 1-D sequence")
         n = arr.size.bit_length() - 1
@@ -540,11 +560,16 @@ def _writing(path, what: str):
         raise FileFormatError(f"cannot write {what}{path}: {exc}") from exc
 
 
-def _read_json(path, what: str = "") -> object:
-    """The parsed JSON text of the file at `path`; `what` names its format in errors."""
+def _read_json(path, what: str = "", object_pairs_hook=None) -> object:
+    """The parsed JSON text of the file at `path`; `what` names its format in errors.
+
+    `object_pairs_hook` goes to json.load. The model readers pass
+    _table_hook, which converts each [re, im] table as soon as json has
+    parsed it, so the whole tree of entry lists is never held at once.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=object_pairs_hook)
     except (OSError, json.JSONDecodeError) as exc:
         raise FileFormatError(f"cannot read {what}{path}: {exc}") from exc
 
@@ -566,7 +591,7 @@ def _payload_entries(payload) -> list:
     n = payload["n"]
     if type(n) is not int or n < 1:  # bool is an int subclass
         raise FileFormatError(f"'n' must be a positive integer, got {n!r}")
-    raw = payload["amplitudes"]
+    raw = _as_json(payload["amplitudes"])
     if not isinstance(raw, list) or len(raw) != 2**n:
         raise FileFormatError(f"expected {2**n} amplitude pairs, got {len(raw) if isinstance(raw, list) else type(raw).__name__}")
     return raw
@@ -590,7 +615,8 @@ def _state_from_payload(payload) -> PureState:
         amps = np.array(_entry_list(raw), dtype=np.complex128)
     if not np.all(np.isfinite(amps)):
         raise FileFormatError("amplitudes must be finite")
-    return PureState(amps / _file_norm(_norm(amps)))
+    amps /= _file_norm(_norm(amps))  # a fresh array: divided in place and taken over
+    return PureState._adopt(amps)
 
 
 def _load_amplitudes(path) -> list[complex]:
@@ -666,3 +692,52 @@ def _entry_value(pair) -> complex:
         if type(re) in _REALS and type(im) in _REALS:
             return complex(re, im)
     raise ValueError("not a [re, im] pair of reals")
+
+
+class _ParsedTable:
+    """A JSON object of [re, im] entries, converted as it was parsed.
+
+    _table_hook makes it: the object's keys in file order, all distinct,
+    and one complex value per entry. Its repr is that of the dict json
+    builds without the hook, so a message quoting it reads the same, and
+    _as_json rebuilds that dict.
+    """
+
+    __slots__ = ("keys", "entries")
+
+    def __init__(self, keys: tuple[str, ...], entries: tuple[complex, ...]):
+        self.keys = keys
+        self.entries = entries
+
+    def __repr__(self) -> str:
+        return repr(_as_json(self))
+
+
+def _table_hook(pairs: list) -> object:
+    """json's object_pairs_hook for [re, im] tables; never raises.
+
+    An object whose keys are distinct and whose values are all entries of
+    two floats becomes a _ParsedTable at once, and its lists are freed as
+    the parse goes on. Any other object is the dict json builds. Integer
+    parts pass the entry rule too, but they leave their object a dict,
+    read entry by entry: with floats alone, _as_json gives back the very
+    dict json would have built.
+    """
+    entries = [value for _, value in pairs]
+    if entries and set(map(type, entries)) == {list} and set(map(len, entries)) == {2}:
+        if set(map(type, itertools.chain.from_iterable(entries))) == {float}:
+            keys = tuple(key for key, _ in pairs)
+            if len(set(keys)) == len(keys):
+                return _ParsedTable(keys, tuple(itertools.starmap(complex, entries)))
+    return dict(pairs)
+
+
+def _as_json(value):
+    """`value` as json parses it without _table_hook.
+
+    A _ParsedTable goes back to its dict of [re, im] lists, bit for bit, as
+    its parts are floats; anything else is returned as it is.
+    """
+    if type(value) is _ParsedTable:
+        return {key: [v.real, v.imag] for key, v in zip(value.keys, value.entries)}
+    return value

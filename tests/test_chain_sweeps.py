@@ -309,11 +309,54 @@ def test_exact_ties_match_the_dict_sweeps(n, gathers):
     assert len(gathers) == 1
 
 
-def test_weights_past_the_double_range_raise_enumeration_bound():
-    """Where Python's abs(v) ** 2 overflows, the sweeps raise the brute-force error, on every call."""
+def test_weights_past_the_double_range_match_the_bucket_engine(off_chain_twin):
+    """Where Python's abs(v) ** 2 overflows, each level is gathered divided by its peak.
+
+    The logs of the peaks are kept as one offset beside the levels. log Z
+    and the MLE, on every call, are those of bucket elimination on the
+    off-chain twin, which divides each factor by its peak as it makes it.
+    """
     model = rescaled(mn.random_chain_model(20, seed=3), 1e160)
     with pytest.raises(OverflowError):
         ref_levels(model.potentials, model.reference_bits())
+    twin = off_chain_twin(model)
+    want_log_z = el.log_partition(twin.potentials, twin.reference_bits())[0]
+    assert want_log_z == pytest.approx(14772.82, abs=0.01)
+    want = inf._mle(twin)
+    for _ in range(2):
+        assert inf._model_log_z(model)[0] == pytest.approx(want_log_z, rel=1e-12)
+        assert all(1e-200 <= w <= 1e200 for level in inf._chain_weights(model) for w in level)
+        got = mn.mle_chain(model)
+        assert got.assignment == want.assignment
+        assert got.log_probability == pytest.approx(want.log_probability, rel=1e-12, abs=1e-9)
+
+
+def test_logs_past_the_double_range_are_finite(off_chain_twin):
+    """On the chain whose weights pass the double range, every result's log is finite; the twin's sums agree."""
+    model = rescaled(mn.random_chain_model(20, seed=3), 1e160)
+    twin = off_chain_twin(model)
+    rng = np.random.default_rng(5)
+    for x_m in [Assignment(), Assignment({1: 1, 2: 0}), *(random_binding(rng, 20, k) for k in (1, 3, 7, 20))]:
+        got = inf.chain_marginal_ratio(model, x_m)
+        assert math.isfinite(got.log_value) and got.value == math.inf
+        value, log_scale, _ = inf._model_sum(twin, x_m)
+        assert got.log_value == pytest.approx(inf._log_of(value, log_scale), rel=1e-12)
+        assert inf._marginal(model, x_m, True)[1] == got.log_value
+    for m in (0, 1, 10, 20):
+        prefix = Assignment({i: 1 for i in range(1, m + 1)})
+        got = inf.chain_prefix_marginal_ratio(model, prefix)
+        assert math.isfinite(got.log_value)
+        assert got.log_value == pytest.approx(inf.chain_marginal_ratio(model, prefix).log_value, rel=1e-12)
+    assert math.isfinite(mn.mle_chain(model).log_probability)
+    query, evidence = Assignment({4: 0}), Assignment({1: 1, 9: 1})
+    assert mn.conditional_probability(model, query, evidence) == pytest.approx(
+        mn.conditional_probability(twin, query, evidence), rel=1e-9
+    )
+
+
+def test_levels_wider_than_the_scaled_range_raise_enumeration_bound():
+    """Moduli 1e250 apart in one level leave no scale that keeps its weights and the sweeps normal."""
+    model = rescaled(mn.random_chain_model(20, seed=3), 1e250)
     for _ in range(2):
         with pytest.raises(mn.EnumerationBoundExceeded, match="past the double range"):
             inf._chain_weights(model)

@@ -381,6 +381,16 @@ class TestLongChainModels:
         assert float(out.split(": ")[1]) == pytest.approx(log_domain_ratio(model, bound), rel=1e-9)
         assert mn.chain_marginal_ratio(model, mn.Assignment(bound)).value == math.inf
 
+    def test_library_log_is_the_printed_log_ratio(self, capsys, chain1000):
+        """chain_marginal_ratio's log_value, printed as `marginal --ratio` prints its log."""
+        from menet.cli import _fmt
+
+        for assign in ("1=0,2=1", "3=1,500=0,1000=1"):
+            rc, out = run_cli(capsys, ["marginal", str(chain1000), "--assign", assign, "--ratio"])
+            result = mn.chain_marginal_ratio(mn.load_model(chain1000), parse_assignment(assign))
+            assert rc == 0 and result.value == math.inf
+            assert out == f"log_ratio: {_fmt(result.log_value)}\n"
+
     def test_marginal_ratio_below_the_double_range_prints_its_log(self, capsys, tmp_path):
         """The sum is about e^-2178: the ratio underflows to 0, its log does not."""
         model = off_reference_scaled(mn.random_chain_model(100, seed=3), 1e-5)
@@ -395,13 +405,22 @@ class TestLongChainModels:
         assert float(out.split(": ")[1]) == pytest.approx(want, rel=1e-9)
         assert mn.chain_marginal_ratio(model, mn.Assignment(bound)).value == 0.0
 
-    def test_weight_past_the_double_range_is_one_line(self, capsys, tmp_path):
-        path = tmp_path / "huge.model"
-        mn.save_model(off_reference_scaled(mn.random_chain_model(20, seed=3), 1e160), path)
-        rc = main(["mle", str(path)])
-        err = capsys.readouterr().err
-        assert rc == 1
-        assert err == "error: EnumerationBoundExceeded: a chain weight |q|^2 is past the double range\n"
+    def test_weight_past_the_double_range_answers_as_the_bucket_engine(self, capsys, tmp_path, off_chain_twin):
+        """A chain whose weights |q|^2 pass the double range answers, as elimination on its off-chain twin."""
+        from menet import elimination, inference
+
+        model = off_reference_scaled(mn.random_chain_model(20, seed=3), 1e160)
+        mn.save_model(model, tmp_path / "huge.model")
+        mn.save_model(off_chain_twin(model), tmp_path / "twin.model")
+        rc, out = run_cli(capsys, ["mle", str(tmp_path / "huge.model")])
+        rc_twin, out_twin = run_cli(capsys, ["mle", str(tmp_path / "twin.model")])
+        assert rc == rc_twin == 0
+        assert out.splitlines()[0] == out_twin.splitlines()[0]
+        probability = float(out.splitlines()[1].split(": ")[1])
+        assert 0.0 < probability == pytest.approx(float(out_twin.splitlines()[1].split(": ")[1]), rel=1e-9)
+        chain, twin = mn.load_model(tmp_path / "huge.model"), mn.load_model(tmp_path / "twin.model")
+        want_log_z = elimination.log_partition(twin.potentials, twin.reference_bits())[0]
+        assert inference._model_log_z(chain)[0] == pytest.approx(want_log_z, rel=1e-12)
 
     def test_mle_probability_is_not_zero(self, capsys, chain1000):
         rc, out = run_cli(capsys, ["mle", str(chain1000)])

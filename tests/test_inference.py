@@ -69,6 +69,18 @@ class TestMarginalRatio:
         with pytest.raises(mn.InvalidQuery):
             mn.marginal_ratio(model, Assignment({9: 1}))
 
+    def test_log_field_comes_last_and_defaults_to_the_log_of_the_value(self):
+        result = mn.marginal_ratio(mn.random_chain_model(4, 0), Assignment({1: 1}))
+        assert result.log_value == math.log(result.value)
+        assert mn.QueryResult(0.25, 3) == mn.QueryResult(0.25, 3, math.log(0.25))
+        assert mn.QueryResult(0.0, 3).log_value == -math.inf
+        assert repr(mn.QueryResult(0.5, 3, -0.75)) == "QueryResult(value=0.5, op_count=3, log_value=-0.75)"
+        mle = mn.mle_brute_force(mn.PureState([0.6, 0.8]))
+        assert mle.log_probability == math.log(mle.probability)
+        assert repr(mn.MleResult(Assignment({1: 1}), 0.5, 2, -0.5)) == (
+            "MleResult(assignment=Assignment(1=1), probability=0.5, op_count=2, log_probability=-0.5)"
+        )
+
 
 class TestConditionalProbability:
     def test_empty_query_is_one(self):
@@ -551,6 +563,20 @@ class TestLongChainsAgainstLogDomain:
         expected = math.exp(log_sum(logw, query.merge(evidence)) - log_sum(logw, evidence))
         got = mn.conditional_probability(model, query, evidence)
         assert got == pytest.approx(expected, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_log_fields(self, n):
+        """The logs of chain results, where their values may read inf or 0."""
+        model = mn.random_chain_model(n, [n, 14])
+        logw = log_weights(model)
+        log_z = log_sum(logw, {})
+        for x_m in (Assignment({1: 0, 2: 1, 3: 1}), Assignment({2: 1, n // 2: 0, n: 1})):
+            assert mn.chain_marginal_ratio(model, x_m).log_value == pytest.approx(log_sum(logw, x_m), rel=1e-11)
+        prefix = Assignment({1: 0, 2: 1, 3: 1})
+        assert mn.chain_prefix_marginal_ratio(model, prefix).log_value == pytest.approx(log_sum(logw, prefix), rel=1e-11)
+        result = mn.mle_chain(model)
+        assert result.log_probability == pytest.approx(viterbi(logw)[1] - log_z, rel=1e-9)
+        assert result.probability == pytest.approx(math.exp(result.log_probability), rel=1e-12)
 
     def test_mle_counts_the_log_z_sweep(self):
         # 13n - 6 for the max-product sweep and the product; when the modulus

@@ -332,6 +332,42 @@ class TestReconstruct:
         assert ref.imag == pytest.approx(0.0, abs=1e-15)
         assert ref.real > 0
 
+    @pytest.mark.parametrize("n", [13, 14, 15])
+    def test_products_round_as_the_out_of_place_product(self, n):
+        """In place, bit for bit the product `out = out * factor` gave, either side of numpy's 256 KiB temporaries."""
+        from menet.state import _broadcast_over
+
+        model = mn.random_chain_model(n, seed=n)
+        ref = model.reference_bits()
+        for bound in ({}, {2: 1}):
+            free = [q for q in range(1, n + 1) if q not in bound]
+            want = np.ones((2,) * len(free), dtype=np.complex128)
+            for table in model.potentials:
+                i = table.node
+                lower = [j for j in table.neighbors if j < i]
+                at = [bound.get(j, slice(None)) for j in (i, *lower)] + [ref[j - 1] for j in table.neighbors if j > i]
+                values = table.array[tuple(at)]
+                if i not in bound:
+                    values = np.moveaxis(values, 0, -1)
+                want = want * _broadcast_over(values, [j for j in (*lower, i) if j not in bound], free)
+            got = network._relative_amplitude_products(model.potentials, ref, n, bound)
+            assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+    def test_peak_memory_is_two_states(self):
+        """The products are made in place and the state takes them over; the copying route peaked at 4.0 states."""
+        import tracemalloc
+
+        model = mn.random_chain_model(16, seed=3)
+        mn.reconstruct_state(mn.random_chain_model(3, seed=0))  # the lazy imports, outside the trace
+        tracemalloc.start()
+        try:
+            psi = mn.reconstruct_state(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * psi.amplitudes.nbytes
+        assert not psi.amplitudes.flags.writeable and not psi.amplitudes.base.flags.writeable
+
     def test_model_validation(self):
         with pytest.raises(ValueError, match="neighbors"):
             MenModel(
@@ -844,6 +880,34 @@ TABLE_FAULTS = [
      "node 2: entry '110' must be a [re, im] pair of reals"),
 ]
 
+# Edits of the text save_model writes for random_chain_model(3, 2), and the
+# message each file is refused with (None: it loads as the model), read off
+# the reader that parsed the whole file before it read any table. ROW_101 is
+# node 2's row for key "101".
+ROW_101 = r'      "101": \[[^\]]*\]'
+SEED_FAULTS = [
+    ("repeated-key", lambda t: re.sub(ROW_101, lambda m: '      "101": [0.0, 0.0],\n' + m[0], t, count=1), None),
+    ("repeated-key-last-zero", lambda t: re.sub(ROW_101, lambda m: m[0] + ',\n      "101": [0.0, 0.0]', t, count=1),
+     "node 2: potential value 0j at (1, (0, 1)) is ~0"),
+    ("q-of-entries", lambda t: t[: t.index('  "q": {')] + '  "q": {"1": [1.0, 0.0], "2": [0.5, 0.5], "3": [0.25, 0.0]}\n}\n',
+     "node 1: table must be a JSON object, got list"),
+    ("entries-and-an-object", lambda t: re.sub(ROW_101, '      "101": {"re": [1.0, 0.0]}', t, count=1),
+     "node 2: entry '101' must be a [re, im] pair of reals"),
+    ("true-entry", lambda t: re.sub(ROW_101, '      "101": true', t, count=1),
+     "node 2: entry '101' must be a [re, im] pair of reals"),
+    ("integer-past-double", lambda t: re.sub(ROW_101, '      "101": [1%s, 0.0]' % ("0" * 400), t, count=1),
+     "int too large to convert to float"),
+    ("unread-object-of-entries", lambda t: t.replace('{\n  "n"', '{\n  "x": {"0": [1.0, 0.0]},\n  "n"', 1), None),
+    ("reference-object", lambda t: t.replace('"reference": "000"', '"reference": {"0": [1.0, 0.0]}'),
+     "'reference' must be an n-bit string, got {'0': [1.0, 0.0]}"),
+    ("edges-object", lambda t: t.replace('"edges": [[1, 2], [2, 3]]', '"edges": {"12": [1.0, 2.0]}'),
+     "each edge must be a pair of integer node numbers, got '12'"),
+    ("edge-object", lambda t: t.replace('"edges": [[1, 2], [2, 3]]', '"edges": [[1, 2], {"a": [1.0, 2.0]}]'),
+     "each edge must be a pair of integer node numbers, got {'a': [1.0, 2.0]}"),
+    ("modulus-object", lambda t: re.sub(r'"reference_modulus": [^,]*', '"reference_modulus": {"x": [0.5, -0.0]}', t),
+     "'reference_modulus' must be a number, got {'x': [0.5, -0.0]}"),
+]
+
 
 class TestModelReader:
     """The model reader takes every table entry by entry: bit for bit, and the first fault named."""
@@ -876,6 +940,62 @@ class TestModelReader:
     def test_valid_files_the_writer_would_not_produce(self, mutate, tmp_path):
         model, path = edited_chain3(tmp_path, mutate)
         assert load_outcome(path) == model_fields(model)
+
+    @pytest.mark.parametrize("edit, message", [case[1:] for case in SEED_FAULTS], ids=[case[0] for case in SEED_FAULTS])
+    def test_objects_the_table_hook_leaves_or_converts(self, edit, message, tmp_path):
+        model = mn.random_chain_model(3, 2)
+        path = tmp_path / "m.model"
+        mn.save_model(model, path)
+        text = path.read_text()
+        path.write_text(edit(text))
+        assert path.read_text() != text
+        if message is None:
+            assert load_outcome(path) == model_fields(model)
+        else:
+            with pytest.raises(mn.FileFormatError, match="^" + re.escape(f"malformed model file {path}: {message}")):
+                mn.load_model(path)
+
+    def test_load_peak_memory_is_bounded(self, tmp_path):
+        """Tables are converted as they are parsed: past what the model keeps, the read holds under 1.5 files.
+
+        The reader that parsed the whole tree first held 2.77 files there.
+        """
+        import os
+        import tracemalloc
+
+        path = tmp_path / "c.model"
+        mn.save_model(mn.random_chain_model(2000, seed=1), path)
+        mn.load_model(GOLDEN / "model_chain6.model")  # the lazy imports, outside the trace
+        tracemalloc.start()
+        try:
+            model = mn.load_model(path)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert model.num_qubits == 2000
+        assert peak - kept <= 1.5 * os.path.getsize(path)
+
+    def test_table_hook(self):
+        """Objects of float [re, im] entries under distinct keys are converted; json builds every other one."""
+        from menet.state import _as_json, _ParsedTable, _table_hook
+
+        table = _table_hook([("0", [1.0, -0.0]), ("1", [float("nan"), 2.5])])
+        assert type(table) is _ParsedTable and table.keys == ("0", "1")
+        assert repr(table) == repr({"0": [1.0, -0.0], "1": [float("nan"), 2.5]}) == repr(_as_json(table))
+        assert [math.copysign(1.0, v.imag) for v in table.entries] == [-1.0, 1.0]
+        for pairs in (
+            [],
+            [("0", [1.0, 0.0]), ("0", [2.0, 0.0])],
+            [("0", [1, 0.0])],
+            [("0", [True, 0.0])],
+            [("0", True)],
+            [("0", [1.0, 0.0]), ("1", table)],
+            [("0", [1.0, 0.0, 2.0])],
+            [("n", 3)],
+        ):
+            left = _table_hook(pairs)
+            assert type(left) is dict and left == dict(pairs)
+        assert _as_json(3) == 3 and _as_json([1.0, 0.0]) == [1.0, 0.0]
 
     def test_integer_entries(self, tmp_path):
         model, path = edited_chain3(tmp_path, lambda d: d["q"]["2"].update({"101": [3, -2]}))
