@@ -401,6 +401,17 @@ def test_level_gather_equals_python_abs_squared(scale):
     assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 7])
+def test_scaled_levels_read_the_gathered_entries(n):
+    """The overflow gather reads each level's weights where the in-range gather does."""
+    for seed in range(3):
+        model = mn.random_chain_model(n, seed=[seed, n])
+        ref_bits = tuple(int(b) for b in np.random.default_rng(seed).integers(0, 2, n))
+        at = el._level_offsets(n, ref_bits)
+        got = [[abs(table.entries[x]) ** 2 for x in where] for table, where in zip(model.potentials, at)]
+        assert got == el._chain_levels(model.potentials, ref_bits)
+
+
 class TestPerQueryShortcuts:
     def test_assignment_membership_keeps_mapping_semantics(self):
         x = Assignment({1: 0, 3: 1})
