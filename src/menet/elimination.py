@@ -12,10 +12,11 @@ entries of all the factors it builds are counted before any arithmetic
 (_plan), and an elimination past _FACTOR_ENTRIES_MAX of them is refused.
 
 On the chain 1-2-...-n the factors are 2x2 levels, and one sweep along the
-chain replaces the buckets (the chain section below). _model_log_z is a
+chain replaces the buckets (the chain section below). _normalize is a
 model's one route to log Z, the sweep on a chain and bucket elimination
-on any other graph: MenModel derives and audits its reference modulus
-through it, and the queries of menet.inference read it back.
+on any other graph: MenModel derives or audits its reference modulus
+through it once, as it is built, and the queries of menet.inference read
+it back.
 
 Plain Python on lists of floats, so building or reading a model and
 answering its queries load no numpy. A factor is a (scope, values) pair,
@@ -44,7 +45,7 @@ _FACTOR_ENTRIES_MAX = 1 << 19
 _RESCALE_HI = 1e100
 _RESCALE_LO = 1e-100
 # The largest ratio of one level's largest modulus to its smallest that
-# _scaled_levels takes: its scaled weights then lie within [1 / ratio,
+# _chain_levels scales: its scaled weights then lie within [1 / ratio,
 # ratio], and their products with messages in [_RESCALE_LO, _RESCALE_HI]
 # stay normal doubles.
 _SCALED_WEIGHT_MAX = 1e200
@@ -243,63 +244,47 @@ def _eliminate(potentials, ref_bits, bound, maximize: bool):
 # sum-product or a max-product sweep over these n levels.
 
 
-def _model_log_z(model) -> tuple[float, int]:
-    """(log Z, op count) of a model, worked out on the first call and kept on the model.
+def _normalize(model) -> float:
+    """log Z of a model by its one route, kept on the model; MenModel calls it once, as it is built.
 
-    The one route to a model's normalization constant: a chain sweeps it
-    (and keeps its levels, _chain_weights), any other graph eliminates it.
-    MenModel calls it when it derives or audits its reference modulus. A
-    route that raises keeps nothing.
+    A chain sweeps log Z from its levels, and the model keeps the levels
+    (_chain_weights); any other graph eliminates it. The queries read back
+    both, and log Z's op count (_model_log_z). They are stored as
+    MenGraph.is_path stores its answer, outside the fields, so equality,
+    repr and dataclasses.replace do not see them.
     """
-    log_z = model.__dict__.get("_log_z")
-    if log_z is None:
-        if model.graph.is_path():
-            log_z, ops = _chain_log_z(_chain_weights(model))
-            log_z = log_z + _chain_log_offset(model), ops
-        else:
-            log_z = log_partition(model.potentials, model.reference_bits())
-        object.__setattr__(model, "_log_z", log_z)
+    potentials, ref_bits = model.potentials, model.reference_bits()
+    if model.graph.is_path():
+        levels = _chain_levels(potentials, ref_bits)
+        log_z, ops = _chain_log_z(levels)
+        log_z += levels.log_offset
+        object.__setattr__(model, "_chain_weights", levels)
+    else:
+        log_z, ops = log_partition(potentials, ref_bits)
+    object.__setattr__(model, "_log_z", (log_z, ops))
     return log_z
 
 
-def _chain_weights(model) -> list[list[float]]:
-    """The model's chain levels, gathered on the first call and kept on the model.
-
-    They depend on the model alone, so later queries on the same instance
-    read them back; they are stored as MenGraph.is_path stores its answer,
-    outside the fields, so equality, repr and dataclasses.replace do not
-    see them. A gather that raises keeps nothing.
-
-    When a weight is past the double range, each level is gathered divided
-    by a scale of its own instead (_scaled_levels), and the log of the
-    factor divided out is kept beside the levels (_chain_log_offset).
-    """
-    levels = model.__dict__.get("_chain_weights")
-    if levels is None:
-        if not model.graph.is_path():
-            raise NotAChain("model graph is not the chain 1-2-...-n")
-        try:
-            levels = _chain_levels(model.potentials, model.reference_bits())
-        except OverflowError:
-            levels, log_offset = _scaled_levels(model.potentials, model.reference_bits())
-            object.__setattr__(model, "_chain_log_offset", log_offset)
-        object.__setattr__(model, "_chain_weights", levels)
-    return levels
+def _model_log_z(model) -> tuple[float, int]:
+    """(log Z, op count) of a model, as it was worked out when the model was built."""
+    return model._log_z
 
 
-def _chain_log_offset(model) -> float:
-    """The log of the factor divided out of the model's chain levels.
-
-    Every chain product takes exactly one weight per level, so a sum or a
-    maximum of such products over the levels, in logs, adds this offset.
-    0.0 unless a weight is past the double range.
-    """
-    _chain_weights(model)
-    return model.__dict__.get("_chain_log_offset", 0.0)
+def _chain_weights(model) -> _Levels:
+    """The model's chain levels, as they were gathered when the model was built."""
+    if not model.graph.is_path():
+        raise NotAChain("model graph is not the chain 1-2-...-n")
+    return model._chain_weights
 
 
 def _level_offsets(n: int, ref_bits) -> list[tuple[int, int, int, int]]:
-    """Where each level's [w(0, 0), w(0, 1), w(1, 0), w(1, 1)] sit in its node's flat entries."""
+    """Where each level's [w(0, 0), w(0, 1), w(1, 0), w(1, 1)] sit in its node's flat entries.
+
+    A table's flat index is bit << k | ctx, and on a chain the context is
+    (x_{i-1}, x_{i+1}) with either end absent, so w_i(p, b) sits at offset
+    4b + 2p + r inside the chain (r = x_{i+1} at the reference), 2b + r at
+    node 1, 2b + p at node n, and b when n == 1.
+    """
     if n == 1:
         return [(0, 1, 0, 1)]
     r = ref_bits[1]
@@ -307,63 +292,55 @@ def _level_offsets(n: int, ref_bits) -> list[tuple[int, int, int, int]]:
     return [(r, 2 + r, r, 2 + r), *middle, (0, 2, 1, 3)]
 
 
-def _scaled_levels(potentials, ref_bits) -> tuple[list[list[float]], float]:
-    """The chain levels, each divided by a scale of its own, and the summed logs of the scales.
+class _Levels(list):
+    """Chain levels, and the log of the factor divided out of them.
 
-    For weights past the double range. A level's moduli are divided by the
-    geometric mean of its smallest and largest before they are squared, so
-    its weights sit either side of 1; a division by the peak alone would
-    leave the reference-bit weights of 1 to underflow against a peak past
-    1e154. A level whose moduli span more than _SCALED_WEIGHT_MAX, or an
-    entry that is not finite, raises EnumerationBoundExceeded.
+    Every chain product takes exactly one weight per level, so a sum or a
+    maximum of such products over the levels, in logs, adds `log_offset`.
+    It is 0.0 unless a weight is past the double range.
     """
-    levels = []
+
     log_offset = 0.0
-    for table, at in zip(potentials, _level_offsets(len(ref_bits), ref_bits)):
-        try:
-            moduli = [abs(table.entries[x]) for x in at]
-        except OverflowError:  # hypot(re, im) past the double range
-            moduli = [math.inf]
-        low, high = min(moduli), max(moduli)
-        if not (math.isfinite(high) and 0.0 < low and high / low <= _SCALED_WEIGHT_MAX):
-            raise EnumerationBoundExceeded("a chain weight |q|^2 is past the double range")
-        scale = math.sqrt(low) * math.sqrt(high)
-        levels.append([(m / scale) ** 2 for m in moduli])
-        log_offset += 2.0 * math.log(scale)
-    return levels, log_offset
 
 
-def _chain_levels(potentials, ref_bits) -> list[list[float]]:
-    """levels[i - 1] = [w_i(0, 0), w_i(0, 1), w_i(1, 0), w_i(1, 1)], gathered from the entries.
+def _chain_levels(potentials, ref_bits) -> _Levels:
+    """levels[i - 1] = [w_i(0, 0), w_i(0, 1), w_i(1, 0), w_i(1, 1)], gathered at _level_offsets.
 
-    A table's flat index is bit << k | ctx, and on a chain the context is
-    (x_{i-1}, x_{i+1}) with either end absent, so w_i(p, b) sits at offset
-    4b + 2p + r inside the chain (r = x_{i+1} at the reference), 2b + r at
-    node 1, 2b + p at node n, and b when n == 1. Each weight is Python's
-    abs(v) ** 2, libm hypot(re, im) raised by libm pow(h, 2.0), to which the
-    chain results are pinned. A weight past the double range raises
-    OverflowError (_chain_weights then gathers _scaled_levels); one
-    that is not finite raises EnumerationBoundExceeded, as brute force
-    does for sums past that range.
+    Each weight is Python's abs(v) ** 2, libm hypot(re, im) raised by libm
+    pow(h, 2.0), to which the chain results are pinned. When a weight is
+    past the double range, each level's moduli are instead divided by the
+    geometric mean of its smallest and largest before they are squared, so
+    its weights sit either side of 1 (a division by the peak alone would
+    leave the reference-bit weights of 1 to underflow against a peak past
+    1e154), and the summed logs of the squared scales are the levels'
+    log_offset. An entry that is not finite, or a level whose moduli span
+    more than _SCALED_WEIGHT_MAX, raises EnumerationBoundExceeded, as brute
+    force does for sums past the double range.
     """
+    at = _level_offsets(len(ref_bits), ref_bits)
     tables = [table.entries for table in potentials]
-    if len(tables) == 1:
-        v = tables[0]
-        levels = [[abs(v[0]) ** 2, abs(v[1]) ** 2] * 2]
-    else:
-        v, r = tables[0], ref_bits[1]
-        first = [abs(v[r]) ** 2, abs(v[2 + r]) ** 2] * 2
-        middle = [
-            [abs(v[r]) ** 2, abs(v[4 + r]) ** 2, abs(v[2 + r]) ** 2, abs(v[6 + r]) ** 2]
-            for v, r in zip(tables[1:-1], ref_bits[2:])
-        ]
-        v = tables[-1]
-        levels = [first, *middle, [abs(v[0]) ** 2, abs(v[2]) ** 2, abs(v[1]) ** 2, abs(v[3]) ** 2]]
+    try:
+        levels = _Levels(
+            [abs(v[a]) ** 2, abs(v[b]) ** 2, abs(v[c]) ** 2, abs(v[d]) ** 2] for v, (a, b, c, d) in zip(tables, at)
+        )
+    except OverflowError:  # a weight past the double range: each level divided by a scale of its own
+        levels = _Levels()
+        log_offset = 0.0
+        for v, where in zip(tables, at):
+            try:
+                moduli = [abs(v[x]) for x in where]
+            except OverflowError:  # hypot(re, im) past the double range
+                moduli = [math.inf]
+            low, high = min(moduli), max(moduli)
+            if not (all(map(math.isfinite, moduli)) and 0.0 < low and high / low <= _SCALED_WEIGHT_MAX):
+                raise EnumerationBoundExceeded("a chain weight |q|^2 is past the double range") from None
+            scale = math.sqrt(low) * math.sqrt(high)
+            levels.append([(m / scale) ** 2 for m in moduli])
+            log_offset += 2.0 * math.log(scale)
+        levels.log_offset = log_offset
     # weights are >= 0, so they are all finite when their sum is; only a sum
     # past the double range leaves each weight to be looked at (inf or nan entries)
-    if not math.isfinite(sum(map(sum, levels))) and not all(
-        map(math.isfinite, chain.from_iterable(levels))
-    ):
+    if not math.isfinite(sum(map(sum, levels))) and not all(map(math.isfinite, chain.from_iterable(levels))):
         raise EnumerationBoundExceeded("a chain weight |q|^2 is past the double range")
     return levels
 

@@ -11,11 +11,9 @@ can check each other:
   and maximum likelihood instantiations come from one sum-product and one
   max-product sweep along the chain, linear in the number of qubits. They
   run in plain Python on the tables' flat entries. The per-model part, the
-  |q|^2 levels and log Z, is worked out once and kept on the model
-  instance (menet.elimination's _chain_weights and _model_log_z): when the
-  model derives or audits its modulus, else on the first query that needs
-  it. Each query then runs only its own sweep. Values and op counts do not
-  depend on whether it was kept.
+  |q|^2 levels and log Z, is worked out once, when the model is built, and
+  kept on the instance (menet.elimination's _chain_weights and
+  _model_log_z). Each query then runs only its own sweep.
 - variable elimination (menet.elimination): every other model query, by
   sum-product or max-product bucket elimination in descending qubit order,
   also plain Python. Its cost is exponential in the largest factor that
@@ -42,7 +40,6 @@ import time
 from dataclasses import dataclass
 
 from .elimination import (
-    _chain_log_offset,
     _chain_weights,
     _max_product,
     _model_log_z,
@@ -227,8 +224,9 @@ def _model_sum(model: MenModel, x_m: Assignment) -> tuple[float, float, int]:
 
 def _chain_sum(model: MenModel, x_m: Assignment) -> tuple[float, float, int]:
     """_chain_marginal on the model's levels, with their log offset in the log scale."""
-    value, log_scale, ops = _chain_marginal(_chain_weights(model), x_m)
-    return value, log_scale + _chain_log_offset(model), ops
+    levels = _chain_weights(model)
+    value, log_scale, ops = _chain_marginal(levels, x_m)
+    return value, log_scale + levels.log_offset, ops
 
 
 def _chain_marginal(levels, x_m: Assignment) -> tuple[float, float, int]:
@@ -249,8 +247,8 @@ def _probability(model: MenModel, ratio: float, log_ratio: float) -> tuple[float
     When that product (or the squared modulus in it) is not a normal
     positive double, the modulus or the ratio has under- or overflowed and
     p = exp(log ratio - log Z) instead, with log p = log ratio - log Z. The
-    count includes the log-Z sweep or elimination whether or not the model
-    already held log Z.
+    count includes the log-Z sweep or elimination that the model made when
+    it was built.
     """
     ref = model.reference_modulus
     probability = ref * ref * ratio
@@ -277,7 +275,7 @@ def chain_prefix_marginal_ratio(model: MenModel, x_m: Assignment) -> QueryResult
     # the suffix sweep runs over the reversed chain x_n, ..., x_m (x_0 if m == 0)
     reversed_levels = [(w00, w10, w01, w11) for w00, w01, w10, w11 in reversed(levels[m:])]
     suffix, log_scale, ops = _sum_product(reversed_levels, {} if m else {n: 0})
-    log_scale += _chain_log_offset(model)
+    log_scale += levels.log_offset
     if m == 0:
         value = suffix[0]
         return QueryResult(float(_scale_back(value, log_scale)), ops, _log_of(value, log_scale))
@@ -348,8 +346,9 @@ def mle_chain(model: MenModel) -> MleResult:
     Ties resolve to the lexicographically smallest global maximizer. Linear
     in n.
     """
-    bits, chosen, ops = _max_product(_chain_weights(model))
-    log_offset = _chain_log_offset(model)  # one chosen weight per level
+    levels = _chain_weights(model)
+    bits, chosen, ops = _max_product(levels)
+    log_offset = levels.log_offset  # one chosen weight per level
     ratio = _scale_back(math.prod(chosen), log_offset)
     ops += len(chosen)
     log_ratio = sum(map(math.log, chosen)) + log_offset if min(chosen) > 0.0 else -math.inf

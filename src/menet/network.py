@@ -49,12 +49,9 @@ from .state import (
     measure_qubit,
 )
 
-_NORM_AUDIT_MAX = 12  # normalization audit bound
 _RECONSTRUCT_MAX = 19  # largest n whose fresh-process `menet reconstruct -o` takes < 1 s and < 100 MB
-_ELIDED_BYTES = 256 * 1024  # numpy's smallest temporary that a binary operator reuses
 _PERFECT_MAP_MAX = 10  # largest n whose fresh-process `menet verify` takes < 1 s and < 100 MB
 _GRAPHOID_MAX = 9  # the same, with the graphoid check added to that verify
-_MODULUS_ATOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -230,12 +227,6 @@ def _relative_amplitude_products(
     bound = bound or {}
     free = [q for q in range(1, n + 1) if q not in bound]
     out = np.ones((2,) * len(free) or (1,), dtype=np.complex128)
-    # Multiplied in place, in the operand order of `out = out * factor`:
-    # numpy works a temporary factor of _ELIDED_BYTES or more into that
-    # product as factor * out, in the factor's memory, and complex products
-    # round differently in the two orders, so the values stay those of the
-    # out-of-place product
-    swapped = out.nbytes >= _ELIDED_BYTES
     for table in potentials:
         i = table.node
         lower = [j for j in table.neighbors if j < i]
@@ -247,7 +238,7 @@ def _relative_amplitude_products(
             values = np.moveaxis(values, 0, -1)  # the node after its lower neighbors
         axes = [j for j in (*lower, i) if j not in bound]
         factor = _broadcast_over(values, axes, free)
-        np.multiply(*((factor, out) if swapped else (out, factor)), out=out)
+        np.multiply(out, factor, out=out)
         del factor  # freed before the next one is built: two arrays at most
     return out
 
@@ -256,14 +247,14 @@ def _relative_amplitude_products(
 class MenModel:
     """Graph + per-node potentials + reference point; fixes a state up to phase.
 
-    Left out, the reference modulus is derived from the normalization
-    formula, exp(-log Z / 2), with log Z from the model's own sum-product
-    route (menet.elimination._model_log_z: a sweep on a chain, bucket
-    elimination on any other graph); a graph too wide for that route raises
-    EnumerationBoundExceeded. A modulus that is given is audited against
-    the same log Z for n <= _NORM_AUDIT_MAX. Either way log Z (and a chain's
-    levels) is kept on the instance, outside the fields, and the queries
-    read it back.
+    Built, the model works out log Z once, by its own sum-product route
+    (menet.elimination._normalize: a sweep on a chain, bucket elimination
+    on any other graph), and keeps it (and a chain's levels) on the
+    instance, outside the fields, for the queries to read. A graph too wide
+    for that route, or an entry that is not a finite number, raises
+    EnumerationBoundExceeded. Left out, the reference modulus is derived
+    from the normalization formula, exp(-log Z / 2); given, it is refused
+    unless it is within relative 1e-9 (or one ulp) of that value.
     """
 
     graph: MenGraph
@@ -287,24 +278,19 @@ class MenModel:
                 )
             if table.reference_bit != bits[i - 1]:
                 raise ValueError(f"node {i}: table reference bit disagrees with reference point")
-        if self.reference_modulus is None:
-            from .elimination import _model_log_z
-
-            object.__setattr__(self, "reference_modulus", math.exp(-0.5 * _model_log_z(self)[0]))
-        elif not (self.reference_modulus >= 0.0 and math.isfinite(self.reference_modulus)):
+        given = self.reference_modulus
+        if given is not None and not (given >= 0.0 and math.isfinite(given)):
             raise ValueError("reference_modulus must be finite and >= 0")
-        elif n <= _NORM_AUDIT_MAX:
-            from .elimination import _model_log_z
+        from .elimination import _normalize
 
-            try:
-                formula = math.exp(-0.5 * _model_log_z(self)[0])
-            except EnumerationBoundExceeded:  # a weight that is not a finite number
-                formula = 0.0  # what the dense sum (normalization_modulus) gives for an infinite one
-            if abs(self.reference_modulus - formula) > _MODULUS_ATOL:
-                raise ValueError(
-                    f"reference_modulus {self.reference_modulus!r} disagrees with the "
-                    f"normalization formula value {formula!r}"
-                )
+        formula = math.exp(-0.5 * _normalize(self))
+        if given is None:
+            object.__setattr__(self, "reference_modulus", formula)
+        elif abs(given - formula) > max(1e-9 * formula, math.ulp(formula)):
+            raise ValueError(
+                f"reference_modulus {given!r} disagrees with the "
+                f"normalization formula value {formula!r}"
+            )
 
     @property
     def num_qubits(self) -> int:

@@ -723,11 +723,10 @@ def _table_hook(pairs: list) -> object:
     read entry by entry: with floats alone, _as_json gives back the very
     dict json would have built.
     """
-    entries = [value for _, value in pairs]
-    if entries and set(map(type, entries)) == {list} and set(map(len, entries)) == {2}:
-        if set(map(type, itertools.chain.from_iterable(entries))) == {float}:
-            keys = tuple(key for key, _ in pairs)
-            if len(set(keys)) == len(keys):
+    if pairs:
+        keys, entries = zip(*pairs)
+        if set(map(type, entries)) == {list} and set(map(len, entries)) == {2}:
+            if set(map(type, itertools.chain.from_iterable(entries))) == {float} and len(set(keys)) == len(keys):
                 return _ParsedTable(keys, tuple(itertools.starmap(complex, entries)))
     return dict(pairs)
 

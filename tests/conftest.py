@@ -48,26 +48,63 @@ def off_chain_twin_fixture():
     return off_chain_twin
 
 
-def wide_elimination_model(m, seed):
-    """A sparse model whose descending elimination is wide: n = 2m qubits.
+def wide_elimination_tables(m, seed):
+    """A sparse graph whose descending elimination is wide, n = 2m qubits, and random tables on it.
 
     Each node j > m is joined to j - 1 and to the low node j - m, so every
     node has at most three neighbours, yet eliminating from qubit n down
     keeps the low ends of all those edges in one factor, over m + 1 qubits.
-    The tables are random and the modulus is not normalized: past n = 12 no
-    audit reads it.
+    A model on them normalizes itself by that elimination, so past m = 16
+    none can be built.
     """
     from menet.network import _random_q_tables
 
     n = 2 * m
     graph = mn.MenGraph.from_edges(n, [(j - 1, j) for j in range(m + 1, n + 1)] + [(j - m, j) for j in range(m + 1, n + 1)])
-    tables = _random_q_tables(graph, np.random.default_rng(seed))
-    return mn.MenModel(graph, tables, mn.Assignment.zeros(n), 0.0)
+    return graph, _random_q_tables(graph, np.random.default_rng(seed))
+
+
+def wide_elimination_model(m, seed):
+    """The model on wide_elimination_tables(m, seed), all-zeros reference; it derives its modulus."""
+    graph, tables = wide_elimination_tables(m, seed)
+    return mn.MenModel(graph, tables, mn.Assignment.zeros(2 * m))
+
+
+def write_model_text(path, graph, tables, modulus=1.0):
+    """A model file of `graph` and `tables` (all-zeros reference), written as JSON text.
+
+    No MenModel is built, so the file may hold a model that none can be:
+    one too wide for its elimination, say.
+    """
+    import json
+
+    q = {
+        str(table.node): {format(flat, f"0{len(table.neighbors) + 1}b"): [v.real, v.imag] for flat, v in enumerate(table.entries)}
+        for table in tables
+    }
+    payload = {
+        "n": graph.num_nodes,
+        "edges": [list(edge) for edge in graph.sorted_edges()],
+        "reference": "0" * graph.num_nodes,
+        "reference_modulus": modulus,
+        "q": q,
+    }
+    path.write_text(json.dumps(payload))
+
+
+@pytest.fixture(name="wide_elimination_tables")
+def wide_elimination_tables_fixture():
+    return wide_elimination_tables
 
 
 @pytest.fixture(name="wide_elimination_model")
 def wide_elimination_model_fixture():
     return wide_elimination_model
+
+
+@pytest.fixture(name="write_model_text")
+def write_model_text_fixture():
+    return write_model_text
 
 
 def split_masks(n, splits):

@@ -175,7 +175,7 @@ def rescaled(model, factor):
             )
         )
     n = model.num_qubits
-    modulus = mn.normalization_modulus(tuple(tables), model.reference_bits(), n) if n <= 12 else 0.0
+    modulus = mn.normalization_modulus(tuple(tables), model.reference_bits(), n) if n <= 12 else None
     return MenModel(model.graph, tuple(tables), model.reference, modulus)
 
 
@@ -189,7 +189,7 @@ def tied_chain(n, seed):
         array = np.ones((2,) * (k + 1), dtype=complex)
         array[1] = rng.choice([1, -1, 1j, -1j], size=(2,) * k)
         tables.append(QFunctionTable(i, graph.neighbors(i), 0, array.reshape(-1).tolist()))
-    modulus = mn.normalization_modulus(tuple(tables), (0,) * n, n) if n <= 12 else 0.0
+    modulus = mn.normalization_modulus(tuple(tables), (0,) * n, n) if n <= 12 else None
     return MenModel(graph, tuple(tables), Assignment.zeros(n), modulus)
 
 
@@ -289,14 +289,13 @@ def test_long_chains_match_the_dict_sweeps(n, gathers):
 def test_rescaled_chains_match_the_dict_sweeps(factor, gathers):
     """Peaks leave [1e-100, 1e100] within a few levels, in both directions.
 
-    The unscaled model holds its own levels first: its rescaled copy, on the
-    same graph object, must gather its own.
+    The unscaled model is built first, with its own levels: its rescaled
+    copy, on the same graph object, gathers its own as it is built.
     """
     for n in (13, 40):
         base = mn.random_chain_model(n, seed=[1, n])
-        inf._chain_weights(base)
-        model = rescaled(base, factor)
         gathers.clear()
+        model = rescaled(base, factor)
         assert_queries_match_twice(model, [n, 9], range(n + 1), bindings=6, conditionals=4)
         assert len(gathers) == 1
 
@@ -355,21 +354,19 @@ def test_logs_past_the_double_range_are_finite(off_chain_twin):
 
 
 def test_levels_wider_than_the_scaled_range_raise_enumeration_bound():
-    """Moduli 1e250 apart in one level leave no scale that keeps its weights and the sweeps normal."""
-    model = rescaled(mn.random_chain_model(20, seed=3), 1e250)
-    for _ in range(2):
-        with pytest.raises(mn.EnumerationBoundExceeded, match="past the double range"):
-            inf._chain_weights(model)
-        assert outcome(mn.mle_chain, model) == "EnumerationBoundExceeded"
+    """Moduli 1e250 apart in one level leave no scale that keeps its weights and the sweeps normal.
+
+    The model is refused as it is built, when it gathers its levels.
+    """
+    with pytest.raises(mn.EnumerationBoundExceeded, match="past the double range"):
+        rescaled(mn.random_chain_model(20, seed=3), 1e250)
 
 
 @pytest.mark.parametrize("factor", [math.inf, math.nan])
 def test_entries_that_are_not_finite_raise_enumeration_bound(factor):
-    """inf and nan entries pass the table checks, but give no chain weight, on any call."""
-    model = rescaled(mn.random_chain_model(20, seed=3), factor)
-    for _ in range(2):
-        with pytest.raises(mn.EnumerationBoundExceeded, match="past the double range"):
-            inf._chain_weights(model)
+    """inf and nan entries pass the table checks, but give no chain weight: the model is refused as it is built."""
+    with pytest.raises(mn.EnumerationBoundExceeded, match="past the double range"):
+        rescaled(mn.random_chain_model(20, seed=3), factor)
 
 
 def test_weights_whose_sum_is_past_the_double_range_are_kept():

@@ -266,9 +266,10 @@ class TestCommandSemantics:
         assert "bases_sampled:" in out
         assert len(calls) == 1
 
-    def test_conditional_too_many_free_qubits_is_1(self, capsys, tmp_path, wide_elimination_model):
+    def test_conditional_too_many_free_qubits_is_1(self, capsys, tmp_path, wide_elimination_tables, write_model_text):
+        """The file is refused as it is read: the model cannot normalize itself."""
         path = tmp_path / "w40.model"
-        mn.save_model(wide_elimination_model(20, seed=0), path)
+        write_model_text(path, *wide_elimination_tables(20, seed=0))
         rc = main(["conditional", str(path), "--query", "1=0", "--evidence", "2=1"])
         err = capsys.readouterr().err
         assert rc == 1
@@ -328,7 +329,7 @@ def off_reference_scaled(model, factor):
         array[1 - table.reference_bit] *= factor
         entries = array.reshape(-1).tolist()
         tables.append(mn.QFunctionTable(table.node, table.neighbors, table.reference_bit, entries, 0.0))
-    return mn.MenModel(model.graph, tuple(tables), model.reference, 0.0)
+    return mn.MenModel(model.graph, tuple(tables), model.reference)
 
 
 def log_domain_ratio(model, bound):
@@ -517,14 +518,14 @@ ARGUMENT_ERRORS = [
 
 @pytest.mark.parametrize("argv, code", ARGUMENT_ERRORS, ids=[" ".join(a) for a, _ in ARGUMENT_ERRORS])
 def test_argument_errors_are_one_line(
-    argv, code, capsys, tmp_path, off_chain_twin, wide_elimination_model, monkeypatch
+    argv, code, capsys, tmp_path, off_chain_twin, wide_elimination_tables, write_model_text, monkeypatch
 ):
     monkeypatch.chdir(tmp_path)
     mn.save_state(mn.canonical_state("ghz"), "ghz.state")
     twin = off_chain_twin(mn.random_chain_model(25, seed=0))
     assert twin.num_qubits == 25 and not twin.graph.is_path()
     mn.save_model(twin, "twin25.model")
-    mn.save_model(wide_elimination_model(20, seed=0), "wide40.model")
+    write_model_text(Path("wide40.model"), *wide_elimination_tables(20, seed=0))
     if code == 2:
         with pytest.raises(SystemExit) as exc:
             main(argv)

@@ -101,15 +101,14 @@ class TestAgainstDenseOracles:
         with pytest.raises(ValueError, match=rf"^reference_modulus {wrong!r} disagrees with the normalization formula value "):
             MenModel(model.graph, model.potentials, model.reference, wrong)
 
-    def test_entry_that_is_not_finite_audits_as_zero(self):
+    def test_entry_that_is_not_finite_is_refused(self):
+        """No log Z to derive or audit a modulus with: the model is refused, modulus given or not."""
         graph = MenGraph.from_edges(3, [(1, 2), (1, 3), (2, 3)])
         tables = [mn.random_model(graph, 1).potentials[i] for i in (0, 2)]
         tables.insert(1, QFunctionTable(2, (1, 3), 0, [1] * 4 + [math.inf, 2, 2, 2]))
-        with pytest.raises(mn.EnumerationBoundExceeded, match="not a finite number"):
-            MenModel(graph, tuple(tables), Assignment.zeros(3))  # nothing to derive the modulus from
-        MenModel(graph, tuple(tables), Assignment.zeros(3), 0.0)
-        with pytest.raises(ValueError, match="disagrees"):
-            MenModel(graph, tuple(tables), Assignment.zeros(3), 0.5)
+        for modulus in (None, 0.0, 0.5):
+            with pytest.raises(mn.EnumerationBoundExceeded, match="not a finite number"):
+                MenModel(graph, tuple(tables), Assignment.zeros(3), modulus)
 
 
 def tied_model(graph, moduli, seed):
@@ -177,23 +176,55 @@ class TestRange:
         assert mn.conditional_probability(twin, query, evidence) == pytest.approx(want, rel=1e-9)
         assert _mle(twin).assignment == mn.mle_chain(model).assignment
 
-    def test_refused_before_any_arithmetic(self, wide_elimination_model, monkeypatch):
+    def test_refused_before_any_arithmetic(self, wide_elimination_tables, wide_elimination_model, monkeypatch):
+        """The model is refused as it is built, when it plans its log Z; sums and maxima on its tables too."""
         made = []
         monkeypatch.setattr(el, "_node_factor", lambda *args: made.append(1))
-        model = wide_elimination_model(20, seed=1)
         with pytest.raises(mn.EnumerationBoundExceeded, match="variable elimination needs more than"):
-            el.sum_product(model.potentials, model.reference_bits(), {1: 0})
+            wide_elimination_model(20, seed=1)
+        _, tables = wide_elimination_tables(20, seed=1)
+        with pytest.raises(mn.EnumerationBoundExceeded, match="variable elimination needs more than"):
+            el.sum_product(tables, (0,) * 40, {1: 0})
         with pytest.raises(mn.EnumerationBoundExceeded):
-            _mle(model)
+            el.max_product(tables, (0,) * 40)
         assert made == []
 
-    def test_the_bound_counts_every_factor(self, wide_elimination_model):
+    def test_the_bound_counts_every_factor(self, wide_elimination_tables, wide_elimination_model):
         """A factor over m + 1 qubits, and about 2^(m + 2) entries in all: m = 16 runs, m = 17 does not."""
         for m, runs in ((16, True), (17, False)):
-            model = wide_elimination_model(m, seed=m)
-            scopes = el._scopes(model.potentials, {})
+            _, tables = wide_elimination_tables(m, seed=m)
+            scopes = el._scopes(tables, {})
             if runs:
                 el._plan(scopes, 2 * m)
+                wide_elimination_model(m, seed=m)
             else:
                 with pytest.raises(mn.EnumerationBoundExceeded):
                     el._plan(scopes, 2 * m)
+                with pytest.raises(mn.EnumerationBoundExceeded):
+                    wide_elimination_model(m, seed=m)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_every_model_built_answers_its_queries(self, seed):
+        """Binding qubits only shrinks the plan, so a model that could work out its log Z answers every query.
+
+        Random graphs of 10-30 qubits, each pair an edge with probability
+        0.2: seeds 5, 6 and 8 are too wide to build, and seeds 3 and 4 plan
+        about 370,000 and 400,000 of the 524,288 factor entries allowed.
+        """
+        rng = np.random.default_rng([seed, 27])
+        n = int(rng.integers(10, 31))
+        graph = MenGraph.from_edges(n, [e for e in itertools.combinations(range(1, n + 1), 2) if rng.random() < 0.2])
+        if seed in (5, 6, 8):
+            with pytest.raises(mn.EnumerationBoundExceeded, match="variable elimination needs more than"):
+                mn.random_model(graph, [seed, 27])
+            return
+        model = mn.random_model(graph, [seed, 27])
+        bindings = [Assignment({q: 1}) for q in range(1, n + 1)]
+        bindings += [random_binding(rng, n, int(rng.integers(2, n + 1))) for _ in range(3)]
+        for x_m in bindings:
+            assert 0.0 < _marginal(model, x_m, False)[0] < 1.0
+        for _ in range(3):
+            query, *evidence = rng.choice(np.arange(1, n + 1), size=int(rng.integers(2, 6)), replace=False).tolist()
+            p = mn.conditional_probability(model, Assignment({query: 0}), Assignment({q: 1 for q in evidence}))
+            assert 0.0 < p < 1.0
+        assert 0.0 < _mle(model).probability < 1.0

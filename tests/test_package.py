@@ -133,12 +133,11 @@ print(json.dumps([
 
 CORE = {"cli", "errors", "network", "state"}
 QUERY = CORE | {"inference", "elimination"}
-# (argv, menet modules loaded, numpy loaded). A model normalizes itself, and
-# audits a given modulus for n <= 12, through menet.elimination (plain
-# Python), which also holds the chain sweeps: extracting, and reading
-# chain4.model or model_k4.model (the complete graph), load it, and so does
-# every model query. chain20.model is past the audit; its queries still
-# load elimination for the sweeps. Model queries never load numpy.
+# (argv, menet modules loaded, numpy loaded). A model works out log Z, to
+# derive or audit its modulus, through menet.elimination (plain Python),
+# which also holds the chain sweeps: extracting and reading any model load
+# it, chain4.model, model_k4.model (the complete graph) and chain20.model
+# alike, and so does every model query. Model queries never load numpy.
 COMMANDS = [
     ([], CORE, False),
     (["--help"], CORE, False),
@@ -174,12 +173,9 @@ def command_id(argv):
 
 @pytest.mark.parametrize("argv, loaded, numpy", COMMANDS, ids=[command_id(argv) for argv, _, _ in COMMANDS])
 def test_each_command_imports_only_what_it_runs(argv, loaded, numpy, fixture_dir, tmp_path):
-    from menet.network import _NORM_AUDIT_MAX
-
     for name in ("ghz.state", "plusplus.state", "chain4.model"):
         (tmp_path / name).write_bytes((fixture_dir / name).read_bytes())
     (tmp_path / "model_k4.model").write_bytes((GOLDEN / "model_k4.model").read_bytes())
-    assert 20 > _NORM_AUDIT_MAX
     mn.save_model(mn.random_chain_model(20, seed=3), tmp_path / "chain20.model")
     rc, mods, statistics, numpy_loaded, numpy_random = json.loads(run_fresh(PROBE, *argv, cwd=tmp_path))
     assert rc == 0
