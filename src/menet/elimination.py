@@ -332,7 +332,7 @@ def _chain_levels(potentials, ref_bits) -> _Levels:
             except OverflowError:  # hypot(re, im) past the double range
                 moduli = [math.inf]
             low, high = min(moduli), max(moduli)
-            if not (all(map(math.isfinite, moduli)) and 0.0 < low and high / low <= _SCALED_WEIGHT_MAX):
+            if not (0.0 < low and high / low <= _SCALED_WEIGHT_MAX):
                 raise EnumerationBoundExceeded("a chain weight |q|^2 is past the double range") from None
             scale = math.sqrt(low) * math.sqrt(high)
             levels.append([(m / scale) ** 2 for m in moduli])

@@ -369,6 +369,19 @@ def test_entries_that_are_not_finite_raise_enumeration_bound(factor):
         rescaled(mn.random_chain_model(20, seed=3), factor)
 
 
+def test_entry_that_is_not_finite_among_scaled_levels_raises_enumeration_bound():
+    """A nan weight in a chain whose other weights pass the double range is refused, not scaled into the levels."""
+    tables = list(rescaled(mn.random_chain_model(20, seed=3), 1e160).potentials)
+    entries = list(tables[4].entries)
+    entries[4] = complex(math.nan, 0.0)  # node 5's w(0, 1): bit 1, x_4 = 0, x_6 at the reference
+    # CPython's abs of a complex with a nan part leaves errno as it finds it,
+    # so it raises OverflowError after any C call that left ERANGE; abs(1j) clears it
+    abs(1j)
+    tables[4] = QFunctionTable(5, (4, 6), 0, entries, zero_threshold=0.0)
+    with pytest.raises(mn.EnumerationBoundExceeded, match="past the double range"):
+        MenModel(MenGraph.path(20), tuple(tables), Assignment.zeros(20))
+
+
 def test_weights_whose_sum_is_past_the_double_range_are_kept():
     """Each weight below the double range is a weight, however large their sum."""
     model = rescaled(mn.random_chain_model(20, seed=3), 1e153)
