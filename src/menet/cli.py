@@ -38,11 +38,9 @@ from .state import (
     DEFAULT_TOL,
     Assignment,
     ToleranceConfig,
-    _as_json,
     _load_amplitudes,
     _read_json,
     _state_from_payload,
-    _table_hook,
     fidelity_up_to_phase,
     load_state,
     save_state,
@@ -114,10 +112,10 @@ _NON_NEGATIVE = _checked(int, lambda v: v >= 0, ">= 0")
 def _load_state_or_model(path):
     """Sniff the JSON payload: 'amplitudes' -> state, 'q' -> model.
 
-    One parse, with load_model's table hook: a model's tables are converted
-    as they are parsed, and a state file has no object it converts.
+    One parse, by the readers' one rule (state._read_json): a model's
+    tables are converted as they are parsed.
     """
-    payload = _as_json(_read_json(path, object_pairs_hook=_table_hook))
+    payload = _read_json(path)
     if isinstance(payload, dict) and "amplitudes" in payload:
         return _state_from_payload(payload)
     if isinstance(payload, dict) and "q" in payload:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 import warnings
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
@@ -37,14 +38,12 @@ from .state import (
     Assignment,
     PureState,
     ToleranceConfig,
-    _as_json,
     _bits,
     _broadcast_over,
     _disjoint_subsets,
     _entry_value,
     _ParsedTable,
     _read_json,
-    _table_hook,
     _writing,
     measure_qubit,
 )
@@ -121,7 +120,8 @@ class QFunctionTable:
     Built from, and stored as, `entries`: one flat sequence of 2**(k+1)
     numbers in C order over (x_i, then the k neighbors in ascending index
     order), so the entry of bit b in context ctx sits at b << k | ctx. They
-    are kept as a tuple of Python complex values. `array` is the same
+    are kept as a tuple of Python complex values, the very tuple given when
+    it is one of exact complex values. `array` is the same
     entries as a read-only complex array of shape (2,)*(k+1), built on first
     use. Entries at the node's reference bit are exactly 1 (stored, not
     recomputed).
@@ -145,7 +145,12 @@ class QFunctionTable:
         k = len(neighbors)
         half = 1 << k
         try:  # a mapping would give its keys, an unflattened array its rows
-            flat = None if isinstance(entries, (Mapping, str)) else tuple(map(complex, entries))
+            if isinstance(entries, (Mapping, str)):
+                flat = None
+            elif type(entries) is tuple and set(map(type, entries)) == {complex}:
+                flat = entries  # already what the table keeps: no copy
+            else:
+                flat = tuple(map(complex, entries))
         except (TypeError, ValueError):
             flat = None
         if flat is None or len(flat) != 2 * half:
@@ -159,9 +164,11 @@ class QFunctionTable:
             )
         # The entries at the reference bit have modulus 1.0, which seeds the
         # min, so only the others need their modulus taken. min skips a nan
-        # unless it comes first, and the seed comes first.
+        # unless it comes first, and the seed comes first. CPython's abs of a
+        # complex with a nan part leaves errno as it finds it, and raises
+        # OverflowError if that is ERANGE: the seed is an abs, which clears it.
         off_reference = flat[(1 - reference_bit) * half : (2 - reference_bit) * half]
-        if min(itertools.chain((1.0,), map(abs, off_reference))) <= zero_threshold:
+        if min(itertools.chain((abs(1 + 0j),), map(abs, off_reference))) <= zero_threshold:
             at = next(f for f, v in enumerate(flat) if abs(v) <= zero_threshold)
             raise ValueError(
                 f"node {node}: potential value {flat[at]!r} at {(at >> k, _bits(at, k))} is ~0"
@@ -215,18 +222,23 @@ def _relative_amplitude_products(
     reference_bits: tuple[int, ...],
     n: int,
     bound: Mapping[int, int] | None = None,
-) -> np.ndarray:
+    scaled: bool = False,
+):
     """prod_i q(x_i | lower neighbors actual, higher neighbors at reference).
 
     Evaluated on every completion of `bound` (of everything when omitted):
     a tensor with one axis per free qubit, ascending, or shape (1,) when
-    none is free.
+    none is free. `scaled` first divides each node's factor by 2**e, e the
+    binary exponent of its largest modulus, and returns the tensor with E,
+    the sum of those e: each division is exact, so the tensor is the
+    products times 2**-E, inside the double range where they leave it.
     """
     import numpy as np
 
     bound = bound or {}
     free = [q for q in range(1, n + 1) if q not in bound]
     out = np.ones((2,) * len(free) or (1,), dtype=np.complex128)
+    exponent = 0
     for table in potentials:
         i = table.node
         lower = [j for j in table.neighbors if j < i]
@@ -234,13 +246,18 @@ def _relative_amplitude_products(
             reference_bits[j - 1] for j in table.neighbors if j > i
         ]
         values = table.array[tuple(at)]
+        if scaled:  # part by part, so each zero keeps its sign
+            e = math.frexp(float(np.abs(values).max()))[1]
+            values = values.copy()
+            np.multiply(values.view(np.float64), 2.0**-e, out=values.view(np.float64))
+            exponent += e
         if i not in bound:
             values = np.moveaxis(values, 0, -1)  # the node after its lower neighbors
         axes = [j for j in (*lower, i) if j not in bound]
         factor = _broadcast_over(values, axes, free)
         np.multiply(out, factor, out=out)
         del factor  # freed before the next one is built: two arrays at most
-    return out
+    return (out, exponent) if scaled else out
 
 
 @dataclass(frozen=True)
@@ -480,17 +497,28 @@ def reconstruct_state(model: MenModel) -> PureState:
     """State whose amplitudes are reference_modulus * telescoping q-products.
 
     The unidentifiable reference phase is fixed to positive real. The
-    products are multiplied into one array, scaled in place, and the state
-    takes that array over: the peak is about two copies of the state, the
-    result and one broadcast factor.
+    products are multiplied into one array, each node's factor divided by
+    a power of two 2**e first, so that products past the double range stay
+    inside it. The array is then scaled in place by the modulus times 2**E,
+    E the sum of the e (by exp(E ln 2 - log Z / 2) when the modulus is not
+    a normal double), and the state takes that array over. Where neither
+    the products nor the modulus leave the range, the amplitudes are bit
+    for bit reference_modulus times the products. The peak is about two
+    copies of the state, the result and one broadcast factor.
     """
     import numpy as np
 
     n = model.num_qubits
     if n > _RECONSTRUCT_MAX:
         raise EnumerationBoundExceeded(f"dense reconstruction is limited to n <= {_RECONSTRUCT_MAX}")
-    rel = _relative_amplitude_products(model.potentials, model.reference_bits(), n)
-    np.multiply(model.reference_modulus, rel, out=rel)
+    rel, exponent = _relative_amplitude_products(model.potentials, model.reference_bits(), n, scaled=True)
+    if model.reference_modulus >= sys.float_info.min:  # a normal double: times 2**E exactly
+        scale = math.ldexp(model.reference_modulus, exponent)
+    else:
+        from .elimination import _model_log_z
+
+        scale = math.exp(exponent * math.log(2.0) - 0.5 * _model_log_z(model)[0])
+    np.multiply(scale, rel, out=rel)
     return PureState._adopt(rel.reshape(-1))
 
 
@@ -712,29 +740,27 @@ def save_model(model: MenModel, path) -> None:
 def load_model(path) -> MenModel:
     """The model in the file at `path`, read in one pass.
 
-    Each table becomes its keys and complex values as soon as json has
-    parsed it (state._table_hook), so the read never holds the file's
-    whole tree of [re, im] lists: its peak is about the file's text plus
-    the model it keeps. The model is field for field and bit for bit the
-    one an entry-by-entry read of the same file builds, and a bad file is
-    refused with the same message.
+    The file is parsed by the readers' one rule (state._read_json): each
+    table becomes its keys and complex values as soon as json has parsed
+    it, so the read never holds the file's whole tree of [re, im] lists,
+    and the parsed tables are freed before the model normalizes. The model
+    is field for field and bit for bit the one an entry-by-entry read of
+    the same file builds, and a bad file is refused with the same message.
     """
-    return _model_from_payload(_read_json(path, "model file ", _table_hook), path)
+    return _model_from_payload(_read_json(path, "model file "), path)
 
 
 def _model_from_payload(payload, path) -> MenModel:
-    """Build a model from a parsed model file; `path` names it in errors.
+    """Build a model from a model file's payload (state._read_json); `path` names it in errors.
 
-    The payload may come from json.load with or without _table_hook: the
-    objects at its top two levels are read as json builds them without
-    it, and only the tables keep their conversion.
+    Once every table is built, the payload is emptied, so the parsed
+    tables and edge lists are freed before the model normalizes.
     """
     try:
-        payload = _as_json(payload)
         n = payload["n"]
         if type(n) is not int or n < 1:  # bool is an int subclass
             raise ValueError(f"'n' must be a positive integer, got {n!r}")
-        graph = MenGraph.from_edges(n, map(_edge, _as_json(payload["edges"])))
+        graph = MenGraph.from_edges(n, map(_edge, payload["edges"]))
         ref_text = payload["reference"]
         if (
             not isinstance(ref_text, str)
@@ -747,12 +773,12 @@ def _model_from_payload(payload, path) -> MenModel:
         if type(modulus) not in (int, float):
             raise ValueError(f"'reference_modulus' must be a number, got {modulus!r}")
         modulus = float(modulus)
-        q_section = _as_json(payload["q"])
         tables = []
         for i, bit in enumerate(ref_text, start=1):
             nb = graph.neighbors(i)
-            entries = _table_entries(i, q_section[str(i)], len(nb) + 1)
+            entries = _table_entries(i, payload["q"][str(i)], len(nb) + 1)
             tables.append(QFunctionTable(i, nb, int(bit), entries))
+        payload.clear()  # the parsed file, its tables with it, goes before the model normalizes
         return MenModel(graph, tuple(tables), reference, modulus)
     except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise FileFormatError(f"malformed model file {path}: {exc}") from exc

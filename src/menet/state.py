@@ -560,18 +560,22 @@ def _writing(path, what: str):
         raise FileFormatError(f"cannot write {what}{path}: {exc}") from exc
 
 
-def _read_json(path, what: str = "", object_pairs_hook=None) -> object:
+def _read_json(path, what: str = "") -> object:
     """The parsed JSON text of the file at `path`; `what` names its format in errors.
 
-    `object_pairs_hook` goes to json.load. The model readers pass
+    The one parse rule of the state and model readers. json.load runs with
     _table_hook, which converts each [re, im] table as soon as json has
-    parsed it, so the whole tree of entry lists is never held at once.
+    parsed it, so the whole tree of entry lists is never held at once. The
+    top two levels, an object and the value of each of its keys, come back
+    as json builds them without the hook: only the tables below keep their
+    conversion.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, object_pairs_hook=object_pairs_hook)
+            payload = _as_json(json.load(fh, object_pairs_hook=_table_hook))
     except (OSError, json.JSONDecodeError) as exc:
         raise FileFormatError(f"cannot read {what}{path}: {exc}") from exc
+    return {key: _as_json(value) for key, value in payload.items()} if type(payload) is dict else payload
 
 
 def load_state(path) -> PureState:
@@ -591,7 +595,7 @@ def _payload_entries(payload) -> list:
     n = payload["n"]
     if type(n) is not int or n < 1:  # bool is an int subclass
         raise FileFormatError(f"'n' must be a positive integer, got {n!r}")
-    raw = _as_json(payload["amplitudes"])
+    raw = payload["amplitudes"]
     if not isinstance(raw, list) or len(raw) != 2**n:
         raise FileFormatError(f"expected {2**n} amplitude pairs, got {len(raw) if isinstance(raw, list) else type(raw).__name__}")
     return raw

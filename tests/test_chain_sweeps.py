@@ -374,12 +374,43 @@ def test_entry_that_is_not_finite_among_scaled_levels_raises_enumeration_bound()
     tables = list(rescaled(mn.random_chain_model(20, seed=3), 1e160).potentials)
     entries = list(tables[4].entries)
     entries[4] = complex(math.nan, 0.0)  # node 5's w(0, 1): bit 1, x_4 = 0, x_6 at the reference
-    # CPython's abs of a complex with a nan part leaves errno as it finds it,
-    # so it raises OverflowError after any C call that left ERANGE; abs(1j) clears it
-    abs(1j)
     tables[4] = QFunctionTable(5, (4, 6), 0, entries, zero_threshold=0.0)
     with pytest.raises(mn.EnumerationBoundExceeded, match="past the double range"):
         MenModel(MenGraph.path(20), tuple(tables), Assignment.zeros(20))
+
+
+def leave_erange():
+    """Leave errno at ERANGE, as libm does on an overflow that Python catches."""
+    try:
+        math.exp(1000.0)
+    except OverflowError:
+        pass
+
+
+def test_nan_entry_after_an_overflow_gives_the_outcome_of_a_clear_errno():
+    """CPython's abs of a complex with a nan part leaves errno as it finds it; the zero check does not read it.
+
+    The table builds, and a model of it is refused as it is built, as with a clear errno.
+    """
+    leave_erange()
+    table = QFunctionTable(1, (2,), 0, [1, 1, complex(math.nan, 0), 0.5])
+    assert math.isnan(table.entries[2].real)
+    leave_erange()
+    with pytest.raises(mn.EnumerationBoundExceeded, match="past the double range"):
+        MenModel(MenGraph.path(2), (table, QFunctionTable(2, (1,), 0, [1, 1, 0.5, 2])), Assignment.zeros(2))
+
+
+@pytest.mark.parametrize("last_number", ["0.5", "1e400"], ids=["in-range", "past-range"])
+def test_nan_entry_in_a_file_gives_the_outcome_of_a_clear_errno(last_number, tmp_path):
+    """A file with a nan entry, read after an overflow, and ending in a number whose parse leaves ERANGE or clears it."""
+    path = tmp_path / "nan.model"
+    mn.save_model(mn.random_chain_model(3, 2), path)
+    text = path.read_text()
+    text = text.replace(text[text.index('"10": [') : text.index("]", text.index('"10": [')) + 1], '"10": [NaN, 0.0]', 1)
+    path.write_text(text[: text.rindex('"11": [')] + '"11": [0.5, %s]\n    }\n  }\n}\n' % last_number)
+    leave_erange()
+    with pytest.raises(mn.EnumerationBoundExceeded, match="past the double range"):
+        mn.load_model(path)
 
 
 def test_weights_whose_sum_is_past_the_double_range_are_kept():

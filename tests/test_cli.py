@@ -423,6 +423,14 @@ class TestLongChainModels:
         want_log_z = elimination.log_partition(twin.potentials, twin.reference_bits())[0]
         assert inference._model_log_z(chain)[0] == pytest.approx(want_log_z, rel=1e-12)
 
+    def test_reconstruct_past_the_double_range(self, capsys, tmp_path):
+        """Off-reference entries times 1e160: the stored modulus is 0, and the state peaks at the mle assignment."""
+        model = off_reference_scaled(mn.random_chain_model(10, seed=3), 1e160)
+        path, out = tmp_path / "big.model", tmp_path / "big.state"
+        mn.save_model(model, path)
+        assert run_cli(capsys, ["reconstruct", str(path), "-o", str(out)]) == (0, "n: 10\n")
+        assert run_cli(capsys, ["mle", str(out)]) == (0, "assignment: 1111111111\nprobability: 1\n")
+
     def test_mle_probability_is_not_zero(self, capsys, chain1000):
         rc, out = run_cli(capsys, ["mle", str(chain1000)])
         assert rc == 0

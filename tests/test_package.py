@@ -203,3 +203,26 @@ def test_building_and_reading_models_loads_no_inference(tmp_path):
         "print(rc, 'menet.elimination' in sys.modules, 'menet.inference' in sys.modules)\n"
     )
     assert run_fresh(code, cwd=tmp_path).split() == ["0", "True", "False"]
+
+
+class TestOneParseRule:
+    """state._read_json is the one parse rule of the state and model readers."""
+
+    def test_read_json_takes_only_the_path_and_the_format_name(self):
+        import inspect
+
+        from menet import state
+
+        assert list(inspect.signature(state._read_json).parameters) == ["path", "what"]
+
+    @pytest.mark.parametrize("module", ["menet.cli", "menet.network"])
+    def test_other_readers_name_neither_the_hook_nor_its_undoing(self, module):
+        source = Path(importlib.import_module(module).__file__).read_text(encoding="utf-8")
+        assert "_table_hook" not in source and "_as_json" not in source
+
+    def test_table_keeps_a_given_tuple_of_complex_values(self):
+        entries = (1 + 0j, 1 + 0j, 0.5 + 2j, -3j)
+        assert mn.QFunctionTable(1, (2,), 0, entries).entries is entries
+        converted = mn.QFunctionTable(1, (2,), 0, [1, 1.0, 0.5 + 2j, -3j]).entries
+        assert type(converted) is tuple and converted == entries
+        assert list(map(type, converted)) == [complex] * 4
