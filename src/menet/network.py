@@ -230,8 +230,8 @@ def _relative_amplitude_products(
     a tensor with one axis per free qubit, ascending, or shape (1,) when
     none is free. `scaled` first divides each node's factor by 2**e, e the
     binary exponent of its largest modulus, and returns the tensor with E,
-    the sum of those e: each division is exact, so the tensor is the
-    products times 2**-E, inside the double range where they leave it.
+    the sum of those e: the tensor is the products times 2**-E, inside the
+    double range where they leave it.
     """
     import numpy as np
 
@@ -246,11 +246,9 @@ def _relative_amplitude_products(
             reference_bits[j - 1] for j in table.neighbors if j > i
         ]
         values = table.array[tuple(at)]
-        if scaled:  # part by part, so each zero keeps its sign
-            e = math.frexp(float(np.abs(values).max()))[1]
-            values = values.copy()
-            np.multiply(values.view(np.float64), 2.0**-e, out=values.view(np.float64))
-            exponent += e
+        if scaled:
+            e = math.frexp(np.abs(values).max())[1]
+            values, exponent = values * 2.0**-e, exponent + e
         if i not in bound:
             values = np.moveaxis(values, 0, -1)  # the node after its lower neighbors
         axes = [j for j in (*lower, i) if j not in bound]
@@ -497,26 +495,26 @@ def reconstruct_state(model: MenModel) -> PureState:
     """State whose amplitudes are reference_modulus * telescoping q-products.
 
     The unidentifiable reference phase is fixed to positive real. The
-    products are multiplied into one array, each node's factor divided by
-    a power of two 2**e first, so that products past the double range stay
-    inside it. The array is then scaled in place by the modulus times 2**E,
-    E the sum of the e (by exp(E ln 2 - log Z / 2) when the modulus is not
-    a normal double), and the state takes that array over. Where neither
-    the products nor the modulus leave the range, the amplitudes are bit
-    for bit reference_modulus times the products. The peak is about two
-    copies of the state, the result and one broadcast factor.
+    products are multiplied into one array, scaled in place, and the state
+    takes that array over: the peak is about two copies of the state, the
+    result and one broadcast factor. Where the products leave the double
+    range, or the modulus is not a normal double, they are multiplied again
+    with each node's factor divided by a power of two, and scaled back
+    from log Z.
     """
     import numpy as np
 
     n = model.num_qubits
     if n > _RECONSTRUCT_MAX:
         raise EnumerationBoundExceeded(f"dense reconstruction is limited to n <= {_RECONSTRUCT_MAX}")
-    rel, exponent = _relative_amplitude_products(model.potentials, model.reference_bits(), n, scaled=True)
-    if model.reference_modulus >= sys.float_info.min:  # a normal double: times 2**E exactly
-        scale = math.ldexp(model.reference_modulus, exponent)
-    else:
+    with np.errstate(over="ignore", invalid="ignore"):  # products past the range are made again, scaled
+        rel = _relative_amplitude_products(model.potentials, model.reference_bits(), n)
+    scale = model.reference_modulus
+    if not (scale >= sys.float_info.min and np.all(np.isfinite(rel))):
         from .elimination import _model_log_z
 
+        del rel  # freed before the scaled products are made
+        rel, exponent = _relative_amplitude_products(model.potentials, model.reference_bits(), n, scaled=True)
         scale = math.exp(exponent * math.log(2.0) - 0.5 * _model_log_z(model)[0])
     np.multiply(scale, rel, out=rel)
     return PureState._adopt(rel.reshape(-1))

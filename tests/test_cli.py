@@ -423,8 +423,21 @@ class TestLongChainModels:
         want_log_z = elimination.log_partition(twin.potentials, twin.reference_bits())[0]
         assert inference._model_log_z(chain)[0] == pytest.approx(want_log_z, rel=1e-12)
 
+    def test_library_reconstructs_past_the_double_range(self):
+        """Off-reference entries times 1e160: the modulus underflows to 0 and the products pass the double range.
+
+        Each node's factor is divided by a power of two, and the products
+        scaled back from log Z: the state has unit norm and peaks at the
+        maximum-likelihood assignment.
+        """
+        model = off_reference_scaled(mn.random_chain_model(10, seed=3), 1e160)
+        assert model.reference_modulus == 0.0
+        probabilities = np.abs(mn.reconstruct_state(model).amplitudes) ** 2
+        assert abs(probabilities.sum() - 1.0) < 1e-9 and probabilities.max() > 1 - 1e-9
+        assert mn.assignment_of(int(np.argmax(probabilities)), 10) == mn.mle_chain(model).assignment
+
     def test_reconstruct_past_the_double_range(self, capsys, tmp_path):
-        """Off-reference entries times 1e160: the stored modulus is 0, and the state peaks at the mle assignment."""
+        """The same chain's file: the stored modulus is 0, and the state written peaks at the mle assignment."""
         model = off_reference_scaled(mn.random_chain_model(10, seed=3), 1e160)
         path, out = tmp_path / "big.model", tmp_path / "big.state"
         mn.save_model(model, path)
