@@ -217,28 +217,14 @@ class QFunctionTable:
         return f"QFunctionTable(node={self.node}, neighbors={self.neighbors})"
 
 
-def _relative_amplitude_products(
-    potentials: tuple[QFunctionTable, ...],
-    reference_bits: tuple[int, ...],
-    n: int,
-    bound: Mapping[int, int] | None = None,
-    scaled: bool = False,
-):
-    """prod_i q(x_i | lower neighbors actual, higher neighbors at reference).
+def _node_factors(potentials: tuple[QFunctionTable, ...], reference_bits: tuple[int, ...], bound: Mapping[int, int]):
+    """Each node's q(x_i | lower neighbors actual, higher neighbors at reference), by node.
 
-    Evaluated on every completion of `bound` (of everything when omitted):
-    a tensor with one axis per free qubit, ascending, or shape (1,) when
-    none is free. `scaled` first divides each node's factor by 2**e, e the
-    binary exponent of its largest modulus, and returns the tensor with E,
-    the sum of those e: the tensor is the products times 2**-E, inside the
-    double range where they leave it.
+    Yields the values, one axis per free qubit of (lower neighbors, i),
+    and those qubits, ascending.
     """
     import numpy as np
 
-    bound = bound or {}
-    free = [q for q in range(1, n + 1) if q not in bound]
-    out = np.ones((2,) * len(free) or (1,), dtype=np.complex128)
-    exponent = 0
     for table in potentials:
         i = table.node
         lower = [j for j in table.neighbors if j < i]
@@ -246,16 +232,32 @@ def _relative_amplitude_products(
             reference_bits[j - 1] for j in table.neighbors if j > i
         ]
         values = table.array[tuple(at)]
-        if scaled:
-            e = math.frexp(np.abs(values).max())[1]
-            values, exponent = values * 2.0**-e, exponent + e
         if i not in bound:
             values = np.moveaxis(values, 0, -1)  # the node after its lower neighbors
-        axes = [j for j in (*lower, i) if j not in bound]
-        factor = _broadcast_over(values, axes, free)
-        np.multiply(out, factor, out=out)
-        del factor  # freed before the next one is built: two arrays at most
-    return (out, exponent) if scaled else out
+        yield values, [j for j in (*lower, i) if j not in bound]
+
+
+def _relative_amplitude_products(
+    potentials: tuple[QFunctionTable, ...],
+    reference_bits: tuple[int, ...],
+    n: int,
+    bound: Mapping[int, int] | None = None,
+) -> np.ndarray:
+    """prod_i q(x_i | lower neighbors actual, higher neighbors at reference).
+
+    Evaluated on every completion of `bound` (of everything when omitted):
+    a tensor with one axis per free qubit, ascending, or shape (1,) when
+    none is free.
+    """
+    import numpy as np
+
+    bound = bound or {}
+    free = [q for q in range(1, n + 1) if q not in bound]
+    out = np.ones((2,) * len(free) or (1,), dtype=np.complex128)
+    for values, axes in _node_factors(potentials, reference_bits, bound):
+        # each broadcast factor is freed before the next one is built: two arrays at most
+        np.multiply(out, _broadcast_over(values, axes, free), out=out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -497,27 +499,41 @@ def reconstruct_state(model: MenModel) -> PureState:
     The unidentifiable reference phase is fixed to positive real. The
     products are multiplied into one array, scaled in place, and the state
     takes that array over: the peak is about two copies of the state, the
-    result and one broadcast factor. Where the products leave the double
-    range, or the modulus is not a normal double, they are multiplied again
-    with each node's factor divided by a power of two, and scaled back
-    from log Z.
+    result and one broadcast factor. The products' largest modulus never
+    falls as factors are multiplied in (each is 1 at its node's reference
+    bit); before a factor could take it past the double range (bounded by
+    the factors' largest moduli), the array is divided by the power of two
+    2**e that brings it to about 1. The array is then scaled by the modulus
+    times 2**E, E the sum of the e, or by exp(E ln 2 - log Z / 2) where the
+    modulus is not a normal double. Products that stay in range are never
+    divided: their amplitudes are bit for bit the modulus times the
+    products.
     """
     import numpy as np
 
     n = model.num_qubits
     if n > _RECONSTRUCT_MAX:
         raise EnumerationBoundExceeded(f"dense reconstruction is limited to n <= {_RECONSTRUCT_MAX}")
-    with np.errstate(over="ignore", invalid="ignore"):  # products past the range are made again, scaled
-        rel = _relative_amplitude_products(model.potentials, model.reference_bits(), n)
-    scale = model.reference_modulus
-    if not (scale >= sys.float_info.min and np.all(np.isfinite(rel))):
+    free = range(1, n + 1)
+    out = np.ones((2,) * n, dtype=np.complex128)
+    parts = out.view(np.float64)
+    exponent, high = 0, 1  # out is the products times 2**-exponent, its largest modulus below 2**high
+    for values, axes in _node_factors(model.potentials, model.reference_bits(), {}):
+        top = math.frexp(np.abs(values).max())[1]
+        if high + top >= sys.float_info.max_exp:
+            e = math.frexp(max(parts.max(), -parts.min()))[1]
+            np.ldexp(parts, -e, out=parts)  # its largest part in [0.5, 1), its largest modulus below 2
+            exponent, high = exponent + e, 1
+        np.multiply(out, _broadcast_over(values, axes, free), out=out)
+        high += top
+    if model.reference_modulus >= sys.float_info.min:
+        scale = math.ldexp(model.reference_modulus, exponent)
+    else:
         from .elimination import _model_log_z
 
-        del rel  # freed before the scaled products are made
-        rel, exponent = _relative_amplitude_products(model.potentials, model.reference_bits(), n, scaled=True)
         scale = math.exp(exponent * math.log(2.0) - 0.5 * _model_log_z(model)[0])
-    np.multiply(scale, rel, out=rel)
-    return PureState._adopt(rel.reshape(-1))
+    np.multiply(scale, out, out=out)
+    return PureState._adopt(out.reshape(-1))
 
 
 def node_separation(g: MenGraph, a, b, c) -> bool:

@@ -332,6 +332,22 @@ def off_reference_scaled(model, factor):
     return mn.MenModel(model.graph, tuple(tables), model.reference)
 
 
+def rising_chain(n, factor):
+    """A chain whose q_k(1 | x_{k-1} = 0) is `factor` (q_1(1) too), every other entry 1.
+
+    Each level spans only `factor`, but no single assignment takes every
+    node's largest entry: the largest product, factor**ceil(n / 2) at
+    1010..., lies far below the product of the nodes' largest entries.
+    """
+    graph = mn.MenGraph.from_edges(n, [(k, k + 1) for k in range(1, n)])
+    tables = []
+    for k in range(1, n + 1):
+        array = np.ones((2,) * (1 + len(graph.neighbors(k))), dtype=np.complex128)
+        array[(1, 0) if k > 1 else 1] = factor  # x_k = 1 with its lower neighbour x_{k-1} = 0
+        tables.append(mn.QFunctionTable(k, graph.neighbors(k), 0, array.reshape(-1).tolist(), 0.0))
+    return mn.MenModel(graph, tuple(tables), mn.Assignment({q: 0 for q in range(1, n + 1)}))
+
+
 def log_domain_ratio(model, bound):
     """log of the chain's marginal ratio, summed by log-domain transfer matrices."""
     n, ref = model.num_qubits, model.reference_bits()
@@ -426,7 +442,7 @@ class TestLongChainModels:
     def test_library_reconstructs_past_the_double_range(self):
         """Off-reference entries times 1e160: the modulus underflows to 0 and the products pass the double range.
 
-        Each node's factor is divided by a power of two, and the products
+        The running product is divided by powers of two as it goes, and
         scaled back from log Z: the state has unit norm and peaks at the
         maximum-likelihood assignment.
         """
@@ -443,6 +459,30 @@ class TestLongChainModels:
         mn.save_model(model, path)
         assert run_cli(capsys, ["reconstruct", str(path), "-o", str(out)]) == (0, "n: 10\n")
         assert run_cli(capsys, ["mle", str(out)]) == (0, "assignment: 1111111111\nprobability: 1\n")
+
+    def test_library_reconstructs_a_peak_below_the_nodes_largest_entries(self):
+        """A 5-node rising chain of 1e180: its largest product, 1e540, passes the double range at 10101.
+
+        The product of the nodes' largest entries, 1e900, lies about 1196
+        bits above it: the running product is scaled by its own largest
+        modulus, not by those entries, so it neither underflows at its peak
+        nor leaves a scale past the double range.
+        """
+        model = rising_chain(5, 1e180)
+        assert model.reference_modulus == 0.0
+        amplitudes = mn.reconstruct_state(model).amplitudes
+        assert np.all(np.isfinite(amplitudes))
+        assert abs(np.sum(np.abs(amplitudes) ** 2) - 1.0) < 1e-9
+        assert int(np.argmax(np.abs(amplitudes))) == 0b10101
+        assert amplitudes[0b10101] == pytest.approx(1.0, abs=1e-9)
+        assert mn.mle_chain(model).assignment == parse_assignment("1=1,2=0,3=1,4=0,5=1")
+
+    def test_reconstruct_a_peak_below_the_nodes_largest_entries(self, capsys, tmp_path):
+        """The rising chain's file: `reconstruct -o` exits 0, and the state written peaks at 10101."""
+        path, out = tmp_path / "rising.model", tmp_path / "rising.state"
+        mn.save_model(rising_chain(5, 1e180), path)
+        assert run_cli(capsys, ["reconstruct", str(path), "-o", str(out)]) == (0, "n: 5\n")
+        assert run_cli(capsys, ["mle", str(out)]) == (0, "assignment: 10101\nprobability: 1\n")
 
     def test_mle_probability_is_not_zero(self, capsys, chain1000):
         rc, out = run_cli(capsys, ["mle", str(chain1000)])
