@@ -501,13 +501,12 @@ def reconstruct_state(model: MenModel) -> PureState:
     takes that array over: the peak is about two copies of the state, the
     result and one broadcast factor. The products' largest modulus never
     falls as factors are multiplied in (each is 1 at its node's reference
-    bit); before a factor could take it past the double range (bounded by
-    the factors' largest moduli), the array is divided by the power of two
-    2**e that brings it to about 1. The array is then scaled by the modulus
-    times 2**E, E the sum of the e, or by exp(E ln 2 - log Z / 2) where the
-    modulus is not a normal double. Products that stay in range are never
-    divided: their amplitudes are bit for bit the modulus times the
-    products.
+    bit), and it is at most sqrt(Z) = 1 / modulus: the products can pass
+    the double range only where the modulus is not a normal double. There,
+    after each factor, the array is divided by the power of two 2**e that
+    puts its largest part in [0.5, 1), and it is scaled back by
+    exp(E ln 2 - log Z / 2), E the sum of the e. Elsewhere the amplitudes
+    are the modulus times the products, undivided.
     """
     import numpy as np
 
@@ -517,18 +516,15 @@ def reconstruct_state(model: MenModel) -> PureState:
     free = range(1, n + 1)
     out = np.ones((2,) * n, dtype=np.complex128)
     parts = out.view(np.float64)
-    exponent, high = 0, 1  # out is the products times 2**-exponent, its largest modulus below 2**high
+    scale = model.reference_modulus
+    past_range, exponent = not scale >= sys.float_info.min, 0
     for values, axes in _node_factors(model.potentials, model.reference_bits(), {}):
-        top = math.frexp(np.abs(values).max())[1]
-        if high + top >= sys.float_info.max_exp:
-            e = math.frexp(max(parts.max(), -parts.min()))[1]
-            np.ldexp(parts, -e, out=parts)  # its largest part in [0.5, 1), its largest modulus below 2
-            exponent, high = exponent + e, 1
         np.multiply(out, _broadcast_over(values, axes, free), out=out)
-        high += top
-    if model.reference_modulus >= sys.float_info.min:
-        scale = math.ldexp(model.reference_modulus, exponent)
-    else:
+        if past_range:  # out is then the products times 2**-exponent
+            e = math.frexp(max(parts.max(), -parts.min()))[1]
+            np.ldexp(parts, -e, out=parts)
+            exponent += e
+    if past_range:
         from .elimination import _model_log_z
 
         scale = math.exp(exponent * math.log(2.0) - 0.5 * _model_log_z(model)[0])

@@ -439,50 +439,39 @@ class TestLongChainModels:
         want_log_z = elimination.log_partition(twin.potentials, twin.reference_bits())[0]
         assert inference._model_log_z(chain)[0] == pytest.approx(want_log_z, rel=1e-12)
 
-    def test_library_reconstructs_past_the_double_range(self):
-        """Off-reference entries times 1e160: the modulus underflows to 0 and the products pass the double range.
+    # Both models' moduli underflow to 0 and their products pass the double
+    # range. In the rising chain no one assignment takes every node's
+    # largest entry: its peak, 1e540 at 10101, lies about 1196 bits below
+    # the product of those entries (1e900), so dividing each node's factor
+    # by its own largest entry underflows at the peak.
+    PAST_RANGE = {
+        "scaled": (lambda: off_reference_scaled(mn.random_chain_model(10, seed=3), 1e160), "1111111111"),
+        "rising": (lambda: rising_chain(5, 1e180), "10101"),
+    }
 
-        The running product is divided by powers of two as it goes, and
-        scaled back from log Z: the state has unit norm and peaks at the
-        maximum-likelihood assignment.
+    @pytest.mark.parametrize("name", PAST_RANGE)
+    def test_library_reconstructs_past_the_double_range(self, name):
+        """The running product is divided by powers of two as it goes, and scaled back from log Z.
+
+        The state has unit norm and peaks at the maximum-likelihood
+        assignment.
         """
-        model = off_reference_scaled(mn.random_chain_model(10, seed=3), 1e160)
+        make, peak = self.PAST_RANGE[name]
+        model = make()
         assert model.reference_modulus == 0.0
         probabilities = np.abs(mn.reconstruct_state(model).amplitudes) ** 2
         assert abs(probabilities.sum() - 1.0) < 1e-9 and probabilities.max() > 1 - 1e-9
-        assert mn.assignment_of(int(np.argmax(probabilities)), 10) == mn.mle_chain(model).assignment
+        assert int(np.argmax(probabilities)) == int(peak, 2)
+        assert mn.assignment_of(int(peak, 2), len(peak)) == mn.mle_chain(model).assignment
 
-    def test_reconstruct_past_the_double_range(self, capsys, tmp_path):
-        """The same chain's file: the stored modulus is 0, and the state written peaks at the mle assignment."""
-        model = off_reference_scaled(mn.random_chain_model(10, seed=3), 1e160)
+    @pytest.mark.parametrize("name", PAST_RANGE)
+    def test_reconstruct_past_the_double_range(self, name, capsys, tmp_path):
+        """The same chains' files: the stored modulus is 0, and the state written peaks at the mle assignment."""
+        make, peak = self.PAST_RANGE[name]
         path, out = tmp_path / "big.model", tmp_path / "big.state"
-        mn.save_model(model, path)
-        assert run_cli(capsys, ["reconstruct", str(path), "-o", str(out)]) == (0, "n: 10\n")
-        assert run_cli(capsys, ["mle", str(out)]) == (0, "assignment: 1111111111\nprobability: 1\n")
-
-    def test_library_reconstructs_a_peak_below_the_nodes_largest_entries(self):
-        """A 5-node rising chain of 1e180: its largest product, 1e540, passes the double range at 10101.
-
-        The product of the nodes' largest entries, 1e900, lies about 1196
-        bits above it: the running product is scaled by its own largest
-        modulus, not by those entries, so it neither underflows at its peak
-        nor leaves a scale past the double range.
-        """
-        model = rising_chain(5, 1e180)
-        assert model.reference_modulus == 0.0
-        amplitudes = mn.reconstruct_state(model).amplitudes
-        assert np.all(np.isfinite(amplitudes))
-        assert abs(np.sum(np.abs(amplitudes) ** 2) - 1.0) < 1e-9
-        assert int(np.argmax(np.abs(amplitudes))) == 0b10101
-        assert amplitudes[0b10101] == pytest.approx(1.0, abs=1e-9)
-        assert mn.mle_chain(model).assignment == parse_assignment("1=1,2=0,3=1,4=0,5=1")
-
-    def test_reconstruct_a_peak_below_the_nodes_largest_entries(self, capsys, tmp_path):
-        """The rising chain's file: `reconstruct -o` exits 0, and the state written peaks at 10101."""
-        path, out = tmp_path / "rising.model", tmp_path / "rising.state"
-        mn.save_model(rising_chain(5, 1e180), path)
-        assert run_cli(capsys, ["reconstruct", str(path), "-o", str(out)]) == (0, "n: 5\n")
-        assert run_cli(capsys, ["mle", str(out)]) == (0, "assignment: 10101\nprobability: 1\n")
+        mn.save_model(make(), path)
+        assert run_cli(capsys, ["reconstruct", str(path), "-o", str(out)]) == (0, f"n: {len(peak)}\n")
+        assert run_cli(capsys, ["mle", str(out)]) == (0, f"assignment: {peak}\nprobability: 1\n")
 
     def test_mle_probability_is_not_zero(self, capsys, chain1000):
         rc, out = run_cli(capsys, ["mle", str(chain1000)])

@@ -370,7 +370,7 @@ class TestReconstruct:
 
     @pytest.mark.parametrize("name", RECONSTRUCT_MODELS)
     def test_amplitudes_are_the_modulus_times_the_products_bit_for_bit(self, name):
-        """Models whose products and modulus are in the double range take the unscaled products, bit for bit."""
+        """Models whose products stay in the double range are never divided: the modulus times the products, bit for bit."""
         model = RECONSTRUCT_MODELS[name]
         want = model.reference_modulus * network._relative_amplitude_products(
             model.potentials, model.reference_bits(), model.num_qubits
